@@ -25,6 +25,7 @@ from repro.core.factorize import (
     factorize_model,
     factorize_module,
     hybrid_parameter_count,
+    installed_rank,
     materialize_low_rank,
     reconstruction_error,
     svd_factorize,
@@ -63,6 +64,7 @@ __all__ = [
     "factorize_model",
     "factorize_module",
     "hybrid_parameter_count",
+    "installed_rank",
     "reconstruction_error",
     "svd_factorize",
     "would_reduce_parameters",

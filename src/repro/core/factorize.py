@@ -86,6 +86,20 @@ def would_reduce_parameters(module: nn.Module, rank: int) -> bool:
     return False
 
 
+def installed_rank(module: nn.Module, rank: float, skip_non_reducing: bool = True) -> Optional[int]:
+    """The rank :func:`factorize_model` installs for ``module`` when asked for ``rank``.
+
+    ``rank`` may be fractional — a rank ratio times :func:`full_rank_of` — and
+    is rounded, raised to at least 1 and clamped to the layer's full rank.
+    ``None`` means the layer is skipped: with ``skip_non_reducing`` set, the
+    rank would not shrink it (paper §C.2).
+    """
+    rank = min(int(max(1, round(rank))), full_rank_of(module))
+    if skip_non_reducing and not would_reduce_parameters(module, rank):
+        return None
+    return rank
+
+
 def factorize_model(
     model: nn.Module,
     ranks: Dict[str, int],
@@ -99,14 +113,13 @@ def factorize_model(
     ``skip_non_reducing`` is set (paper §C.2 behaviour).
     """
     factorized: List[str] = []
-    for path, rank in ranks.items():
+    for path, requested in ranks.items():
         module = model.get_submodule(path)
         if is_low_rank(module):
             continue
-        rank = int(max(1, round(rank)))
-        rank = min(rank, full_rank_of(module))
-        if skip_non_reducing and not would_reduce_parameters(module, rank):
-            logger.debug("skipping %s: rank %d does not reduce parameters", path, rank)
+        rank = installed_rank(module, requested, skip_non_reducing)
+        if rank is None:
+            logger.debug("skipping %s: rank %s does not reduce parameters", path, requested)
             continue
         replacement = factorize_module(module, rank, extra_bn=extra_bn)
         model.set_submodule(path, replacement)
@@ -121,12 +134,13 @@ def materialize_low_rank(
 ) -> List[str]:
     """Install low-rank layers structurally, *without* SVD-ing current weights.
 
-    Swaps each listed Linear/Conv2d for a freshly initialised factorized layer
-    of the requested rank.  This is the cheap path used when the factor
-    weights are about to be overwritten anyway — e.g. when a serving artifact
-    rebuilds the factorized architecture before loading the stored U/Vᵀ
-    factors.  Contrast :func:`factorize_model`, which preserves the layer's
-    current function via a truncated SVD.
+    Swaps each listed Linear/Conv2d for a factorized layer of the requested
+    rank whose factors are zeros: no initialiser runs, so no SVD either.
+    This is the cheap path used when the factor weights are about to be
+    overwritten anyway — e.g. when a serving artifact rebuilds the factorized
+    architecture before loading the stored U/Vᵀ factors.  Contrast
+    :func:`factorize_model`, which preserves the layer's current function via
+    a truncated SVD.
     """
     installed: List[str] = []
     for path, rank in ranks.items():
@@ -138,21 +152,21 @@ def materialize_low_rank(
                     f"cannot re-materialize at rank {rank}"
                 )
             continue
-        rank = int(max(1, round(rank)))
-        if isinstance(module, nn.Conv2d):
-            replacement: nn.Module = LowRankConv2d(
-                module.in_channels, module.out_channels, module.kernel_size, rank,
-                stride=module.stride, padding=module.padding,
-                bias=module.bias is not None, extra_bn=extra_bn,
-            )
-        elif isinstance(module, nn.Linear):
-            replacement = LowRankLinear(
-                module.in_features, module.out_features, rank,
-                bias=module.bias is not None, extra_bn=extra_bn,
-            )
-        else:
+        if not isinstance(module, (nn.Conv2d, nn.Linear)):
             raise TypeError(f"cannot materialize low-rank layer at {path!r}: "
                             f"unsupported module type {type(module).__name__}")
+        rank = installed_rank(module, rank, skip_non_reducing=False)
+        if isinstance(module, nn.Conv2d):
+            out_c, in_c, kh, kw = module.weight.shape
+            replacement: nn.Module = LowRankConv2d.from_factors(
+                module, np.zeros((in_c * kh * kw, rank), dtype=np.float32),
+                np.zeros((rank, out_c), dtype=np.float32), extra_bn=extra_bn)
+        else:
+            bias = None if module.bias is None else np.zeros(module.out_features, dtype=np.float32)
+            replacement = LowRankLinear.from_factors(
+                np.zeros((module.in_features, rank), dtype=np.float32),
+                np.zeros((rank, module.out_features), dtype=np.float32),
+                bias=bias, extra_bn=extra_bn)
         model.set_submodule(path, replacement)
         installed.append(path)
     return installed

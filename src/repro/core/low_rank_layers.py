@@ -35,31 +35,35 @@ class LowRankLinear(nn.Module):
         extra_bn: bool = False,
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__()
         rank = int(max(1, min(rank, in_features, out_features)))
-        self.in_features = in_features
-        self.out_features = out_features
-        self.rank = rank
-        self.extra_bn = extra_bn
-        # Stored in "math" orientation: U is (in, r), Vt is (r, out).
         u, vt = nn.init.spectral_init((in_features, out_features), rank, rng=rng)
-        self.u = Parameter(u)
-        self.vt = Parameter(vt)
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
-        self.bn = nn.BatchNorm1d(rank) if extra_bn else None
+        self._install(u, vt, np.zeros(out_features, dtype=np.float32) if bias else None, extra_bn)
 
     @classmethod
     def from_factors(cls, u: np.ndarray, vt: np.ndarray, bias: Optional[np.ndarray] = None,
                      extra_bn: bool = False) -> "LowRankLinear":
-        """Build a factorized layer from explicit U (in, r) and Vᵀ (r, out) factors."""
-        in_features, rank = u.shape
-        out_features = vt.shape[1]
-        layer = cls(in_features, out_features, rank, bias=bias is not None, extra_bn=extra_bn)
-        layer.u.data = np.asarray(u, dtype=np.float32).copy()
-        layer.vt.data = np.asarray(vt, dtype=np.float32).copy()
-        if bias is not None:
-            layer.bias.data = np.asarray(bias, dtype=np.float32).copy()
+        """Build a factorized layer from explicit U (in, r) and Vᵀ (r, out) factors.
+
+        The factors are copied in as given; no initialiser runs (so no SVD).
+        """
+        layer = cls.__new__(cls)
+        layer._install(np.asarray(u, dtype=np.float32).copy(),
+                       np.asarray(vt, dtype=np.float32).copy(),
+                       None if bias is None else np.asarray(bias, dtype=np.float32).copy(),
+                       extra_bn)
         return layer
+
+    def _install(self, u: np.ndarray, vt: np.ndarray, bias: Optional[np.ndarray],
+                 extra_bn: bool) -> None:
+        nn.Module.__init__(self)
+        self.in_features, self.rank = u.shape
+        self.out_features = vt.shape[1]
+        self.extra_bn = extra_bn
+        # Stored in "math" orientation: U is (in, r), Vt is (r, out).
+        self.u = Parameter(u)
+        self.vt = Parameter(vt)
+        self.bias = Parameter(bias) if bias is not None else None
+        self.bn = nn.BatchNorm1d(self.rank) if extra_bn else None
 
     def forward(self, x: Tensor) -> Tensor:
         if not isinstance(x, Tensor):
@@ -133,10 +137,33 @@ class LowRankConv2d(nn.Module):
         extra_bn: bool = False,
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__()
         kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
         full_rank = min(in_channels * kh * kw, out_channels)
         rank = int(max(1, min(rank, full_rank)))
+        u, vt = nn.init.spectral_init((in_channels * kh * kw, out_channels), rank, rng=rng)
+        self._install(in_channels, out_channels, (kh, kw), stride, padding, u, vt,
+                      np.zeros(out_channels, dtype=np.float32) if bias else None, extra_bn)
+
+    @classmethod
+    def from_factors(cls, reference: nn.Conv2d, u: np.ndarray, vt: np.ndarray,
+                     extra_bn: bool = False) -> "LowRankConv2d":
+        """Build a factorized conv from U (in·kh·kw, r), Vᵀ (r, out) and a reference layer.
+
+        The factors are copied in as given; no initialiser runs (so no SVD).
+        """
+        out_c, in_c, kh, kw = reference.weight.shape
+        layer = cls.__new__(cls)
+        layer._install(in_c, out_c, (kh, kw), reference.stride, reference.padding,
+                       np.asarray(u, dtype=np.float32), np.asarray(vt, dtype=np.float32),
+                       None if reference.bias is None else reference.bias.data.copy(), extra_bn)
+        return layer
+
+    def _install(self, in_channels: int, out_channels: int, kernel_size: Tuple[int, int],
+                 stride, padding, u: np.ndarray, vt: np.ndarray, bias: Optional[np.ndarray],
+                 extra_bn: bool) -> None:
+        nn.Module.__init__(self)
+        kh, kw = kernel_size
+        rank = u.shape[1]
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = (kh, kw)
@@ -144,29 +171,11 @@ class LowRankConv2d(nn.Module):
         self.padding = padding
         self.rank = rank
         self.extra_bn = extra_bn
-
-        u, vt = nn.init.spectral_init((in_channels * kh * kw, out_channels), rank, rng=rng)
         # U (in·kh·kw, r) reshaped to a conv weight (r, in, kh, kw); Vᵀ (r, out) as 1×1 conv (out, r, 1, 1).
         self.u_weight = Parameter(u.reshape(in_channels, kh, kw, rank).transpose(3, 0, 1, 2).copy())
         self.v_weight = Parameter(vt.T.reshape(out_channels, rank, 1, 1).copy())
-        self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
+        self.bias = Parameter(bias) if bias is not None else None
         self.bn = nn.BatchNorm2d(rank) if extra_bn else None
-
-    @classmethod
-    def from_factors(cls, reference: nn.Conv2d, u: np.ndarray, vt: np.ndarray,
-                     extra_bn: bool = False) -> "LowRankConv2d":
-        """Build a factorized conv from U (in·kh·kw, r), Vᵀ (r, out) and a reference layer."""
-        out_c, in_c, kh, kw = reference.weight.shape
-        rank = u.shape[1]
-        layer = cls(in_c, out_c, (kh, kw), rank, stride=reference.stride, padding=reference.padding,
-                    bias=reference.bias is not None, extra_bn=extra_bn)
-        layer.u_weight.data = (
-            np.asarray(u, dtype=np.float32).reshape(in_c, kh, kw, rank).transpose(3, 0, 1, 2).copy()
-        )
-        layer.v_weight.data = np.asarray(vt, dtype=np.float32).T.reshape(out_c, rank, 1, 1).copy()
-        if reference.bias is not None:
-            layer.bias.data = reference.bias.data.copy()
-        return layer
 
     def forward(self, x: Tensor) -> Tensor:
         hidden = F.conv2d(x, self.u_weight, None, stride=self.stride, padding=self.padding)

@@ -18,23 +18,25 @@ Two measurement back-ends are supported:
   (the paper's protocol, Section 4.3);
 * ``"roofline"`` — evaluate the analytical roofline model for a chosen GPU
   spec.  This is deterministic and reproduces the paper's arithmetic-intensity
-  argument even on hardware very different from the authors' testbed.
+  argument even on hardware very different from the authors' testbed.  The
+  roofline reads only layer shapes, so each probe factorization is priced
+  from one shape trace and the probe rank: nothing is factorized.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import nn
-from repro.core.factorize import factorize_module, would_reduce_parameters
+from repro.core.factorize import factorize_module, installed_rank
 from repro.core.stable_rank import full_rank_of
-from repro.profiling.roofline import DeviceSpec, V100, predict_layer_times
+from repro.profiling.roofline import DeviceSpec, V100, price_layer, price_layer_times
 from repro.profiling.timer import time_callable
-from repro.profiling.tracer import trace_shapes
+from repro.profiling.tracer import ModuleTrace, trace_shapes
 from repro.tensor import Tensor
 from repro.utils import get_logger, get_rng
 
@@ -71,17 +73,26 @@ class ProfilingResult:
         return {p.stack_name: p.speedup for p in self.stack_profiles}
 
 
+def _probe_rank(module: nn.Module, rank_ratio: float) -> Optional[int]:
+    """The rank a probe factorizes ``module`` at, or ``None`` if it stays as it is."""
+    if not isinstance(module, (nn.Conv2d, nn.Linear)):
+        return None
+    return installed_rank(module, full_rank_of(module) * rank_ratio)
+
+
 @contextlib.contextmanager
 def _temporarily_factorized(model: nn.Module, layer_paths: Sequence[str], rank_ratio: float):
-    """Swap the listed layers for probe factorizations, restore them afterwards."""
+    """Swap the listed layers for probe factorizations, restore them afterwards.
+
+    Only wall-clock probes need this: they time the factorized layers' real
+    forward and backward passes.
+    """
     originals: List[Tuple[str, nn.Module]] = []
     try:
         for path in layer_paths:
             module = model.get_submodule(path)
-            if not isinstance(module, (nn.Conv2d, nn.Linear)):
-                continue
-            rank = max(1, int(round(full_rank_of(module) * rank_ratio)))
-            if not would_reduce_parameters(module, rank):
+            rank = _probe_rank(module, rank_ratio)
+            if rank is None:
                 continue
             originals.append((path, module))
             model.set_submodule(path, factorize_module(module, rank))
@@ -91,11 +102,9 @@ def _temporarily_factorized(model: nn.Module, layer_paths: Sequence[str], rank_r
             model.set_submodule(path, module)
 
 
-def _wallclock_layer_times(model: nn.Module, layer_paths: Sequence[str], example_batch,
-                           iterations: int, forward_fn=None) -> Dict[str, float]:
-    """Wall-clock forward+backward time of each listed layer on its real input shape."""
-    inputs = example_batch[0]
-    traces = trace_shapes(model, inputs, forward_fn=forward_fn)
+def _wallclock_stack_time(model: nn.Module, layer_paths: Sequence[str],
+                          traces: Dict[str, ModuleTrace], iterations: int) -> float:
+    """Wall-clock forward+backward time of a stack's layers, each on its real input shape."""
     rng = get_rng(offset=5_150)
     times: Dict[str, float] = {}
     for path in layer_paths:
@@ -113,24 +122,30 @@ def _wallclock_layer_times(model: nn.Module, layer_paths: Sequence[str], example
             module.zero_grad()
 
         times[path] = time_callable(run, iterations=iterations)
-    return times
+    return sum(times.values())
 
 
-def _stack_time(model: nn.Module, layer_paths: Sequence[str], example_batch, mode: str,
-                iterations: int, device: DeviceSpec, forward_fn=None,
-                batch_scale: float = 1.0, backward_multiplier: float = 2.0) -> float:
-    """Per-iteration time attributable to the layers of one stack."""
-    inputs = example_batch[0]
-    if mode == "roofline":
-        layer_times = predict_layer_times(model, inputs, device=device, forward_fn=forward_fn,
-                                          batch_scale=batch_scale)
-        forward = sum(layer_times.get(path, 0.0) for path in layer_paths)
-        return forward * (1.0 + backward_multiplier)
-    if mode == "wallclock":
-        layer_times = _wallclock_layer_times(model, layer_paths, example_batch, iterations,
-                                             forward_fn=forward_fn)
-        return sum(layer_times.values())
-    raise KeyError(f"unknown profiling mode {mode!r}")
+def _roofline_stack_times(model: nn.Module, layer_paths: Sequence[str],
+                          traces: Dict[str, ModuleTrace], full_times: Dict[str, float],
+                          rank_ratio: float, device: DeviceSpec,
+                          batch_scale: float) -> Tuple[float, float]:
+    """(full-rank, factorized) per-iteration roofline time of one stack.
+
+    Each probe factorization is priced from its layer's traced shapes and
+    probe rank.  The sums run in stack-path order, so the times are
+    bit-identical to factorizing the stack and tracing it again.
+    """
+    def probe_time(path: str) -> float:
+        module = model.get_submodule(path)
+        rank = _probe_rank(module, rank_ratio)
+        if rank is None or path not in traces:
+            return full_times.get(path, 0.0)
+        return price_layer(module, traces[path], device, batch_scale, rank)
+
+    full = sum(full_times.get(path, 0.0) for path in layer_paths)
+    factorized = sum(probe_time(path) for path in layer_paths)
+    # Backward ≈ 2× forward, as the paper assumes.
+    return full * 3.0, factorized * 3.0
 
 
 def profile_layer_stacks(
@@ -146,6 +161,8 @@ def profile_layer_stacks(
     forward_fn=None,
     contiguous_prefix: bool = True,
     batch_scale: float = 1.0,
+    *,
+    traces: Optional[Dict[str, ModuleTrace]] = None,
 ) -> ProfilingResult:
     """Run Algorithm 2 and decide which stacks stay full-rank.
 
@@ -155,7 +172,12 @@ def profile_layer_stacks(
         Ordered mapping stack name → module paths, from the model's
         ``layer_stack_paths()``.
     example_batch:
-        ``(inputs, labels)`` used for shape tracing / probe iterations.
+        ``(inputs, labels)``; the inputs are traced once for layer shapes,
+        which price the roofline and shape the wall-clock probe inputs.
+        Unused when ``traces`` is given.
+    traces:
+        A shape trace of ``model`` the caller already holds (from
+        :func:`~repro.profiling.tracer.trace_shapes`), to skip tracing.
     rank_ratio:
         The probe rank ratio ρ̄ (paper uses 1/4).
     speedup_threshold:
@@ -175,13 +197,21 @@ def profile_layer_stacks(
         the trainer.
     """
     del loss_fn  # stack-local measurement does not need the training loss
+    if mode not in ("roofline", "wallclock"):
+        raise KeyError(f"unknown profiling mode {mode!r}")
+    if traces is None:
+        traces = trace_shapes(model, example_batch[0], forward_fn=forward_fn)
+    if mode == "roofline":
+        full_times = price_layer_times(model, traces, device, batch_scale)
     profiles: List[StackProfile] = []
     for stack_name, layer_paths in stack_paths.items():
-        full_time = _stack_time(model, layer_paths, example_batch, mode, iterations, device,
-                                forward_fn=forward_fn, batch_scale=batch_scale)
-        with _temporarily_factorized(model, layer_paths, rank_ratio):
-            factorized_time = _stack_time(model, layer_paths, example_batch, mode, iterations, device,
-                                          forward_fn=forward_fn, batch_scale=batch_scale)
+        if mode == "roofline":
+            full_time, factorized_time = _roofline_stack_times(
+                model, layer_paths, traces, full_times, rank_ratio, device, batch_scale)
+        else:
+            full_time = _wallclock_stack_time(model, layer_paths, traces, iterations)
+            with _temporarily_factorized(model, layer_paths, rank_ratio):
+                factorized_time = _wallclock_stack_time(model, layer_paths, traces, iterations)
         profiles.append(StackProfile(stack_name, list(layer_paths), full_time, factorized_time))
         logger.debug("stack %s: full=%.4g factorized=%.4g speedup=%.2fx",
                      stack_name, full_time, factorized_time, profiles[-1].speedup)

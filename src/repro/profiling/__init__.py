@@ -33,6 +33,8 @@ from repro.profiling.roofline import (
     predict_iteration_time,
     predict_layer_times,
     predict_model_time,
+    price_layer,
+    price_layer_times,
 )
 from repro.profiling.timer import time_callable, time_forward, time_training_iteration
 
@@ -67,6 +69,8 @@ __all__ = [
     "predict_iteration_time",
     "predict_layer_times",
     "predict_model_time",
+    "price_layer",
+    "price_layer_times",
     "time_callable",
     "time_forward",
     "time_training_iteration",

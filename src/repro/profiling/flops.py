@@ -119,29 +119,41 @@ def factorized_linear_cost(batch_tokens: int, in_features: int, out_features: in
     return u + v
 
 
-def layer_cost_pieces(module: nn.Module, trace: ModuleTrace) -> Optional[list]:
+def layer_cost_pieces(module: nn.Module, trace: ModuleTrace,
+                      rank: Optional[int] = None) -> Optional[list]:
     """Cost of a traced module as a list of GEMM pieces (factorized layers → two).
+
+    With ``rank``, a full-rank ``Conv2d``/``Linear`` is costed as if it were
+    factorized at that rank.  A factorized layer sees the same input and
+    output shapes as the layer it replaces, so its two pieces follow from the
+    full-rank layer's trace and the rank alone: no factorized copy of the
+    model is needed.  Factorized layers are costed the same way, at their own
+    rank.
 
     Timing models should price each piece with its own utilisation; reporting
     code can simply sum the pieces.
     """
-    from repro.core.low_rank_layers import LowRankConv2d, LowRankLinear
+    from repro.core.low_rank_layers import LowRankConv2d, LowRankLinear, is_low_rank
 
-    if isinstance(module, LowRankConv2d):
+    if rank is None and is_low_rank(module):
+        rank = module.rank
+    if rank is None:
+        single = _cost_from_trace(module, trace)
+        return None if single is None else [single]
+    if isinstance(module, (nn.Conv2d, LowRankConv2d)):
         n, _, out_h, out_w = trace.output_shape
         kernel = module.kernel_size[0]
         return [
-            conv2d_cost(n, module.in_channels, module.rank, kernel, out_h, out_w),
-            conv2d_cost(n, module.rank, module.out_channels, 1, out_h, out_w),
+            conv2d_cost(n, module.in_channels, rank, kernel, out_h, out_w),
+            conv2d_cost(n, rank, module.out_channels, 1, out_h, out_w),
         ]
-    if isinstance(module, LowRankLinear):
+    if isinstance(module, (nn.Linear, LowRankLinear)):
         tokens = int(np.prod(trace.input_shape[:-1]))
         return [
-            linear_cost(tokens, module.in_features, module.rank),
-            linear_cost(tokens, module.rank, module.out_features),
+            linear_cost(tokens, module.in_features, rank),
+            linear_cost(tokens, rank, module.out_features),
         ]
-    single = _cost_from_trace(module, trace)
-    return None if single is None else [single]
+    raise TypeError(f"cannot cost a rank-{rank} factorization of {type(module).__name__}")
 
 
 def _cost_from_trace(module: nn.Module, trace: ModuleTrace) -> Optional[LayerCost]:

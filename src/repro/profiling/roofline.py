@@ -21,10 +21,11 @@ A100) plus a generic CPU.  The model is used for two purposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro import nn
-from repro.profiling.flops import LayerCost, model_layer_costs
+from repro.profiling.flops import LayerCost, layer_cost_pieces
+from repro.profiling.tracer import ModuleTrace, trace_shapes
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,48 @@ def get_device(name: str) -> DeviceSpec:
     return DEVICES[key]
 
 
+def price_layer(module: nn.Module, trace: ModuleTrace, device: DeviceSpec = V100,
+                batch_scale: float = 1.0, rank: Optional[int] = None) -> Optional[float]:
+    """Predicted forward time (seconds) of one traced layer; ``None`` if it costs nothing.
+
+    With ``rank``, a full-rank ``Conv2d``/``Linear`` is priced as if it were
+    factorized at that rank, from its traced shapes alone (see
+    :func:`~repro.profiling.flops.layer_cost_pieces`).  The roofline reads
+    shapes, never weight values, so pricing a factorization needs no SVD.
+    """
+    pieces = layer_cost_pieces(module, trace, rank)
+    if not pieces:
+        return None
+    total = 0.0
+    for piece in pieces:
+        if batch_scale != 1.0:
+            piece = piece.scale_batch(batch_scale)
+        # Each GEMM piece is one kernel launch.
+        total += device.layer_time(piece, kernels=1)
+    return total
+
+
+def price_layer_times(model: nn.Module, traces: Dict[str, ModuleTrace],
+                      device: DeviceSpec = V100, batch_scale: float = 1.0,
+                      ranks: Optional[Dict[str, int]] = None) -> Dict[str, float]:
+    """Per-layer forward times of ``model`` priced from its shape trace.
+
+    ``traces`` comes from :func:`~repro.profiling.tracer.trace_shapes`.
+    ``ranks`` (module path → rank) prices the listed layers as if factorized
+    at those ranks, which gives the same times as factorizing a copy of the
+    model and tracing it again.  Layers appear in ``named_modules()`` order.
+    """
+    ranks = ranks or {}
+    times: Dict[str, float] = {}
+    for name, module in model.named_modules():
+        if not name or name not in traces:
+            continue
+        seconds = price_layer(module, traces[name], device, batch_scale, ranks.get(name))
+        if seconds is not None:
+            times[name] = seconds
+    return times
+
+
 def predict_layer_times(model: nn.Module, example_input, device: DeviceSpec = V100,
                         forward_fn=None, batch_scale: float = 1.0) -> Dict[str, float]:
     """Predicted per-layer forward time (seconds) under the roofline model.
@@ -89,25 +132,8 @@ def predict_layer_times(model: nn.Module, example_input, device: DeviceSpec = V1
     than the traced example (used to evaluate paper-scale batch sizes from a
     cheap small-batch trace).
     """
-    from repro.profiling.flops import layer_cost_pieces
-    from repro.profiling.tracer import trace_shapes
-
     traces = trace_shapes(model, example_input, forward_fn=forward_fn)
-    times: Dict[str, float] = {}
-    for name, module in model.named_modules():
-        if not name or name not in traces:
-            continue
-        pieces = layer_cost_pieces(module, traces[name])
-        if not pieces:
-            continue
-        total = 0.0
-        for piece in pieces:
-            if batch_scale != 1.0:
-                piece = piece.scale_batch(batch_scale)
-            # Each GEMM piece is one kernel launch.
-            total += device.layer_time(piece, kernels=1)
-        times[name] = total
-    return times
+    return price_layer_times(model, traces, device, batch_scale)
 
 
 def predict_model_time(model: nn.Module, example_input, device: DeviceSpec = V100,

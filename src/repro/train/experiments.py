@@ -40,14 +40,14 @@ import numpy as np
 from repro import nn
 from repro.core import (
     ProfilingResult,
-    factorize_model,
     full_rank_of,
+    installed_rank,
     profile_layer_stacks,
 )
 from repro.data import DataLoader, build_loaders, build_replica_loaders, make_vision_task
 from repro.models import build_model
 from repro.optim import SGD, build_paper_cifar_schedule
-from repro.profiling import V100, DeviceSpec, predict_iteration_time
+from repro.profiling import V100, DeviceSpec, ModuleTrace, price_layer_times, trace_shapes
 from repro.train.methods import ExperimentContext, build_method
 from repro.train.trainer import Trainer
 from repro.utils import get_logger, get_rng, seed_everything
@@ -257,29 +257,55 @@ def _reference_input(config: VisionExperimentConfig) -> np.ndarray:
     return rng.standard_normal((config.reference_batch, 3, size, size)).astype(np.float32)
 
 
+def _reference_shape_key(config: VisionExperimentConfig, num_classes: int) -> Tuple:
+    """What fixes the reference model's layer shapes.  The seed is not part of
+    it: it changes only the weights, which the roofline never reads."""
+    return (config.model, config.reference_width_mult, config.reference_image_size,
+            config.reference_batch, num_classes, config.small_input)
+
+
+# The traced reference model: one entry, because a paper-scale model holds
+# tens of MB of weights.
+_REFERENCE_TRACE: Dict[Tuple, Tuple[nn.Module, Dict[str, ModuleTrace]]] = {}
+
+
+def _traced_reference(config: VisionExperimentConfig,
+                      num_classes: int) -> Tuple[nn.Module, Dict[str, ModuleTrace]]:
+    """The paper-scale reference model and its layer-shape trace.
+
+    Built and traced once per shape key, then shared by
+    :func:`reference_profiling` and :func:`projected_training_hours`, which
+    only read it: nothing may modify the shared model.
+    """
+    key = _reference_shape_key(config, num_classes)
+    if key not in _REFERENCE_TRACE:
+        reference = _build_model(config, num_classes, width_mult=config.reference_width_mult)
+        traces = trace_shapes(reference, _reference_input(config))
+        _REFERENCE_TRACE.clear()
+        _REFERENCE_TRACE[key] = (reference, traces)
+    return _REFERENCE_TRACE[key]
+
+
 # Memoised reference-model profiling: keyed by everything the decision depends on.
 _REFERENCE_PROFILE_CACHE: Dict[Tuple, ProfilingResult] = {}
 
 
 def reference_profiling(config: VisionExperimentConfig, num_classes: int) -> Optional[ProfilingResult]:
     """Run Algorithm 2 on the paper-scale reference model (roofline, paper batch)."""
-    key = (config.model, config.reference_width_mult, config.reference_image_size,
-           config.paper_batch_size, config.reference_batch, config.device.name,
-           num_classes, config.small_input,
-           config.profile_rank_ratio, config.profile_speedup_threshold)
+    key = _reference_shape_key(config, num_classes) + (
+        config.paper_batch_size, config.device.name,
+        config.profile_rank_ratio, config.profile_speedup_threshold)
     if key in _REFERENCE_PROFILE_CACHE:
         return _REFERENCE_PROFILE_CACHE[key]
-    reference = _build_model(config, num_classes, width_mult=config.reference_width_mult)
+    reference, traces = _traced_reference(config, num_classes)
     if not hasattr(reference, "layer_stack_paths"):
         return None
-    example_input = _reference_input(config)
-    labels = np.zeros(len(example_input), dtype=np.int64)
-    batch_scale = config.paper_batch_size / len(example_input)
     result = profile_layer_stacks(
-        reference, reference.layer_stack_paths(), (example_input, labels),
+        reference, reference.layer_stack_paths(), None,
         rank_ratio=config.profile_rank_ratio,
         speedup_threshold=config.profile_speedup_threshold,
-        mode="roofline", device=config.device, batch_scale=batch_scale,
+        mode="roofline", device=config.device,
+        batch_scale=config.paper_batch_size / config.reference_batch, traces=traces,
     )
     _REFERENCE_PROFILE_CACHE[key] = result
     return result
@@ -291,28 +317,31 @@ def projected_training_hours(config: VisionExperimentConfig, num_classes: int,
                              overhead_multiplier: float = 1.0) -> float:
     """Project end-to-end GPU hours at paper scale from the roofline model.
 
-    The reference (full-width) model is priced for the full-rank phase; a copy
-    factorized at the supplied per-layer rank ratios is priced for the
-    low-rank phase.  ``overhead_multiplier`` models methods that repeat
+    The reference (full-width) model is priced for the full-rank phase, and
+    priced again with its layers factorized at the supplied per-layer rank
+    ratios for the low-rank phase — from the shared shape trace, without
+    factorizing anything.  ``overhead_multiplier`` models methods that repeat
     training (IMP) or add per-iteration work (XNOR binarisation).
     """
-    example_input = _reference_input(config)
-    batch_scale = config.paper_batch_size / len(example_input)
-    reference = _build_model(config, num_classes, width_mult=config.reference_width_mult)
-    full_time = predict_iteration_time(reference, example_input, device=config.device,
-                                       batch_scale=batch_scale)
-    low_time = full_time
-    if rank_ratios:
-        ranks = {}
-        for path, ratio in rank_ratios.items():
-            try:
-                module = reference.get_submodule(path)
-            except KeyError:
-                continue
-            ranks[path] = max(1, int(round(full_rank_of(module) * ratio)))
-        factorize_model(reference, ranks)
-        low_time = predict_iteration_time(reference, example_input, device=config.device,
-                                          batch_scale=batch_scale)
+    reference, traces = _traced_reference(config, num_classes)
+    ranks: Dict[str, int] = {}
+    for path, ratio in (rank_ratios or {}).items():
+        try:
+            module = reference.get_submodule(path)
+        except KeyError:
+            continue
+        rank = installed_rank(module, full_rank_of(module) * ratio)
+        if rank is not None:
+            ranks[path] = rank
+    batch_scale = config.paper_batch_size / config.reference_batch
+
+    def iteration_time(layer_ranks: Dict[str, int]) -> float:
+        times = price_layer_times(reference, traces, config.device, batch_scale, layer_ranks)
+        # Backward ≈ 2× forward, as the paper assumes.
+        return sum(times.values()) * 3.0
+
+    full_time = iteration_time({})
+    low_time = iteration_time(ranks)
     seconds = config.paper_steps_per_epoch * (epochs_full * full_time + epochs_low * low_time)
     return overhead_multiplier * seconds / 3600.0
 

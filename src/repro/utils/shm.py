@@ -215,14 +215,15 @@ class ShmArena:
     """
 
     def __init__(self, segment_or_size, *, align: int = DEFAULT_ALIGN):
+        # Validate before creating a segment, which a failed constructor would leak.
+        if align < 1 or align & (align - 1):
+            raise ValueError(f"align must be a positive power of two, got {align}")
         if isinstance(segment_or_size, SharedSegment):
             self.segment = segment_or_size
             self._owns_segment = False
         else:
             self.segment = SharedSegment(int(segment_or_size))
             self._owns_segment = True
-        if align < 1 or align & (align - 1):
-            raise ValueError(f"align must be a positive power of two, got {align}")
         self.align = align
         self._offset = 0
         self._addr_lo, self._addr_hi = byte_bounds(

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,20 @@ def _run(argv):
     stream = io.StringIO()
     code = main(argv, stream=stream)
     return code, stream.getvalue()
+
+
+class TestImport:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """scipy.stats costs ~0.4 s to import and only spearman_correlation
+        uses it, so a CLI process (``repro serve`` included) must not pay
+        for it at start-up."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestParser:

@@ -4,6 +4,9 @@
 import numpy as np
 import pytest
 
+from repro.core import factorize_model, full_rank_of
+from repro.profiling import predict_iteration_time
+from repro.train import experiments
 from repro.train.experiments import (
     VisionExperimentConfig,
     format_rows,
@@ -77,6 +80,53 @@ class TestProjectedTime:
         base = projected_training_hours(config, 4, None, 2, 0)
         doubled = projected_training_hours(config, 4, None, 2, 0, overhead_multiplier=2.0)
         assert doubled == pytest.approx(2 * base, rel=1e-9)
+
+    @pytest.mark.parametrize("ratios", [
+        None,
+        {"layer3.1.conv2": 0.3, "layer4.0.conv1": 0.2, "layer4.1.conv2": 0.45,
+         "layer4.0.downsample.0": 0.5, "no.such.layer": 0.5},
+        {"layer1.0.conv1": 1.0, "layer4.1.conv2": 1.0},
+    ], ids=["none", "partial", "all-full-rank"])
+    def test_equals_materialized_projection(self, ratios):
+        """Pricing from the shape trace equals factorizing a reference copy
+        and tracing it again, bit for bit."""
+        config = _tiny_config()
+        reference = experiments._build_model(config, 10, width_mult=config.reference_width_mult)
+        example = experiments._reference_input(config)
+        batch_scale = config.paper_batch_size / config.reference_batch
+        full = predict_iteration_time(reference, example, device=config.device,
+                                      batch_scale=batch_scale)
+        low = full
+        if ratios:
+            factorize_model(reference, {
+                path: max(1, int(round(full_rank_of(reference.get_submodule(path)) * ratio)))
+                for path, ratio in ratios.items() if path != "no.such.layer"})
+            low = predict_iteration_time(reference, example, device=config.device,
+                                         batch_scale=batch_scale)
+        seconds = config.paper_steps_per_epoch * (3.0 * full + 5.0 * low)
+        expected = 1.5 * seconds / 3600.0
+        assert projected_training_hours(config, 10, ratios, 3.0, 5.0, 1.5) == expected
+
+    def test_profiling_and_projection_share_one_build_and_run_no_svd(self, monkeypatch,
+                                                                     svd_calls):
+        monkeypatch.setattr(experiments, "_REFERENCE_PROFILE_CACHE", {})
+        monkeypatch.setattr(experiments, "_REFERENCE_TRACE", {})
+        builds = []
+        build = experiments._build_model
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_build_model", counted_build)
+        ratios = {"layer3.0.conv1": 0.25, "layer4.1.conv2": 0.125}
+        assert reference_profiling(_tiny_config(), num_classes=10) is not None
+        projected_training_hours(_tiny_config(), 10, ratios, 2, 2)
+        projected_training_hours(_tiny_config(), 10, None, 4, 0)
+        # Seed, rho-bar and upsilon fix no shape: the same reference serves them.
+        reference_profiling(_tiny_config(seed=3, profile_rank_ratio=0.5), num_classes=10)
+        assert len(builds) == 1
+        assert svd_calls == []
 
 
 class TestReferenceProfiling:

@@ -76,6 +76,21 @@ class TestLowRankLinear:
         x = rng.random((2, 9)).astype(np.float32)
         np.testing.assert_allclose(layer(Tensor(x)).data, x @ u @ vt + bias, atol=1e-4)
 
+    @pytest.mark.parametrize("extra_bn", [False, True])
+    def test_from_factors_copies_factors_without_svd(self, rng, svd_calls, extra_bn):
+        u = rng.standard_normal((9, 3)).astype(np.float32)
+        vt = rng.standard_normal((3, 5)).astype(np.float32)
+        bias = rng.standard_normal(5).astype(np.float32)
+        layer = LowRankLinear.from_factors(u, vt, bias=bias, extra_bn=extra_bn)
+        assert svd_calls == []
+        assert (layer.in_features, layer.out_features, layer.rank) == (9, 5, 3)
+        for got, given in ((layer.u, u), (layer.vt, vt), (layer.bias, bias)):
+            assert got.data.dtype == np.float32
+            assert got.data.tobytes() == given.tobytes()
+            assert not np.shares_memory(got.data, given)
+        assert [name for name, _ in layer.named_parameters()][:3] == ["u", "vt", "bias"]
+        assert (layer.bn is not None) == extra_bn
+
     def test_extra_bn_inserted(self, rng):
         layer = LowRankLinear(8, 8, rank=2, extra_bn=True)
         assert isinstance(layer.bn, nn.BatchNorm1d)
@@ -119,6 +134,21 @@ class TestLowRankConv2d:
         dense.weight.data = dense_weight.astype(np.float32)
         x = Tensor(rng.random((2, 3, 5, 5)).astype(np.float32))
         np.testing.assert_allclose(low(x).data, dense(x).data, atol=1e-4)
+
+    def test_from_factors_copies_factors_without_svd(self, rng, svd_calls):
+        reference = nn.Conv2d(3, 6, 3, stride=2, padding=1)
+        reference.bias.data = rng.standard_normal(6).astype(np.float32)
+        u = rng.standard_normal((3 * 9, 2)).astype(np.float32)
+        vt = rng.standard_normal((2, 6)).astype(np.float32)
+        layer = LowRankConv2d.from_factors(reference, u, vt)
+        assert svd_calls == []
+        assert (layer.rank, layer.stride, layer.padding) == (2, 2, 1)
+        # Undo the conv layouts: U (in·k², r) ← (r, in, k, k), Vᵀ (r, out) ← (out, r, 1, 1).
+        got_u = layer.u_weight.data.transpose(1, 2, 3, 0).reshape(27, 2)
+        got_vt = layer.v_weight.data.reshape(6, 2).T
+        assert got_u.tobytes() == u.tobytes() and got_vt.tobytes() == vt.tobytes()
+        assert layer.bias.data.tobytes() == reference.bias.data.tobytes()
+        assert not np.shares_memory(layer.bias.data, reference.bias.data)
 
     def test_extra_bn(self, rng):
         low = LowRankConv2d(3, 6, 3, rank=2, padding=1, extra_bn=True)

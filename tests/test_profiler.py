@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import profile_layer_stacks
+from repro.core import profile_layer_stacks, profiler
 from repro.core.profiler import _temporarily_factorized
-from repro.models import resnet18
-from repro.profiling import CPU, V100
+from repro.models import build_model, resnet18
+from repro.profiling import CPU, V100, predict_layer_times, trace_shapes
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,56 @@ class TestPaperScaleProfiling:
     def test_deeper_stacks_beat_threshold(self, paper_scale_profile):
         table = paper_scale_profile.speedup_table()
         assert table["layer4"] > 1.5
+
+
+def _materialized_stack_times(model, stack_paths, x, rank_ratio, device, batch_scale):
+    """The reference the shape-only roofline must match bit for bit: factorize
+    each stack for real, trace the model again and price it."""
+    times = []
+    for paths in stack_paths.values():
+        full = predict_layer_times(model, x, device=device, batch_scale=batch_scale)
+        with _temporarily_factorized(model, paths, rank_ratio):
+            factorized = predict_layer_times(model, x, device=device, batch_scale=batch_scale)
+        times.append((sum(full.get(p, 0.0) for p in paths) * (1.0 + 2.0),
+                      sum(factorized.get(p, 0.0) for p in paths) * (1.0 + 2.0)))
+    return times
+
+
+class TestShapeOnlyRoofline:
+    @pytest.mark.parametrize("arch", ["resnet18", "vgg19"])
+    @pytest.mark.parametrize("width, rank_ratio, threshold",
+                             [(1.0, 0.25, 1.5), (0.25, 0.5, 1.2), (0.25, 0.125, 3.0)])
+    def test_equals_materialized_path(self, arch, width, rank_ratio, threshold):
+        model = build_model(arch, num_classes=10, width_mult=width)
+        stacks = model.layer_stack_paths()
+        x = np.random.default_rng(0).random((2, 3, 32, 32)).astype(np.float32)
+        result = profile_layer_stacks(model, stacks, (x, np.zeros(2, dtype=np.int64)),
+                                      rank_ratio=rank_ratio, speedup_threshold=threshold,
+                                      device=V100, batch_scale=512.0)
+        expected = _materialized_stack_times(model, stacks, x, rank_ratio, V100, 512.0)
+        assert [(p.full_rank_time, p.factorized_time) for p in result.stack_profiles] == expected
+
+    def test_prices_without_svd(self, svd_calls):
+        model = resnet18(num_classes=10, width_mult=0.25, small_input=True)
+        x = np.random.default_rng(0).random((2, 3, 32, 32)).astype(np.float32)
+        profile_layer_stacks(model, model.layer_stack_paths(), (x, np.zeros(2, dtype=np.int64)),
+                             device=V100, batch_scale=512.0)
+        assert svd_calls == []
+
+    def test_given_trace_replaces_tracing(self, monkeypatch):
+        model = resnet18(num_classes=10, width_mult=0.25, small_input=True)
+        x = np.random.default_rng(0).random((2, 3, 32, 32)).astype(np.float32)
+        traces = trace_shapes(model, x)
+        traced = profile_layer_stacks(model, model.layer_stack_paths(), (x, None),
+                                      batch_scale=512.0)
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("traced again")
+
+        monkeypatch.setattr(profiler, "trace_shapes", no_trace)
+        given = profile_layer_stacks(model, model.layer_stack_paths(), None,
+                                     batch_scale=512.0, traces=traces)
+        assert given.stack_profiles == traced.stack_profiles
 
 
 class TestProfilingMechanics:

@@ -21,6 +21,7 @@ from repro.profiling import (
     predict_iteration_time,
     predict_layer_times,
     predict_model_time,
+    price_layer_times,
     time_callable,
     time_forward,
     time_training_iteration,
@@ -178,6 +179,20 @@ class TestRoofline:
         dense_times = predict_layer_times(dense, x, device=V100)
         # rank = n/2 means the same FLOPs but one extra kernel launch: not faster.
         assert times["0"] >= dense_times["0"]
+
+    def test_ranks_price_layers_as_a_factorized_copy(self, rng):
+        model = MLP(16, [32, 32], 4)
+        x = rng.random((2, 16)).astype(np.float32)
+        path = model.factorization_candidates()[0]
+        shape_only = price_layer_times(model, trace_shapes(model, x), V100, 8.0, ranks={path: 3})
+        factorize_model(model, {path: 3})
+        assert shape_only == predict_layer_times(model, x, device=V100, batch_scale=8.0)
+
+    def test_rank_for_a_layer_without_factors_raises(self, rng):
+        model = nn.Sequential(nn.BatchNorm1d(4))
+        traces = trace_shapes(model, rng.random((2, 4)).astype(np.float32))
+        with pytest.raises(TypeError, match="factorization of BatchNorm1d"):
+            price_layer_times(model, traces, ranks={"0": 2})
 
 
 class TestWallClockTimers:

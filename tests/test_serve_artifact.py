@@ -349,10 +349,15 @@ class TestLowRankHooks:
         assert factors["vt"].shape == (3, 8)
         np.testing.assert_allclose(factors["u"] @ factors["vt"], layer.composed_weight())
 
-    def test_materialize_low_rank_builds_structure_without_svd(self):
+    def test_materialize_low_rank_builds_structure_without_svd(self, monkeypatch):
         model = _resnet()
         paths = model.factorization_candidates()[:3]
         ranks = {p: 2 for p in paths}
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("materialize_low_rank ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         installed = materialize_low_rank(model, ranks)
         assert installed == paths
         for path in paths:

@@ -194,8 +194,10 @@ class TestShmArena:
         assert name not in active_owned_segments()
 
     def test_invalid_align_raises(self):
+        before = set(active_owned_segments())
         with pytest.raises(ValueError, match="power of two"):
             ShmArena(64, align=3)
+        assert set(active_owned_segments()) == before  # no segment leaked
 
     def test_arena_bytes_for_fits_specs(self):
         specs = [((3, 5), np.float32), ((7,), np.float64), ((2, 2), np.uint8)]
