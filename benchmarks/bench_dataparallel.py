@@ -1,38 +1,29 @@
-"""Data-parallel training benchmark: thread vs process samples/sec at ws 1/2/4/8.
+"""Data-parallel training benchmark: samples/sec at world sizes 1/2/4/8.
 
 Trains the ResNet cell (resnet18 at reduced width) over synthetic CIFAR-style
-data with :class:`repro.distributed.DataParallelTrainer` in both drive modes —
-``thread`` (workers overlap only inside GIL-releasing BLAS kernels) and
-``process`` (forked workers with shared-memory gradient exchange, the GIL-free
-path) — and reports epoch throughput (samples over wall time) per world size
-and mode, plus the per-replica stall/compute split from the pipeline stats.
-The measurement bodies live in ``repro.bench.workloads`` — the same code the
-registered ``dataparallel`` / ``dataparallel-proc`` suites time under
-``repro bench run``.
+data with :class:`repro.distributed.DataParallelTrainer` (forked replica
+workers with shared-memory gradient exchange) and reports epoch throughput
+(samples over wall time) per world size, plus the per-replica stall/compute
+split from the pipeline stats.  The measurement bodies live in
+``repro.bench.workloads`` — the same code the registered
+``dataparallel-proc`` suite times under ``repro bench run``.
 
 Assertions gating the run:
 
-* **parity** (always enforced): a ``world_size=1`` epoch sequence in *either*
-  mode is bit-identical — losses, accuracies and every trained parameter — to
-  the plain single-process pipeline-loader ``Trainer``; ``world_size=2`` runs
-  are bit-stable across back-to-back executions; and thread vs process at
-  ``world_size=2`` are bit-identical to each other (same per-replica float
-  ops, same fixed-tree all-reduce);
-* **scaling** (enforced only on hosts with >= 4 cores, full budget): process
-  mode at world_size 4 must clear 1.5x its world_size 1 samples/sec — forked
-  workers do not share a GIL, so this is the true multi-core claim.  Thread
-  mode's ratio is recorded but never fatal (threads remain the documented
-  fallback on 1-core boxes; DESIGN.md §11.3/§13).
+* **parity** (always enforced): a ``world_size=1`` epoch sequence is
+  bit-identical — losses, accuracies and every trained parameter — to the
+  plain single-process pipeline-loader ``Trainer``, and ``world_size=2``
+  runs are bit-stable across back-to-back executions;
+* **scaling** (enforced only on hosts with >= 4 cores, full budget): world
+  size 4 must clear 1.5x the world size 1 samples/sec.
 
-Results go to ``benchmarks/output/dataparallel.json`` (thread rows, versioned
-contract ``dataparallel.bench.json``) and ``dataparallel-proc.json`` (process
-rows, contract ``dataparallel-proc.bench.json``), both appending to
-``history.jsonl``.
+Results go to ``benchmarks/output/dataparallel-proc.json`` (versioned
+contract ``dataparallel-proc.bench.json``), appending to ``history.jsonl``.
 
 Usage::
 
-    python benchmarks/bench_dataparallel.py                    # both modes
-    python benchmarks/bench_dataparallel.py --dp-mode process  # one mode
+    python benchmarks/bench_dataparallel.py                    # ws 1/2/4/8
+    python benchmarks/bench_dataparallel.py --world-sizes 1 4  # chosen sizes
     python benchmarks/bench_dataparallel.py --tiny             # CI smoke
 """
 
@@ -55,9 +46,8 @@ SCALING_TARGET = 1.5
 SCALING_WORLD_SIZE = 4
 
 
-def check_parity(dataset, batch_size: int, width_mult: float, epochs: int,
-                 modes) -> dict:
-    """Bit-parity asserts across modes (see module docstring)."""
+def check_parity(dataset, batch_size: int, width_mult: float, epochs: int) -> dict:
+    """Bit-parity asserts (see module docstring)."""
     from repro.bench.workloads import build_dp_training
     from repro.data import PipelineLoader
     from repro.models import build_model
@@ -75,9 +65,8 @@ def check_parity(dataset, batch_size: int, width_mult: float, epochs: int,
         losses = [trainer.train_epoch()["loss"] for _ in range(epochs)]
         return losses, [p.data.copy() for p in model.parameters()]
 
-    def data_parallel(world_size, mode):
-        trainer = build_dp_training(dataset, batch_size, width_mult,
-                                    world_size, mode)
+    def data_parallel(world_size):
+        trainer = build_dp_training(dataset, batch_size, width_mult, world_size)
         try:
             losses = [trainer.train_epoch()["loss"] for _ in range(epochs)]
         finally:
@@ -88,19 +77,10 @@ def check_parity(dataset, batch_size: int, width_mult: float, epochs: int,
         return a[0] == b[0] and all(np.array_equal(x, y)
                                     for x, y in zip(a[1], b[1]))
 
-    ref = reference()
-    parity = {}
-    ws2 = {}
-    for mode in modes:
-        parity[f"{mode}_ws1_bit_identical_to_trainer"] = bool(
-            same(ref, data_parallel(1, mode)))
-        first, second = data_parallel(2, mode), data_parallel(2, mode)
-        parity[f"{mode}_ws2_bit_stable_across_reruns"] = bool(same(first, second))
-        ws2[mode] = first
-    if "thread" in ws2 and "process" in ws2:
-        parity["ws2_thread_process_bit_identical"] = bool(
-            same(ws2["thread"], ws2["process"]))
-    return parity
+    return {
+        "ws1_bit_identical_to_trainer": bool(same(reference(), data_parallel(1))),
+        "ws2_bit_stable_across_reruns": bool(same(data_parallel(2), data_parallel(2))),
+    }
 
 
 def main(argv=None) -> int:
@@ -108,7 +88,7 @@ def main(argv=None) -> int:
     from repro.bench.workloads import build_dp_dataset, dataparallel_throughput
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_standard_flags(parser, "dataparallel", output_dir=OUTPUT_DIR)
+    add_standard_flags(parser, "dataparallel-proc", output_dir=OUTPUT_DIR)
     parser.add_argument("--samples", type=int, default=None,
                         help="dataset size (default 1024, tiny 128)")
     parser.add_argument("--epochs", type=int, default=None,
@@ -119,9 +99,6 @@ def main(argv=None) -> int:
                         help="input resolution (default 16, tiny 8)")
     parser.add_argument("--world-sizes", type=int, nargs="+", default=None,
                         help="world sizes to measure (default 1 2 4 8, tiny 1 2)")
-    parser.add_argument("--dp-mode", default="both",
-                        choices=("thread", "process", "both"),
-                        help="which drive mode(s) to measure")
     args = parser.parse_args(argv)
 
     n = args.samples or (128 if args.tiny else 1024)
@@ -129,92 +106,59 @@ def main(argv=None) -> int:
     image_size = args.image_size or (8 if args.tiny else 16)
     width_mult = 0.125 if args.tiny else args.width_mult
     world_sizes = args.world_sizes or ([1, 2] if args.tiny else [1, 2, 4, 8])
-    modes = ["thread", "process"] if args.dp_mode == "both" else [args.dp_mode]
     cores = os.cpu_count() or 1
 
     dataset = build_dp_dataset(n, image_size)
     results = {"samples": n, "batch_size": args.batch_size, "epochs": epochs,
                "image_size": image_size, "width_mult": width_mult,
-               "cpu_count": cores, "modes": {}}
+               "cpu_count": cores}
 
-    print(f"{'mode':>8} | {'world_size':>10} | {'samples/s':>10} | {'wall':>8} "
-          "| per-replica compute")
-    for mode in modes:
-        rows = {}
-        for world_size in world_sizes:
-            row = dataparallel_throughput(dataset, batch_size=args.batch_size,
-                                          width_mult=width_mult,
-                                          world_size=world_size, epochs=epochs,
-                                          mode=mode)
-            rows[str(world_size)] = row
-            compute = " ".join(f"{s:.2f}s" for s in row["replica_compute_seconds"])
-            print(f"{mode:>8} | {world_size:>10} | {row['samples_per_sec']:>8.0f}/s "
-                  f"| {row['wall_seconds']:>7.2f}s | {compute}")
-        base = rows.get("1", {}).get("samples_per_sec", 0.0)
-        scaling = {ws: row["samples_per_sec"] / base if base > 0 else 0.0
-                   for ws, row in rows.items()}
-        results["modes"][mode] = {"world_sizes": rows, "scaling_vs_ws1": scaling}
-        for ws, ratio in scaling.items():
-            print(f"scaling [{mode}] ws={ws}: {ratio:.2f}x")
-    # Legacy alias: downstream tooling reads thread rows at the old location.
-    legacy = results["modes"].get("thread") or results["modes"][modes[0]]
-    results["world_sizes"] = legacy["world_sizes"]
-    results["scaling_vs_ws1"] = legacy["scaling_vs_ws1"]
+    print(f"{'world_size':>10} | {'samples/s':>10} | {'wall':>8} | per-replica compute")
+    rows = {}
+    for world_size in world_sizes:
+        row = dataparallel_throughput(dataset, batch_size=args.batch_size,
+                                      width_mult=width_mult,
+                                      world_size=world_size, epochs=epochs)
+        rows[str(world_size)] = row
+        compute = " ".join(f"{s:.2f}s" for s in row["replica_compute_seconds"])
+        print(f"{world_size:>10} | {row['samples_per_sec']:>8.0f}/s "
+              f"| {row['wall_seconds']:>7.2f}s | {compute}")
+    base = rows.get("1", {}).get("samples_per_sec", 0.0)
+    scaling = {ws: row["samples_per_sec"] / base if base > 0 else 0.0
+               for ws, row in rows.items()}
+    for ws, ratio in scaling.items():
+        print(f"scaling ws={ws}: {ratio:.2f}x")
+    results["world_sizes"] = rows
+    results["scaling_vs_ws1"] = scaling
 
     results["parity"] = check_parity(dataset, args.batch_size, width_mult,
-                                     max(epochs, 2), modes)
+                                     max(epochs, 2))
     print(f"parity: {results['parity']}")
 
-    # The multi-core claim rides on process mode (no shared GIL); thread
-    # mode's ratio is recorded but never fatal.  Enforcement needs real
-    # cores and the full budget (tiny runs one batch per replica — all
-    # fork/lockstep overhead, no amortisation).
-    proc_ratio = (results["modes"].get("process", {})
-                  .get("scaling_vs_ws1", {}).get(str(SCALING_WORLD_SIZE)))
-    results["meets_scaling_target"] = bool(
-        proc_ratio is not None and proc_ratio >= SCALING_TARGET)
+    # Enforcement needs real cores and the full budget (tiny runs one batch
+    # per replica — all fork/lockstep overhead, no amortisation).
+    ratio = scaling.get(str(SCALING_WORLD_SIZE))
+    results["meets_scaling_target"] = bool(ratio is not None and ratio >= SCALING_TARGET)
     results["scaling_target_enforced"] = bool(
-        proc_ratio is not None and cores >= SCALING_WORLD_SIZE and not args.tiny)
-    print(f"meets >={SCALING_TARGET}x at ws={SCALING_WORLD_SIZE} (process): "
+        ratio is not None and cores >= SCALING_WORLD_SIZE and not args.tiny)
+    print(f"meets >={SCALING_TARGET}x at ws={SCALING_WORLD_SIZE}: "
           f"{results['meets_scaling_target']} "
           f"(enforced={results['scaling_target_enforced']}, cores={cores})")
 
-    emitted = False
-    if "thread" in results["modes"]:
-        rows = results["modes"]["thread"]["world_sizes"]
-        ws1 = rows.get("1", {}).get("samples_per_sec")
-        ws2 = rows.get("2", {}).get("samples_per_sec")
-        if ws1 and ws2:
-            emit_script_result(
-                args, "dataparallel", results,
-                {
-                    "ws1_samples_per_sec": (ws1, "samples/s", True),
-                    "ws2_samples_per_sec": (ws2, "samples/s", True),
-                    "ws2_scaling": (ws2 / ws1, "x", True),
-                },
-                specs=get_suite("dataparallel").metrics)
-            emitted = True
-    if "process" in results["modes"]:
-        rows = results["modes"]["process"]["world_sizes"]
-        ws1 = rows.get("1", {}).get("samples_per_sec")
-        ws2 = rows.get("2", {}).get("samples_per_sec")
-        if ws1 and ws2:
-            proc_args = argparse.Namespace(**vars(args))
-            proc_args.json_path = os.path.join(
-                os.path.dirname(args.json_path) or ".", "dataparallel-proc.json")
-            proc_args.contract_path = None
-            emit_script_result(
-                proc_args, "dataparallel-proc", results,
-                {
-                    "proc_ws1_samples_per_sec": (ws1, "samples/s", True),
-                    "proc_ws2_samples_per_sec": (ws2, "samples/s", True),
-                    "proc_ws2_scaling": (ws2 / ws1, "x", True),
-                },
-                specs=get_suite("dataparallel-proc").metrics)
-            emitted = True
-    if not emitted:
-        # Custom --world-sizes without both 1 and 2 cannot fill any registered
-        # suite's declared metrics; keep the legacy summary only.
+    ws1 = rows.get("1", {}).get("samples_per_sec")
+    ws2 = rows.get("2", {}).get("samples_per_sec")
+    if ws1 and ws2:
+        emit_script_result(
+            args, "dataparallel-proc", results,
+            {
+                "proc_ws1_samples_per_sec": (ws1, "samples/s", True),
+                "proc_ws2_samples_per_sec": (ws2, "samples/s", True),
+                "proc_ws2_scaling": (ws2 / ws1, "x", True),
+            },
+            specs=get_suite("dataparallel-proc").metrics)
+    else:
+        # Custom --world-sizes without both 1 and 2 cannot fill the suite's
+        # declared metrics; keep the free-form summary only.
         import json
 
         os.makedirs(os.path.dirname(args.json_path), exist_ok=True)
@@ -227,8 +171,8 @@ def main(argv=None) -> int:
         raise SystemExit("FAIL: data-parallel determinism contract violated")
     if results["scaling_target_enforced"] and not results["meets_scaling_target"]:
         raise SystemExit(
-            f"FAIL: process-mode ws={SCALING_WORLD_SIZE} scaling "
-            f"{proc_ratio:.2f}x < {SCALING_TARGET}x on a {cores}-core host")
+            f"FAIL: ws={SCALING_WORLD_SIZE} scaling {ratio:.2f}x < "
+            f"{SCALING_TARGET}x on a {cores}-core host")
     return 0
 
 

@@ -13,11 +13,11 @@
 #                                [--noise-threshold FRAC] [--keep-worktree]
 #
 # Defaults: base-ref HEAD~1, tiny budget, warmup 1, repeat 3, threshold 0.1,
-# suites "throughput pipeline dataparallel dataparallel-proc serving".
+# suites "throughput pipeline dataparallel-proc serving".
 set -euo pipefail
 
 BASE_REF="HEAD~1"
-SUITES="throughput pipeline dataparallel dataparallel-proc serving"
+SUITES="throughput pipeline dataparallel-proc serving"
 TINY="--tiny"
 WARMUP=1
 REPEAT=3

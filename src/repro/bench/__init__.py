@@ -10,7 +10,8 @@ Layers:
 * :mod:`repro.bench.workloads` — measurement bodies shared with the
   standalone ``benchmarks/bench_*.py`` scripts;
 * :mod:`repro.bench.suites`    — the built-in throughput / pipeline /
-  dataparallel / serving suites (imported lazily on first registry access);
+  dataparallel-proc / serving suites (imported lazily on first registry
+  access);
 * :mod:`repro.bench.script_utils` — shared flags + emission for the scripts.
 
 Driven by the ``repro bench run|compare|history|list`` CLI verbs.

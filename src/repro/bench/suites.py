@@ -6,9 +6,7 @@ The suites cover every headline speed claim from PRs 2–7:
   (PR 2);
 * ``pipeline``          — loader samples/sec, legacy vs vectorized vs
   prefetched (PR 4);
-* ``dataparallel``      — thread-mode data-parallel samples/sec at
-  world_size 1 and 2 (PR 5);
-* ``dataparallel-proc`` — process-mode (forked workers, shared-memory
+* ``dataparallel-proc`` — data-parallel (forked workers, shared-memory
   gradient exchange) samples/sec at world_size 1 and 2 (PR 7);
 * ``serving``           — dynamic micro-batching vs batch-1 requests/sec
   (PR 3);
@@ -129,45 +127,14 @@ def pipeline_suite(budget: SuiteBudget) -> Dict[str, float]:
 
 
 @register_suite(
-    "dataparallel",
-    "data-parallel training samples/sec at world_size 1 and 2",
-    metrics=(
-        MetricSpec("ws1_samples_per_sec", SAMPLES_PER_SEC),
-        MetricSpec("ws2_samples_per_sec", SAMPLES_PER_SEC),
-        MetricSpec("ws2_scaling", RATIO,
-                   description="world_size 2 over world_size 1 samples/sec"),
-    ),
-    tags=("training", "distributed", "hot"),
-)
-def dataparallel_suite(budget: SuiteBudget) -> Dict[str, float]:
-    from repro.bench.workloads import build_dp_dataset, dataparallel_throughput
-
-    epochs = budget.resolve_iters(full_default=2, tiny_default=1)
-    n = 128 if budget.tiny else 512
-    image_size = 8 if budget.tiny else 16
-    width_mult = 0.125 if budget.tiny else 0.25
-    dataset = build_dp_dataset(n, image_size)
-    ws1 = dataparallel_throughput(dataset, batch_size=32, width_mult=width_mult,
-                                  world_size=1, epochs=epochs)
-    ws2 = dataparallel_throughput(dataset, batch_size=32, width_mult=width_mult,
-                                  world_size=2, epochs=epochs)
-    return {
-        "ws1_samples_per_sec": ws1["samples_per_sec"],
-        "ws2_samples_per_sec": ws2["samples_per_sec"],
-        "ws2_scaling": ws2["samples_per_sec"] / max(ws1["samples_per_sec"], 1e-9),
-    }
-
-
-@register_suite(
     "dataparallel-proc",
-    "process-mode data-parallel samples/sec at world_size 1 and 2 "
+    "data-parallel samples/sec at world_size 1 and 2 "
     "(forked workers, shared-memory gradient exchange)",
     metrics=(
         MetricSpec("proc_ws1_samples_per_sec", SAMPLES_PER_SEC),
         MetricSpec("proc_ws2_samples_per_sec", SAMPLES_PER_SEC),
         MetricSpec("proc_ws2_scaling", RATIO,
-                   description="process-mode world_size 2 over world_size 1 "
-                               "samples/sec"),
+                   description="world_size 2 over world_size 1 samples/sec"),
     ),
     tags=("training", "distributed", "hot"),
 )
@@ -180,9 +147,9 @@ def dataparallel_proc_suite(budget: SuiteBudget) -> Dict[str, float]:
     width_mult = 0.125 if budget.tiny else 0.25
     dataset = build_dp_dataset(n, image_size)
     ws1 = dataparallel_throughput(dataset, batch_size=32, width_mult=width_mult,
-                                  world_size=1, epochs=epochs, mode="process")
+                                  world_size=1, epochs=epochs)
     ws2 = dataparallel_throughput(dataset, batch_size=32, width_mult=width_mult,
-                                  world_size=2, epochs=epochs, mode="process")
+                                  world_size=2, epochs=epochs)
     return {
         "proc_ws1_samples_per_sec": ws1["samples_per_sec"],
         "proc_ws2_samples_per_sec": ws2["samples_per_sec"],

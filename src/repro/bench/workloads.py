@@ -289,8 +289,7 @@ def build_dp_dataset(n: int, image_size: int, num_classes: int = 4):
     return ArrayDataset(images, labels)
 
 
-def build_dp_training(dataset, batch_size: int, width_mult: float, world_size: int,
-                      mode: str = "thread"):
+def build_dp_training(dataset, batch_size: int, width_mult: float, world_size: int):
     from repro.data import PipelineLoader, build_replica_loaders
     from repro.distributed import DataParallelTrainer
     from repro.models import build_model
@@ -304,20 +303,19 @@ def build_dp_training(dataset, batch_size: int, width_mult: float, world_size: i
     train_loader = PipelineLoader(dataset, batch_size, shuffle=True)
     replica_loaders = build_replica_loaders(dataset, batch_size, world_size)
     return DataParallelTrainer(model, optimizer, train_loader,
-                               world_size=world_size, mode=mode,
+                               world_size=world_size,
                                replica_loaders=replica_loaders)
 
 
 def dataparallel_throughput(dataset, *, batch_size: int, width_mult: float,
-                            world_size: int, epochs: int,
-                            mode: str = "thread") -> Dict[str, object]:
+                            world_size: int, epochs: int) -> Dict[str, object]:
     """Samples/sec of data-parallel training at one world size.
 
-    The warm-up epoch absorbs one-time costs (allocator, caches — and, in
-    process mode, the fork + shared-segment setup), so the timed epochs
-    measure steady-state lockstep throughput for both modes.
+    The warm-up epoch absorbs one-time costs (allocator, caches, the fork +
+    shared-segment setup), so the timed epochs measure steady-state lockstep
+    throughput.
     """
-    trainer = build_dp_training(dataset, batch_size, width_mult, world_size, mode)
+    trainer = build_dp_training(dataset, batch_size, width_mult, world_size)
     try:
         trainer.train_epoch()  # warm-up (allocator, caches, worker spawn)
         start = time.perf_counter()
@@ -332,7 +330,6 @@ def dataparallel_throughput(dataset, *, batch_size: int, width_mult: float,
         trainer.shutdown()
     return {
         "world_size": world_size,
-        "mode": mode,
         "samples_per_sec": samples / wall if wall > 0 else 0.0,
         "wall_seconds": wall,
         "final_loss": last.get("loss"),

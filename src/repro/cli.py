@@ -128,17 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="producer threads for the prefetching loader "
                             "(results are bit-identical at any worker count)")
         p.add_argument("--world-size", type=int, default=1, metavar="N",
-                       help="data-parallel replicas: N threaded workers train "
+                       help="data-parallel replicas: N forked workers train "
                             "on ShardedSampler shards with a deterministic "
                             "gradient all-reduce and Goyal lr scaling "
                             "(N > 1 implies --loader pipeline; results are "
-                            "bit-stable across reruns and thread schedules)")
-        p.add_argument("--dp-mode", default="thread", choices=("thread", "process"),
-                       help="data-parallel drive mode: 'thread' (workers "
-                            "overlap only inside GIL-releasing BLAS kernels) "
-                            "or 'process' (forked workers with shared-memory "
-                            "gradient exchange — true multi-core scaling, "
-                            "bit-identical to thread mode)")
+                            "bit-stable across reruns)")
         p.add_argument("--no-lr-scaling", action="store_true",
                        help="disable the Goyal world_size x lr scaling rule "
                             "under --world-size > 1")
@@ -341,7 +335,6 @@ def _experiment_config(args: argparse.Namespace) -> VisionExperimentConfig:
         prefetch_depth=args.prefetch,
         loader_workers=args.loader_workers,
         world_size=args.world_size,
-        dp_mode=args.dp_mode,
         dp_lr_scaling=not args.no_lr_scaling,
     )
 
@@ -410,11 +403,10 @@ def cmd_train(args: argparse.Namespace, stream=sys.stdout) -> int:
         out.write(
             f"pipeline: {stats.describe()} "
             f"(loader=pipeline prefetch={config.prefetch_depth} "
-            f"workers={config.loader_workers} world_size={config.world_size} "
-            f"dp_mode={config.dp_mode})\n")
+            f"workers={config.loader_workers} world_size={config.world_size})\n")
         wall = stats.extra.get("wall_seconds", 0.0)
         if config.world_size > 1 and wall > 0:
-            # describe()'s samples/sec divides by summed per-replica thread
+            # describe()'s samples/sec divides by summed per-replica worker
             # time; replicas overlap, so wall-clock throughput is the honest
             # data-parallel number.
             out.write(f"data-parallel throughput: {stats.samples / wall:.1f} "

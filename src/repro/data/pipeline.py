@@ -81,29 +81,18 @@ class CollateArena:
     On backends that pool buffers (``numpy-fast``) fresh ring entries come
     from the backend arena — freed gradient buffers of matching layout get a
     second life as collate buffers.
-
-    An optional shared-segment ``source`` (a :class:`repro.utils.shm.ShmArena`)
-    backs fresh ring entries onto shared memory, making collated batches
-    visible across fork boundaries without serialization (the process
-    drive mode's zero-copy batch-handoff hook).  Best-effort: when the
-    segment is full the ring falls back to private allocation.
     """
 
-    def __init__(self, slots: int = 4, source=None):
+    def __init__(self, slots: int = 4):
         if slots < 2:
             raise ValueError(f"CollateArena needs at least 2 slots, got {slots}")
         self.slots = slots
-        self.source = source
         self._rings: dict = {}
         self._lock = threading.Lock()
 
     def _allocate(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         from repro.tensor.backend import get_backend  # lazy: avoid data→tensor import cycle
 
-        if self.source is not None:
-            buf = self.source.alloc(shape, dtype)
-            if buf is not None:
-                return buf
         backend = get_backend()
         if getattr(backend, "pool_buffers", False):
             return backend.take(shape, dtype)

@@ -1,11 +1,10 @@
 """Data-parallel training with deterministic gradient all-reduce.
 
 The scale-out counterpart of the streaming data pipeline: ``ShardedSampler``
-shards feed N replica workers — threads (``mode="thread"``) or forked
-processes exchanging gradients through shared memory (``mode="process"``,
-the GIL-free path) — whose gradients meet in a fixed-order bucketed
-reduction tree (bit-stable regardless of worker arrival order) before a
-single optimizer step on the master model.  See DESIGN.md §11 and §13.
+shards feed N forked replica workers that exchange gradients through shared
+memory; the gradients meet in a fixed-order bucketed reduction tree
+(bit-stable regardless of worker arrival order) before a single optimizer
+step on the master model.  See DESIGN.md §11.
 """
 
 from repro.distributed.engine import DataParallelTrainer

@@ -1,60 +1,47 @@
-"""Data-parallel training: replica workers + deterministic all-reduce.
+"""Data-parallel training: forked replica workers + deterministic all-reduce.
 
 ``DataParallelTrainer`` drives ``world_size`` replica workers in lockstep,
-on threads (``mode="thread"``, the default) or on forked worker processes
-with shared-memory gradient exchange (``mode="process"`` — the GIL-free
-path; see :mod:`repro.distributed.process`).  Thread mode:
+one forked worker process per rank, with every per-step exchange going
+through one shared-memory segment (the transport lives in
+:mod:`repro.distributed.process`).  Each step:
 
 1. every worker pulls the next batch of *its* rank's shard (a
-   :class:`~repro.data.sampler.ShardedSampler`-backed pipeline loader) and
-   runs forward/backward on its own model copy — concurrently, on threads
-   (the hot kernels are BLAS-bound numpy calls that release the GIL, so
-   replicas genuinely overlap);
-2. at a barrier, the driver thread mean-reduces all replica gradients with
-   the fixed-tree bucketed all-reduce (:mod:`repro.distributed.reduce`) into
-   the master model's accumulators, applies the trainer's ``grad_hook``, and
-   takes a **single** optimizer step on the master parameters;
-3. the stepped parameters are broadcast back to every replica and the
-   workers resume with the next batch.
-
-Process mode runs the same lockstep protocol with one worker *process* per
-rank: master parameters live in a shared-memory segment (the in-place
-optimizer step doubles as the broadcast), workers write gradients into
-per-rank shared blocks, and the parent reduces them with the *same*
-fixed-tree bucketed all-reduce.  Nothing is pickled per step.
+   :class:`~repro.data.sampler.ShardedSampler`-backed pipeline loader), runs
+   forward/backward on its forked copy of the model and writes the
+   gradients into its rank's shared block;
+2. the parent mean-reduces the rank blocks with the fixed-tree bucketed
+   all-reduce (:mod:`repro.distributed.reduce`) into the master model's
+   accumulators, applies the trainer's ``grad_hook``, and takes a
+   **single** optimizer step on the master parameters;
+3. the master parameters live in the segment and are stepped in place, so
+   the workers see the new weights without a copy and resume with the next
+   batch.
 
 Determinism contract
 --------------------
 Per-replica computation is sequential numpy; the reduction tree's float-op
 order depends only on ``world_size``; meters and buffer synchronisation walk
-replicas in rank order.  Nothing observes worker arrival order, so results
-are bit-stable across reruns and thread/process schedules, and a
-``world_size=1`` run executes the exact float-op sequence of the
-single-process pipeline-loader :class:`~repro.train.trainer.Trainer` (in
-thread mode rank 0 *is* the master model and the reduce/broadcast steps are
-no-ops; in process mode the master's gradients alias rank 0's shared block —
-zero float ops either way).  Thread and process modes are bit-identical to
-*each other* at every ``world_size``: same per-replica float-op sequence,
-same reduce tree, same buffer averaging.
+ranks in order.  Nothing observes worker arrival order, so results are
+bit-stable across reruns, and a ``world_size=1`` run executes the exact
+float-op sequence of the single-process pipeline-loader
+:class:`~repro.train.trainer.Trainer` (the master's gradients alias rank 0's
+shared block — zero float ops).
 
 Scope
 -----
-Epoch-level callbacks work unchanged (they run on the driver between epochs
-and may mutate the master model — replicas are re-cloned when the master's
-parameter structure changes).  Step-level callbacks fire on the driver
-around the optimizer step with rank 0's batch; callbacks that mutate model
-weights *per batch* (e.g. XNOR re-binarisation) are not supported under
-``world_size > 1``.  Custom ``loss_fn``/``loss_hook`` callables run on
-worker threads against the replica model they are handed — they must be
-stateless (the defaults are).
+Epoch-level callbacks work unchanged (they run in the parent between epochs
+and may mutate the master model — the worker generation is re-forked when
+the master's parameter structure changes).  Step-level callbacks fire in the
+parent around the optimizer step with rank 0's batch; callbacks that mutate
+model weights *per batch* (e.g. XNOR re-binarisation) are not supported
+under ``world_size > 1``.  Custom ``loss_fn``/``loss_hook`` callables run in
+the workers against the forked replica model.
 """
 
 from __future__ import annotations
 
-import copy
-import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,34 +54,25 @@ from repro.distributed.reduce import (
 )
 from repro.profiling.pipeline import PipelineStats
 from repro.telemetry import tracing as _tracing
-from repro.tensor import functional as F
-from repro.train.metrics import AverageMeter, top_k_accuracy
+from repro.train.metrics import AverageMeter
 from repro.train.trainer import Callback, Trainer
-from repro.utils import get_logger, start_worker_threads
+from repro.utils import get_logger
 
 logger = get_logger("distributed")
 
-#: Generous per-step timeout: a replica that exceeds it is presumed hung
-#: (deadlock guard — barriers otherwise wait forever on a dead worker).
-_BARRIER_TIMEOUT_S = 600.0
-
 
 class DataParallelTrainer(Trainer):
-    """Trainer drive mode running ``world_size`` threaded replica workers.
+    """Trainer drive mode running ``world_size`` forked replica workers.
+
+    Holds OS resources (worker processes + a ``/dev/shm`` segment) from the
+    first :meth:`train_epoch` on; call :meth:`shutdown` when done
+    (``run_experiment`` does).
 
     Parameters (beyond :class:`~repro.train.trainer.Trainer`'s)
     ----------------------------------------------------------
     world_size:
         Number of replicas.  ``1`` reproduces the single-process pipeline
         path bit-for-bit through the same lockstep machinery.
-    mode:
-        ``"thread"`` (default) runs replicas on worker threads — they only
-        overlap inside GIL-releasing BLAS kernels, but need no setup.
-        ``"process"`` forks one worker process per rank with parameters and
-        gradients exchanged through shared memory — true multi-core
-        scaling, bit-identical to thread mode.  Process mode holds OS
-        resources (workers + a ``/dev/shm`` segment); call
-        :meth:`shutdown` when done (``run_experiment`` does).
     replica_loaders:
         One :class:`BatchStream` per rank, each yielding that rank's shard
         (build with :func:`repro.data.pipeline.build_replica_loaders`).
@@ -117,7 +95,6 @@ class DataParallelTrainer(Trainer):
         val_loader: Optional[BatchStream] = None,
         *,
         world_size: int = 1,
-        mode: str = "thread",
         replica_loaders: Optional[Sequence[BatchStream]] = None,
         bucket_elems: int = DEFAULT_BUCKET_ELEMS,
         sync_buffers_each_epoch: bool = True,
@@ -125,15 +102,12 @@ class DataParallelTrainer(Trainer):
     ):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
-        if mode == "process":
-            from repro.distributed.process import fork_available
+        from repro.distributed.process import fork_available
 
-            if not fork_available():  # pragma: no cover — all targets fork
-                raise RuntimeError(
-                    "mode='process' needs the 'fork' start method "
-                    "(unavailable on this platform); use mode='thread'")
+        if not fork_available():  # pragma: no cover — all targets fork
+            raise RuntimeError(
+                "DataParallelTrainer needs the 'fork' start method, which this "
+                "platform lacks; train with world_size=1 (the plain Trainer)")
         if replica_loaders is None:
             if world_size == 1:
                 replica_loaders = [train_loader]
@@ -146,93 +120,36 @@ class DataParallelTrainer(Trainer):
         if len(replica_loaders) != world_size:
             raise ValueError(
                 f"expected {world_size} replica loaders, got {len(replica_loaders)}")
-        # The default loss path is replicated per worker (the base closure
-        # records logits on the trainer — racy across threads); remember
-        # whether the caller supplied their own before super() installs one.
-        self._uses_default_loss = trainer_kwargs.get("loss_fn") is None
         super().__init__(model, optimizer, train_loader, val_loader, **trainer_kwargs)
         self.world_size = world_size
-        self.mode = mode
         self.replica_loaders = replica_loaders
         self.bucket_elems = bucket_elems
         self.sync_buffers_each_epoch = sync_buffers_each_epoch
-        #: rank → model; rank 0 shares the master model (zero-copy).
-        self.replica_models: List = [self.model]
-        self._replica_shapes: List[Tuple[int, ...]] = []
+        # Replicas are forked lazily at the first train_epoch (callbacks may
+        # still restructure the master before then).
         self._process_group = None
-        if mode == "thread":
-            self._rebuild_replicas()
-        else:
-            # Process replicas are forked lazily at the first train_epoch
-            # (callbacks may still restructure the master before then).
-            self._replica_shapes = self._master_shapes()
 
     # ------------------------------------------------------------------ #
-    # Replica lifecycle
+    # Per-replica step (runs in the forked worker, where self.model is
+    # that rank's replica)
     # ------------------------------------------------------------------ #
-    def _master_shapes(self) -> List[Tuple[int, ...]]:
-        return [tuple(p.data.shape) for p in self.model.parameters()]
-
-    def _rebuild_replicas(self) -> None:
-        """(Re)clone the master into ranks 1..N-1 and record its structure."""
-        self.replica_models = [self.model]
-        for rank in range(1, self.world_size):
-            clone = copy.deepcopy(self.model)
-            clone.zero_grad()
-            self.replica_models.append(clone)
-        self._replica_shapes = self._master_shapes()
-
-    def _sync_replica_structure(self) -> None:
-        """Re-clone replicas when an epoch callback restructured the master.
-
-        Methods like Cuttlefish swap full-rank layers for factorized ones
-        between epochs (and rebuild the optimizer); stale replica copies
-        would then compute gradients for parameters that no longer exist.
-        """
-        if self.world_size == 1:
-            return
-        if self._master_shapes() != self._replica_shapes:
-            logger.info("master model structure changed; re-cloning %d replicas",
-                        self.world_size - 1)
-            self._rebuild_replicas()
-
-    # ------------------------------------------------------------------ #
-    # Per-replica step (runs on worker threads)
-    # ------------------------------------------------------------------ #
-    def _replica_step(self, model, batch) -> Tuple[float, Optional[float], int]:
-        """Forward + backward on one replica; returns (loss, accuracy, n).
-
-        Mirrors the base trainer's float-op sequence exactly: default loss →
-        ``loss_hook`` extra term → zero grads → backward.  Accuracy follows
-        ``Trainer._batch_accuracy``'s rules (default loss path, plain (N, C)
-        integer-label classification batches only).
-        """
+    def _replica_step(self, batch) -> Tuple[float, Optional[float], int]:
+        """Forward + backward on this process's replica; returns (loss,
+        accuracy, n).  The base trainer's float-op sequence: loss (+
+        ``loss_hook`` term) → zero grads → backward."""
         traced = _tracing.enabled()
         if traced:
             start = time.perf_counter()
-        logits = None
-        if self._uses_default_loss:
-            logits = model(batch[0])
-            loss = F.softmax_cross_entropy(logits, batch[-1],
-                                           label_smoothing=self.label_smoothing)
-        else:
-            loss = self.loss_fn(model, batch)
-        if self.loss_hook is not None:
-            extra = self.loss_hook(model)
-            if extra is not None:
-                loss = loss + extra
+        self._last_train_logits = None
+        loss = self._loss_with_hook(batch)
         if traced:
             forward_end = time.perf_counter()
-        model.zero_grad()
+        self.model.zero_grad()
         loss.backward()
         if traced:
             backward_end = time.perf_counter()
-        accuracy = None
-        if logits is not None and logits.data.ndim == 2:
-            labels = np.asarray(batch[-1])
-            if labels.ndim == 1 and len(labels) == len(logits.data) \
-                    and np.issubdtype(labels.dtype, np.integer):
-                accuracy = top_k_accuracy(logits.data, labels, k=1)
+        accuracy = self._batch_accuracy(batch)
+        self._last_train_logits = None
         if traced:
             _tracing.record_span("forward", start, forward_end, cat="dp",
                                  parent="step")
@@ -243,188 +160,7 @@ class DataParallelTrainer(Trainer):
         return loss.item(), accuracy, len(batch[-1])
 
     # ------------------------------------------------------------------ #
-    # Driver-side synchronisation
-    # ------------------------------------------------------------------ #
-    def _reduce_gradients(self) -> None:
-        if self.world_size == 1:
-            return  # rank 0 is the master; its accumulators already hold the grads
-        replica_grads = [[p.grad for p in m.parameters()] for m in self.replica_models]
-        allreduce_gradients(replica_grads,
-                            [p.grad for p in self.model.parameters()],
-                            bucket_elems=self.bucket_elems)
-
-    def _broadcast_parameters(self) -> None:
-        if self.world_size == 1:
-            return
-        broadcast_arrays([p.data for p in self.model.parameters()],
-                         [[p.data for p in m.parameters()]
-                          for m in self.replica_models[1:]])
-
-    def _sync_buffers(self) -> None:
-        """Tree-average float buffers (BN running stats) across replicas."""
-        if self.world_size == 1 or not self.sync_buffers_each_epoch:
-            return
-        buffer_sets = [[buf.data for _, buf in m.named_buffers()]
-                       for m in self.replica_models]
-        for reduced, buffers in zip(mean_reduce_buffers(buffer_sets),
-                                    zip(*[[buf for _, buf in m.named_buffers()]
-                                          for m in self.replica_models])):
-            for buf in buffers:
-                np.copyto(buf.data, reduced)
-
-    # ------------------------------------------------------------------ #
-    # The lockstep epoch
-    # ------------------------------------------------------------------ #
-    def train_epoch(self) -> Dict[str, float]:
-        if self.mode == "process":
-            return self._train_epoch_process()
-        return self._train_epoch_thread()
-
-    def _train_epoch_thread(self) -> Dict[str, float]:
-        self._sync_replica_structure()
-        for model in self.replica_models:
-            model.train()
-        epoch = self.epochs_completed
-        for loader in self.replica_loaders:
-            set_epoch = getattr(loader, "set_epoch", None)
-            if set_epoch is not None:
-                set_epoch(epoch)
-        steps = min(len(loader) for loader in self.replica_loaders)
-        if self.max_batches_per_epoch is not None:
-            steps = min(steps, self.max_batches_per_epoch)
-        world = self.world_size
-
-        loss_meter, acc_meter = AverageMeter(), AverageMeter()
-        replica_stats = [PipelineStats() for _ in range(world)]
-        # Per-step result slots, written by workers before the arrive barrier
-        # and read by the driver after it (the barrier is the memory fence).
-        step_loss = [0.0] * world
-        step_acc: List[Optional[float]] = [None] * world
-        step_n = [0] * world
-        rank0_batch: List = [None]
-        errors: List[BaseException] = []
-        arrive = threading.Barrier(world + 1)
-        resume = threading.Barrier(world + 1)
-
-        def worker(rank: int) -> None:
-            model = self.replica_models[rank]
-            loader = self.replica_loaders[rank]
-            stats = replica_stats[rank]
-            iterator = iter(loader)
-            try:
-                for _ in range(steps):
-                    requested = time.perf_counter()
-                    batch = next(iterator)
-                    delivered = time.perf_counter()
-                    stats.observe_stall(delivered - requested)
-                    traced = _tracing.enabled()
-                    loss, accuracy, n = self._replica_step(model, batch)
-                    step_loss[rank], step_acc[rank], step_n[rank] = loss, accuracy, n
-                    if rank == 0:
-                        rank0_batch[0] = batch
-                    compute_end = time.perf_counter()
-                    stats.observe_compute(compute_end - delivered, n)
-                    if traced:
-                        _tracing.record_span("step", requested, compute_end,
-                                             cat="dp", rank=rank)
-                        _tracing.record_span("data_wait", requested, delivered,
-                                             cat="dp", parent="step")
-                    arrive.wait(timeout=_BARRIER_TIMEOUT_S)
-                    resume.wait(timeout=_BARRIER_TIMEOUT_S)
-                    if traced:
-                        # Time parked at the arrive/resume barriers — the
-                        # part of worker wall time the step span can't see.
-                        _tracing.record_span("sync_wait", compute_end,
-                                             time.perf_counter(), cat="dp")
-            except threading.BrokenBarrierError:
-                pass  # another party failed; its error is already recorded
-            except BaseException as error:  # noqa: BLE001 — re-raised on the driver
-                errors.append(error)
-                arrive.abort()
-                resume.abort()
-            finally:
-                close = getattr(iterator, "close", None)
-                if close is not None:
-                    close()
-
-        completed_steps = 0
-        wall_start = time.perf_counter()
-        threads = start_worker_threads(worker, world, name="dp-replica")
-        try:
-            for step in range(steps):
-                arrive.wait(timeout=_BARRIER_TIMEOUT_S)
-                for callback in self.callbacks:
-                    callback.on_batch_begin(self, step, rank0_batch[0])
-                with _tracing.span("allreduce", cat="dp"):
-                    self._reduce_gradients()
-                    if self.grad_hook is not None:
-                        self.grad_hook(self.model)
-                with _tracing.span("optimizer", cat="dp"):
-                    self.optimizer.step()
-                with _tracing.span("broadcast", cat="dp"):
-                    self._broadcast_parameters()
-                # Meters walk replicas in rank order — fixed accumulation
-                # order regardless of which worker finished first.
-                for rank in range(world):
-                    loss_meter.update(step_loss[rank], step_n[rank])
-                    if step_acc[rank] is not None:
-                        acc_meter.update(step_acc[rank], step_n[rank])
-                batch_logs = {"loss": step_loss[0]}
-                if step_acc[0] is not None:
-                    batch_logs["accuracy"] = step_acc[0]
-                for callback in self.callbacks:
-                    callback.on_batch_end(self, step, batch_logs)
-                completed_steps += 1
-                resume.wait(timeout=_BARRIER_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            pass  # fall through to the error re-raise below
-        except BaseException as error:  # driver-side failure: release workers
-            errors.append(error)
-            raise
-        finally:
-            arrive.abort()
-            resume.abort()
-            for thread in threads:
-                thread.join(timeout=30.0)
-        if errors:
-            raise errors[0]
-        if completed_steps < steps:
-            # A barrier broke without any recorded error (e.g. a worker hung
-            # past the timeout): never report a truncated epoch as success.
-            raise RuntimeError(
-                f"data-parallel epoch stopped after {completed_steps} of "
-                f"{steps} steps (replica worker hung or barrier timed out)")
-        wall_seconds = time.perf_counter() - wall_start
-
-        self._sync_buffers()
-        stats = PipelineStats()
-        for rank, replica in enumerate(replica_stats):
-            stats.merge(replica)
-            stats.extra[f"replica{rank}_stall_seconds"] = replica.stall_seconds
-            stats.extra[f"replica{rank}_compute_seconds"] = replica.compute_seconds
-        stats.extra["world_size"] = float(world)
-        stats.extra["wall_seconds"] = wall_seconds
-        self.epochs_completed += 1
-        self.last_epoch_pipeline_stats = stats
-        self.pipeline_stats.merge(stats)
-        # merge() sums the per-replica stall/compute (which overlap in wall
-        # time); keep a cumulative wall clock so consumers can report true
-        # data-parallel throughput (samples / wall, not samples / thread-time).
-        self.pipeline_stats.extra["wall_seconds"] = (
-            self.pipeline_stats.extra.get("wall_seconds", 0.0) + wall_seconds)
-        self.pipeline_stats.extra["world_size"] = float(world)
-        return {
-            "loss": loss_meter.average,
-            "accuracy": acc_meter.average,
-            "data_stall_seconds": stats.stall_seconds,
-            "data_compute_seconds": stats.compute_seconds,
-            # Replica threads overlap, so throughput is samples over *wall*
-            # time — the per-replica stall/compute sums live in the stats.
-            "samples_per_sec": stats.samples / wall_seconds if wall_seconds > 0 else 0.0,
-        }
-
-    # ------------------------------------------------------------------ #
-    # Process mode
+    # Parent-side synchronisation
     # ------------------------------------------------------------------ #
     def _ensure_process_group(self):
         """Fork (or re-fork after a structural change) the worker generation."""
@@ -447,7 +183,7 @@ class DataParallelTrainer(Trainer):
         inner = getattr(loader, "loader", loader)  # unwrap PrefetchingLoader
         return inner if hasattr(inner, "load_batch") else None
 
-    def _reduce_gradients_process(self, group, params) -> None:
+    def _reduce_gradients(self, group, params) -> None:
         replica_grads = group.replica_grads()
         if self.world_size == 1:
             # Rank 0's shared block holds the only contribution — alias it
@@ -465,28 +201,24 @@ class DataParallelTrainer(Trainer):
         allreduce_gradients(replica_grads, [p.grad for p in params],
                             bucket_elems=self.bucket_elems)
 
-    def _sync_buffers_process(self, group) -> None:
+    def _sync_buffers(self, group) -> None:
         """Epoch-end buffer exchange (workers are parked at the buffer phase).
 
         With syncing on and ``world_size > 1``: deterministically average
-        float buffers across ranks, adopt the result in the master *and*
-        write it back for every worker (mirrors thread mode's all-replica
-        broadcast).  Otherwise: adopt rank 0's buffers — in thread mode the
-        master IS rank 0, so this is what single-master semantics mean here.
+        float buffers across ranks and write the result to the master *and*
+        back to every worker.  Otherwise the master adopts rank 0's buffers.
         """
         buffer_sets = group.rank_buffer_views()
-        master_buffers = [buf for _, buf in self.model.named_buffers()]
+        master = [buf.data for _, buf in self.model.named_buffers()]
         if self.world_size == 1 or not self.sync_buffers_each_epoch:
-            for view, buf in zip(buffer_sets[0], master_buffers):
-                np.copyto(buf.data, view)
+            broadcast_arrays(buffer_sets[0], [master])
             return
-        reduced = mean_reduce_buffers(buffer_sets)
-        for j, buf in enumerate(master_buffers):
-            np.copyto(buf.data, reduced[j])
-            for rank in range(self.world_size):
-                np.copyto(buffer_sets[rank][j], reduced[j])
+        broadcast_arrays(mean_reduce_buffers(buffer_sets), [master] + buffer_sets)
 
-    def _train_epoch_process(self) -> Dict[str, float]:
+    # ------------------------------------------------------------------ #
+    # The lockstep epoch
+    # ------------------------------------------------------------------ #
+    def train_epoch(self) -> Dict[str, float]:
         group = self._ensure_process_group()
         epoch = self.epochs_completed
         steps = min(len(loader) for loader in self.replica_loaders)
@@ -513,13 +245,15 @@ class DataParallelTrainer(Trainer):
                 for callback in self.callbacks:
                     callback.on_batch_begin(self, step, batch)
                 with _tracing.span("allreduce", cat="dp"):
-                    self._reduce_gradients_process(group, params)
+                    self._reduce_gradients(group, params)
                     if self.grad_hook is not None:
                         self.grad_hook(self.model)
                 with _tracing.span("optimizer", cat="dp"):
                     self.optimizer.step()
                 # Parameters live in shared memory and were stepped in
                 # place — the workers already see them; no broadcast.
+                # Meters walk ranks in order — fixed accumulation order
+                # regardless of which worker finished first.
                 for rank in range(world):
                     loss, accuracy, n = group.read_step(rank)
                     loss_meter.update(loss, n)
@@ -533,7 +267,7 @@ class DataParallelTrainer(Trainer):
                     callback.on_batch_end(self, step, batch_logs)
                 group.release_replicas()
             group.await_replicas()
-            self._sync_buffers_process(group)
+            self._sync_buffers(group)
             if traced:
                 # Each worker shipped its per-rank span buffer over its pipe
                 # right after the buffer-phase arrive; merge them onto this
@@ -560,6 +294,9 @@ class DataParallelTrainer(Trainer):
         self.epochs_completed += 1
         self.last_epoch_pipeline_stats = stats
         self.pipeline_stats.merge(stats)
+        # merge() sums the per-replica stall/compute (which overlap in wall
+        # time); keep a cumulative wall clock so consumers can report true
+        # data-parallel throughput (samples / wall, not samples / worker-time).
         self.pipeline_stats.extra["wall_seconds"] = (
             self.pipeline_stats.extra.get("wall_seconds", 0.0) + wall_seconds)
         self.pipeline_stats.extra["world_size"] = float(world)
@@ -568,6 +305,8 @@ class DataParallelTrainer(Trainer):
             "accuracy": acc_meter.average,
             "data_stall_seconds": stats.stall_seconds,
             "data_compute_seconds": stats.compute_seconds,
+            # Replicas overlap, so throughput is samples over *wall* time —
+            # the per-replica stall/compute sums live in the stats.
             "samples_per_sec": stats.samples / wall_seconds if wall_seconds > 0 else 0.0,
         }
 
@@ -575,12 +314,12 @@ class DataParallelTrainer(Trainer):
     # Teardown
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
-        """Release process-mode resources: stop workers, detach the master's
+        """Release the worker generation: stop workers, detach the master's
         parameters back to private memory, unlink the shared segment.
 
-        No-op in thread mode; idempotent; training can resume afterwards
-        (the next epoch forks a fresh generation).  ``run_experiment`` calls
-        this in a ``finally``; direct users should too.
+        Idempotent; training can resume afterwards (the next epoch forks a
+        fresh generation).  ``run_experiment`` calls this in a ``finally``;
+        direct users should too.
         """
         group = self._process_group
         if group is not None:

@@ -1,10 +1,10 @@
 """Process-based replica workers with shared-memory gradient exchange.
 
 :class:`ProcessReplicaGroup` is the transport layer behind
-``DataParallelTrainer(mode="process")``: it owns one shared-memory segment
-per worker generation, forks ``world_size`` replica processes, and runs the
-same lockstep arrive/resume protocol the thread mode runs on barriers —
-except nothing crosses a pickle boundary per step.
+:class:`~repro.distributed.DataParallelTrainer`: it owns one shared-memory
+segment per worker generation, forks ``world_size`` replica processes, and
+runs the lockstep arrive/resume protocol over semaphores — nothing crosses
+a pickle boundary per step.
 
 Segment layout (carved once per generation by :class:`~repro.utils.shm.ShmArena`)::
 
@@ -31,6 +31,14 @@ inheritance the parent is the sole owner and
 :mod:`repro.utils.shm`'s registry + ``atexit`` sweep can guarantee unlink
 on normal *and* abnormal exit.
 
+BLAS budget
+-----------
+A forked worker inherits the parent's OpenBLAS thread pools, sized for the
+whole host; ``world_size`` such pools oversubscribe the cores several times
+over.  Each worker therefore shrinks every loaded pool to at most
+``max(1, usable_cores // world_size)`` threads at start-up — never growing
+one, so an explicit ``OPENBLAS_NUM_THREADS`` below the budget stands.
+
 Synchronisation
 ---------------
 Not ``multiprocessing.Barrier`` — a timed-out barrier wait breaks the
@@ -50,13 +58,14 @@ import multiprocessing
 import os
 import time
 import traceback
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.profiling.pipeline import PipelineStats
 from repro.telemetry import tracing as _tracing
 from repro.utils import get_logger
+from repro.utils.concurrency import cap_blas_threads, usable_cores
 from repro.utils.shm import ShmArena, arena_bytes_for
 
 logger = get_logger("distributed.process")
@@ -64,7 +73,7 @@ logger = get_logger("distributed.process")
 #: Liveness-poll interval for semaphore waits on both sides.
 _POLL_S = 0.2
 
-#: Generous per-step timeout, mirroring the thread mode's barrier timeout.
+#: Generous per-step timeout: a replica that exceeds it is presumed hung.
 DEFAULT_STEP_TIMEOUT_S = 600.0
 
 #: Per-rank stats row layout (float64 slots).
@@ -95,10 +104,6 @@ class ProcessReplicaGroup:
     """
 
     def __init__(self, trainer):
-        if not fork_available():  # pragma: no cover — all target platforms fork
-            raise RuntimeError(
-                "DataParallelTrainer(mode='process') needs the 'fork' start "
-                "method (unavailable on this platform); use mode='thread'")
         self.trainer = trainer
         self.world = trainer.world_size
         self._shutdown_done = False
@@ -122,48 +127,55 @@ class ProcessReplicaGroup:
         specs += [(buf.data.shape, buf.data.dtype)
                   for _ in range(self.world) for buf in self._buffers]
         self.arena = ShmArena(arena_bytes_for(specs))
-
-        # Rebind master parameters onto segment views.  The optimizers update
-        # p.data strictly in place, so every post-step value is immediately
-        # visible to the forked workers — the broadcast costs zero copies.
         self._param_views: List[np.ndarray] = []
-        for p in self._params:
-            view = self.arena.alloc(p.data.shape, p.data.dtype)
-            np.copyto(view, p.data)
-            p.data = view
-            self._param_views.append(view)
-
         self._grad_views: List[List[np.ndarray]] = []
-        for _ in range(self.world):
-            self._grad_views.append([self.arena.alloc(p.data.shape, p.data.dtype)
-                                     for p in self._params])
-        self._presence = self.arena.alloc((self.world, max(n_params, 1)), np.uint8)
-        self._presence[:] = 0
-        self._stats = self.arena.alloc((self.world, _STAT_SLOTS), np.float64)
-        self._stats[:] = 0.0
         self._buffer_views: List[List[np.ndarray]] = []
-        for _ in range(self.world):
-            self._buffer_views.append([self.arena.alloc(buf.data.shape, buf.data.dtype)
-                                       for buf in self._buffers])
-
-        ctx = multiprocessing.get_context("fork")
-        self._arrive = ctx.Semaphore(0)
-        self._resume = [ctx.Semaphore(0) for _ in range(self.world)]
         self._conns = []
         self._procs = []
         child_ends = []
-        for rank in range(self.world):
-            parent_end, child_end = ctx.Pipe()
-            self._conns.append(parent_end)
-            child_ends.append(child_end)
-        for rank in range(self.world):
-            proc = ctx.Process(target=self._worker_main,
-                               args=(rank, child_ends[rank]),
-                               daemon=True, name=f"dp-proc-{rank}")
-            proc.start()
-            self._procs.append(proc)
-        for child_end in child_ends:
-            child_end.close()
+        try:
+            # Rebind master parameters onto segment views.  The optimizers
+            # update p.data strictly in place, so every post-step value is
+            # immediately visible to the forked workers — the broadcast
+            # costs zero copies.
+            for p in self._params:
+                view = self.arena.alloc(p.data.shape, p.data.dtype)
+                np.copyto(view, p.data)
+                p.data = view
+                self._param_views.append(view)
+
+            for _ in range(self.world):
+                self._grad_views.append([self.arena.alloc(p.data.shape, p.data.dtype)
+                                         for p in self._params])
+            self._presence = self.arena.alloc((self.world, max(n_params, 1)), np.uint8)
+            self._presence[:] = 0
+            self._stats = self.arena.alloc((self.world, _STAT_SLOTS), np.float64)
+            self._stats[:] = 0.0
+            for _ in range(self.world):
+                self._buffer_views.append([self.arena.alloc(buf.data.shape, buf.data.dtype)
+                                           for buf in self._buffers])
+
+            ctx = multiprocessing.get_context("fork")
+            self._arrive = ctx.Semaphore(0)
+            self._resume = [ctx.Semaphore(0) for _ in range(self.world)]
+            for rank in range(self.world):
+                parent_end, child_end = ctx.Pipe()
+                self._conns.append(parent_end)
+                child_ends.append(child_end)
+            for rank in range(self.world):
+                proc = ctx.Process(target=self._worker_main,
+                                   args=(rank, child_ends[rank]),
+                                   daemon=True, name=f"dp-proc-{rank}")
+                proc.start()
+                self._procs.append(proc)
+        except BaseException:
+            # Release what was acquired so far — started workers, pipes,
+            # the parameters' segment binding, the segment itself.
+            self.shutdown(force=True)
+            raise
+        finally:
+            for child_end in child_ends:
+                child_end.close()
         logger.info("forked %d replica workers over shm segment %s (%d bytes)",
                     self.world, self.arena.segment.name, self.arena.segment.size)
 
@@ -192,6 +204,7 @@ class ProcessReplicaGroup:
     def _worker_main(self, rank: int, conn) -> None:
         status = 1
         try:
+            cap_blas_threads(max(1, usable_cores() // self.world))
             trainer = self.trainer
             model = trainer.model
             loader = trainer.replica_loaders[rank]
@@ -230,7 +243,7 @@ class ProcessReplicaGroup:
                         delivered = time.perf_counter()
                         stall += delivered - requested
                         batches += 1
-                        loss, accuracy, n = trainer._replica_step(model, batch)
+                        loss, accuracy, n = trainer._replica_step(batch)
                         for i, p in enumerate(params):
                             grad = p.grad
                             if grad is None:

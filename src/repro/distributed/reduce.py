@@ -1,4 +1,4 @@
-"""Deterministic bucketed all-reduce primitives for thread-based data parallelism.
+"""Deterministic bucketed all-reduce primitives for data-parallel training.
 
 Floating-point addition is not associative, so a gradient all-reduce that sums
 "whichever replica finished first" produces run-to-run bit differences even

@@ -8,7 +8,6 @@ from repro.profiling.counters import (
     op_counters,
     reset_op_counters,
 )
-from repro.profiling.latency import BatchSizeHistogram, LatencyTracker
 from repro.profiling.pipeline import PipelineStats, instrument
 from repro.profiling.tracer import ModuleTrace, trace_shapes
 from repro.profiling.flops import (
@@ -44,8 +43,6 @@ __all__ = [
     "counted_flops",
     "op_counters",
     "reset_op_counters",
-    "BatchSizeHistogram",
-    "LatencyTracker",
     "PipelineStats",
     "instrument",
     "ModuleTrace",

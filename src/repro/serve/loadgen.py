@@ -40,9 +40,9 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.profiling.latency import LatencyTracker
 from repro.serve.batcher import DynamicBatcher, QueueFullError
 from repro.serve.client import ServeClient, ServeClientError
+from repro.telemetry import LatencyTracker
 from repro.utils.concurrency import run_worker_threads
 from repro.utils.seed import counter_uniforms
 

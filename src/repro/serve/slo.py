@@ -33,8 +33,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.profiling.latency import LatencyTracker
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import LatencyTracker, MetricsRegistry
 
 
 @dataclass

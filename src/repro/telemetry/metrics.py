@@ -8,9 +8,7 @@ them behind one API:
 
 * **Instruments** are created by name through a :class:`MetricsRegistry`
   (get-or-create, thread-safe): :class:`Counter`, :class:`Gauge`,
-  :class:`LatencyTracker`, :class:`BatchSizeHistogram`.  The tracker classes
-  *live here now*; ``repro.profiling.latency`` re-exports them so every
-  existing import site and the bit/format-compatibility tests keep working.
+  :class:`LatencyTracker`, :class:`BatchSizeHistogram`.
 * **Collectors** adapt metric sources that keep their own state
   (``PipelineStats``, ``op_counters``, the batcher) — register a zero-arg
   callable and its dict lands in the snapshot under ``collected``.

@@ -81,7 +81,7 @@ class TraceSession:
         return len(self.events)
 
     # ------------------------------------------------------------------ #
-    # Cross-process merge (the dp_mode=process per-rank timelines)
+    # Cross-process merge (the data-parallel workers' per-rank timelines)
     # ------------------------------------------------------------------ #
     def drain_payload(self) -> Dict[str, Any]:
         """Detach and return everything recorded so far, picklable.

@@ -268,23 +268,6 @@ class NumpyFastBackend(Backend):
         # reduction order — hence bitwise results — depends on that layout,
         # so recycled gradient buffers must reproduce it exactly.
         self._arena: Dict[Tuple, List[np.ndarray]] = {}
-        # Optional shared-segment backing (a repro.utils.shm.ShmArena):
-        # pool misses draw from it so the buffers this backend hands out are
-        # visible across fork boundaries.  Best-effort — when the segment is
-        # full (alloc returns None) allocation falls back to private heap.
-        self._shared_source = None
-
-    def set_shared_source(self, source) -> None:
-        """Back pool misses onto ``source`` (``ShmArena``-like: ``alloc``
-        returning a view or ``None``, ``owns`` for recycle checks).  Pass
-        ``None`` to detach; already-issued views stay valid until the
-        caller unlinks the segment."""
-        self._shared_source = source
-
-    def _take_shared(self, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-        if self._shared_source is None:
-            return None
-        return self._shared_source.alloc(shape, dtype)
 
     @staticmethod
     def _c_strides(shape: Tuple[int, ...], itemsize: int) -> Tuple[int, ...]:
@@ -301,17 +284,14 @@ class NumpyFastBackend(Backend):
         bucket = self._arena.get((shape, dt.str, self._c_strides(shape, dt.itemsize)))
         if bucket:
             # list.pop() is atomic, but the emptiness check above is not —
-            # under data-parallel training several replica threads share this
-            # arena, and two of them may race past `if bucket` with one
-            # buffer left.  Losing the race means allocating fresh, never
-            # sharing a buffer.
+            # threads that share this arena (a prefetching loader's
+            # producers, a thread-mode serving pool's workers) may race past
+            # `if bucket` with one buffer left.  Losing the race means
+            # allocating fresh, never sharing a buffer.
             try:
                 return bucket.pop()
             except IndexError:
                 pass
-        shared = self._take_shared(shape, dt)
-        if shared is not None:
-            return shared
         return np.empty(shape, dtype=dt)
 
     def take_zeros(self, shape: Tuple[int, ...], dtype=DEFAULT_DTYPE) -> np.ndarray:
@@ -328,25 +308,14 @@ class NumpyFastBackend(Backend):
                 return bucket.pop()  # raced empty: see take()
             except IndexError:
                 pass
-        # Shared source only for C-contiguous prototypes: segment views are
-        # C-contiguous, and layout is part of the bitwise contract.
-        if prototype.flags.c_contiguous:
-            shared = self._take_shared(prototype.shape, DEFAULT_DTYPE)
-            if shared is not None:
-                return shared
         return np.empty_like(prototype, dtype=DEFAULT_DTYPE)
 
     def give(self, array: Optional[np.ndarray]) -> None:
         # Only pool buffers that own their memory (views keep their base
-        # alive and could alias live data — except views we carved from our
-        # own shared segment, which the pool is allowed to recycle) and
-        # whose layout is a permuted compact one (what empty/empty_like
-        # produce), so a future take with the same key gets exactly this
-        # layout back.
-        if array is None:
-            return
-        if array.base is not None and not (
-                self._shared_source is not None and self._shared_source.owns(array)):
+        # alive and could alias live data) and whose layout is a permuted
+        # compact one (what empty/empty_like produce), so a future take with
+        # the same key gets exactly this layout back.
+        if array is None or array.base is not None:
             return
         if not array.flags.c_contiguous:
             order = sorted(range(array.ndim), key=lambda i: array.strides[i], reverse=True)

@@ -114,15 +114,14 @@ class VisionExperimentConfig:
     reuse_collate_buffers: bool = False
 
     # Data-parallel training (repro.distributed).  ``world_size > 1`` runs N
-    # replica workers over ShardedSampler shards with a deterministic
+    # forked replica workers over ShardedSampler shards with a deterministic
     # gradient all-reduce; it *requires* the pipeline loader family (shards
-    # are epoch-keyed sampler slices).  ``dp_mode`` picks the drive:
-    # "thread" (workers overlap only inside GIL-releasing BLAS kernels) or
-    # "process" (forked workers + shared-memory gradient exchange — true
-    # multi-core scaling, bit-identical to thread mode).  ``dp_lr_scaling``
-    # applies the Goyal linear-scaling rule: peak lr × world_size, warming up
-    # from the single-replica lr (the effective batch is
-    # ``world_size × batch_size``).
+    # are epoch-keyed sampler slices).  ``dp_lr_scaling`` applies the Goyal
+    # linear-scaling rule: peak lr × world_size, warming up from the
+    # single-replica lr (the effective batch is ``world_size × batch_size``).
+    # ``dp_mode`` is no longer read (world_size alone picks the trainer); it
+    # stays, still validated, because the repository benchmark's training
+    # cells (perfbench/train_cell.py) pass it.
     world_size: int = 1
     dp_mode: str = "thread"
     dp_lr_scaling: bool = True
@@ -136,19 +135,18 @@ class VisionExperimentConfig:
         if self.loader == "pipeline":
             return True
         if self.loader == "auto":
-            return (self.prefetch_depth > 0 or self.world_size > 1
-                    or self.dp_mode == "process")
+            return self.prefetch_depth > 0 or self.world_size > 1
         if self.loader == "legacy":
             if self.prefetch_depth > 0:
                 raise ValueError(
                     "prefetching requires the pipeline loader: got "
                     f"loader='legacy' with prefetch_depth={self.prefetch_depth} "
                     "(use loader='pipeline' or 'auto')")
-            if self.world_size > 1 or self.dp_mode == "process":
+            if self.world_size > 1:
                 raise ValueError(
                     "data-parallel training requires the pipeline loader: got "
-                    f"loader='legacy' with world_size={self.world_size}, "
-                    f"dp_mode={self.dp_mode!r} (use loader='pipeline' or 'auto')")
+                    f"loader='legacy' with world_size={self.world_size} "
+                    "(use loader='pipeline' or 'auto')")
             return False
         raise ValueError(f"unknown loader {self.loader!r}; use 'auto', 'legacy' or 'pipeline'")
 
@@ -393,12 +391,12 @@ def run_experiment(spec: ExperimentSpec, return_context: bool = False):
         label_smoothing=config.label_smoothing if method.uses_label_smoothing else 0.0,
         max_batches_per_epoch=config.max_batches_per_epoch,
     )
-    if config.world_size > 1 or config.dp_mode == "process":
+    if config.world_size > 1:
         from repro.distributed import DataParallelTrainer
 
         context.trainer = DataParallelTrainer(
             context.model, context.optimizer, train_loader, val_loader,
-            world_size=config.world_size, mode=config.dp_mode,
+            world_size=config.world_size,
             replica_loaders=replica_loaders,
             **trainer_kwargs,
         )
@@ -411,7 +409,7 @@ def run_experiment(spec: ExperimentSpec, return_context: bool = False):
         method.execute(context)
         result = method.finalize(context)
     finally:
-        # Process-mode trainers hold OS resources (forked workers + a
+        # Data-parallel trainers hold OS resources (forked workers + a
         # shared-memory segment); release them even when training fails.
         release = getattr(context.trainer, "shutdown", None)
         if release is not None:

@@ -18,7 +18,6 @@ from repro.utils.concurrency import (
     ClosableQueue,
     ProducerFailure,
     run_worker_threads,
-    start_worker_threads,
 )
 from repro.utils.shm import (
     SEGMENT_PREFIX,
@@ -52,7 +51,6 @@ __all__ = [
     "ClosableQueue",
     "ProducerFailure",
     "run_worker_threads",
-    "start_worker_threads",
     "get_logger",
     "SEGMENT_PREFIX",
     "SharedSegment",

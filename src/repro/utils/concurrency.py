@@ -16,13 +16,19 @@ This module is that pattern, written once.  ``ClosableQueue`` is a bounded
 forwarding exceptions as :class:`ProducerFailure` items instead of dying
 silently; ``run_worker_threads`` is the start-then-join fan-out used by
 benchmarks and the load generator.
+
+It also holds the BLAS thread budget for forked workers:
+:func:`cap_blas_threads` shrinks every loaded OpenBLAS thread pool, so N
+forked workers do not each run a pool sized for the whole host.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import queue
 import threading
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 
 class _Closed:
@@ -179,23 +185,6 @@ class BackgroundProducer:
         return self._thread.is_alive()
 
 
-def start_worker_threads(target: Callable[[int], None], count: int,
-                         name: str = "worker") -> List[threading.Thread]:
-    """Start ``count`` daemon threads running ``target(worker_id)``; no join.
-
-    The non-blocking half of :func:`run_worker_threads`, for callers that
-    orchestrate the workers while they run (the data-parallel training engine
-    participates in per-step barriers with its replica workers).
-    """
-    threads = [
-        threading.Thread(target=target, args=(i,), name=f"{name}-{i}", daemon=True)
-        for i in range(count)
-    ]
-    for thread in threads:
-        thread.start()
-    return threads
-
-
 def run_worker_threads(target: Callable[[int], None], count: int,
                        name: str = "worker") -> List[threading.Thread]:
     """Start ``count`` daemon threads running ``target(worker_id)``; join all.
@@ -203,10 +192,76 @@ def run_worker_threads(target: Callable[[int], None], count: int,
     The fan-out/join used by the closed-loop load generator and the pipeline
     benchmark.  Returns the (joined) threads for inspection.
     """
-    threads = start_worker_threads(target, count, name=name)
+    threads = [
+        threading.Thread(target=target, args=(i,), name=f"{name}-{i}", daemon=True)
+        for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
     for thread in threads:
         thread.join()
     return threads
+
+
+# --------------------------------------------------------------------------- #
+# BLAS thread budget
+# --------------------------------------------------------------------------- #
+#: (get, set) thread-count entry points of the OpenBLAS builds numpy (64-bit
+#: integer interface) and scipy bundle.
+_OPENBLAS_ENTRY_POINTS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_pools() -> List[Tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """``(path, get, set)`` for every OpenBLAS library mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:  # no procfs: no pools found, none capped
+        return []
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_ENTRY_POINTS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                pools.append((path, get, set_threads))
+                break
+    return pools
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover — platforms without affinity
+        return os.cpu_count() or 1
+
+
+def blas_thread_counts() -> Dict[str, int]:
+    """Thread-pool size of every loaded OpenBLAS library, by path."""
+    return {path: get() for path, get, _ in _openblas_pools()}
+
+
+def cap_blas_threads(limit: int) -> Dict[str, int]:
+    """Shrink every loaded OpenBLAS thread pool to at most ``limit`` threads.
+
+    Never grows a pool, so a smaller ``OPENBLAS_NUM_THREADS`` stands.
+    Returns the resulting pool sizes by library path.
+    """
+    counts = {}
+    for path, get, set_threads in _openblas_pools():
+        if get() > limit:
+            set_threads(limit)
+        counts[path] = get()
+    return counts
 
 
 __all__ = [
@@ -214,6 +269,8 @@ __all__ = [
     "BackgroundProducer",
     "ClosableQueue",
     "ProducerFailure",
+    "blas_thread_counts",
+    "cap_blas_threads",
     "run_worker_threads",
-    "start_worker_threads",
+    "usable_cores",
 ]

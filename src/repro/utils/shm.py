@@ -1,9 +1,8 @@
 """Shared-memory segment lifecycle + bump-allocated numpy views.
 
 Thin, fork-oriented layer over :mod:`multiprocessing.shared_memory` used by
-the process drive mode of :class:`repro.distributed.DataParallelTrainer`
-and (optionally) the arena allocators in :mod:`repro.tensor.backend` and
-:mod:`repro.data.pipeline`.
+:class:`repro.distributed.DataParallelTrainer`'s forked replicas and the
+process-mode serving engines.
 
 Design rules (they exist because of real footguns):
 
@@ -35,11 +34,6 @@ from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-try:  # numpy >= 2.0 moved byte_bounds out of the top-level namespace
-    from numpy.lib.array_utils import byte_bounds
-except ImportError:  # pragma: no cover — numpy 1.x
-    byte_bounds = np.byte_bounds
 
 from repro.utils.logging import get_logger
 
@@ -207,9 +201,8 @@ def align_up(offset: int, align: int = DEFAULT_ALIGN) -> int:
 class ShmArena:
     """Bump allocator carving aligned numpy views out of one segment.
 
-    Built for layouts computed once up front (the process drive mode sizes
-    its parameter/gradient/stats blocks before forking) but also usable as
-    a best-effort backing source for the pooled allocators: :meth:`alloc`
+    Built for layouts computed once up front (data-parallel training sizes
+    its parameter/gradient/stats blocks before forking).  :meth:`alloc`
     returns ``None`` — instead of raising — when the segment is full, so
     callers can fall back to private heap memory.
     """
@@ -226,8 +219,6 @@ class ShmArena:
             self._owns_segment = True
         self.align = align
         self._offset = 0
-        self._addr_lo, self._addr_hi = byte_bounds(
-            self.segment.view((self.segment.size,), np.uint8))
 
     @property
     def remaining(self) -> int:
@@ -258,18 +249,6 @@ class ShmArena:
             return None
         np.copyto(view, array)
         return view
-
-    def owns(self, array: np.ndarray) -> bool:
-        """Does ``array``'s memory live inside this arena's segment?
-
-        Lets pooled allocators (backend arena, collate rings) recycle
-        shared-segment views they would otherwise reject as unsafe aliases.
-        """
-        try:
-            lo, hi = byte_bounds(array)
-        except Exception:  # noqa: BLE001 — exotic array types
-            return False
-        return self._addr_lo <= lo and hi <= self._addr_hi
 
     def reset(self) -> None:
         """Forget every allocation (views stay valid; reuse responsibly)."""

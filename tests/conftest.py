@@ -1,9 +1,17 @@
-"""Shared fixtures: deterministic seeding and small reusable models/datasets."""
+"""Shared fixtures: deterministic seeding, the per-test leak ledger, and
+small reusable models/datasets."""
+
+import glob
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.utils import seed_everything
+from repro.utils.shm import SEGMENT_PREFIX, active_owned_segments
 
 
 @pytest.fixture(autouse=True)
@@ -11,6 +19,54 @@ def _seed_everything():
     """Every test starts from the same global seed for reproducibility."""
     seed_everything(1234)
     yield
+
+
+class LeakLedger:
+    """What a test leaves behind: shared-memory segments this process owns
+    (registered or on disk), live child processes and live threads."""
+
+    #: How long new threads and children get to finish exiting before they
+    #: count as leaked.
+    GRACE_S = 2.0
+
+    def __init__(self):
+        self.segments = self._segments()
+        self.children = set(multiprocessing.active_children())
+        self.threads = set(threading.enumerate())
+
+    @staticmethod
+    def _segments():
+        on_disk = glob.glob(os.path.join("/dev/shm", f"{SEGMENT_PREFIX}-{os.getpid()}-*"))
+        return set(active_owned_segments()) | {os.path.basename(path) for path in on_disk}
+
+    def _live(self):
+        children = [child for child in multiprocessing.active_children()
+                    if child not in self.children]
+        threads = [thread for thread in threading.enumerate()
+                   if thread not in self.threads and thread.is_alive()]
+        return children, threads
+
+    def leaks(self):
+        """One description per resource acquired since construction and
+        still held."""
+        found = [f"shm segment {name}" for name in sorted(self._segments() - self.segments)]
+        deadline = time.monotonic() + self.GRACE_S
+        children, threads = self._live()
+        while (children or threads) and time.monotonic() < deadline:
+            time.sleep(0.02)
+            children, threads = self._live()
+        found += [f"child process {child.name} (pid {child.pid})" for child in children]
+        found += [f"thread {thread.name}" for thread in threads]
+        return found
+
+
+@pytest.fixture(autouse=True)
+def leak_ledger():
+    """Fail any test that leaks a shm segment, a child process or a thread."""
+    ledger = LeakLedger()
+    yield ledger
+    leaks = ledger.leaks()
+    assert not leaks, f"test leaked: {', '.join(leaks)}"
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ class TestBenchList:
     def test_lists_builtin_suites(self):
         code, out = _run(["bench", "list"])
         assert code == 0
-        for name in ("throughput", "pipeline", "dataparallel", "serving"):
+        for name in ("throughput", "pipeline", "dataparallel-proc", "serving"):
             assert name in out
 
     def test_json_includes_metric_declarations(self):

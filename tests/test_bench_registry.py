@@ -65,7 +65,7 @@ class TestRegistry:
 
     def test_builtin_suites_are_discoverable(self):
         names = available_suites()
-        for expected in ("throughput", "pipeline", "dataparallel", "serving"):
+        for expected in ("throughput", "pipeline", "dataparallel-proc", "serving"):
             assert expected in names
 
     def test_unknown_metric_lookup_raises(self, registry):

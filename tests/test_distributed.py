@@ -1,4 +1,4 @@
-"""Tests for the thread-based data-parallel training engine.
+"""Tests for the data-parallel training engine.
 
 Covers the deterministic reduction primitives (fixed-tree sum, bucket
 planning, gradient mean-reduce, buffer averaging), cross-rank shard
@@ -6,9 +6,15 @@ semantics (disjoint-before-padding, full coverage, equal lengths, and the
 padding rule matching single-rank gradient sums on the tiny ResNet cell),
 and the ``DataParallelTrainer`` contract: ``world_size=1`` bit-identical to
 the plain pipeline-loader ``Trainer``, ``world_size=N`` bit-stable across
-reruns, structure re-sync after epoch callbacks mutate the master, loud
-worker-error propagation, and deterministic BatchNorm buffer averaging.
+reruns, workers stepping from the master's parameters and averaged
+BatchNorm buffers (seen from inside the forked workers), a fresh worker
+generation after epoch callbacks restructure the master, and loud
+worker-error propagation.  Transport-level behaviour (shared-memory
+lifecycle, crashes, the BLAS budget) lives in test_distributed_process.py.
 """
+
+import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from repro.data import (
 )
 from repro.distributed import (
     DataParallelTrainer,
+    ReplicaError,
     allreduce_gradients,
     mean_reduce_buffers,
     plan_buckets,
@@ -334,6 +341,37 @@ class TestShardLoader:
 # --------------------------------------------------------------------------- #
 # DataParallelTrainer
 # --------------------------------------------------------------------------- #
+def digest(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def recording_loss(directory):
+    """Default loss that first logs, per worker process, a digest of the
+    replica's parameters and buffers as that step sees them."""
+
+    def loss_fn(model, batch):
+        line = (digest(p.data for p in model.parameters()) + " "
+                + digest(buf.data for _, buf in model.named_buffers()))
+        with open(os.path.join(directory, f"{os.getpid()}.log"), "a") as log:
+            log.write(line + "\n")
+        return F.softmax_cross_entropy(model(batch[0]), batch[-1])
+
+    return loss_fn
+
+
+def worker_logs(directory):
+    """One list of (param digest, buffer digest) per worker process."""
+    return [[tuple(line.split()) for line in path.read_text().splitlines()]
+            for path in sorted(directory.glob("*.log"))]
+
+
+def epochs_of(trainer, epochs):
+    try:
+        return [trainer.train_epoch() for _ in range(epochs)]
+    finally:
+        trainer.shutdown()
+
+
 class TestDataParallelTrainer:
     def test_world_size_one_bit_identical_to_trainer(self):
         dataset = make_dataset()
@@ -346,7 +384,7 @@ class TestDataParallelTrainer:
 
         seed_everything(0)
         dp = make_trainer(dataset, world_size=1)
-        got = [dp.train_epoch() for _ in range(2)]
+        got = epochs_of(dp, 2)
         for r, g in zip(ref, got):
             assert r["loss"] == g["loss"]
             assert r["accuracy"] == g["accuracy"]
@@ -363,7 +401,7 @@ class TestDataParallelTrainer:
                                  PipelineLoader(dataset, 8, shuffle=True),
                                  world_size=2)
         assert len(dp.replica_loaders) == 2
-        logs = dp.train_epoch()
+        (logs,) = epochs_of(dp, 1)
         assert np.isfinite(logs["loss"])
 
     @pytest.mark.parametrize("world_size", [2, 4])
@@ -375,7 +413,7 @@ class TestDataParallelTrainer:
         def run():
             seed_everything(0)
             dp = make_trainer(dataset, world_size=world_size)
-            losses = [dp.train_epoch()["loss"] for _ in range(2)]
+            losses = [logs["loss"] for logs in epochs_of(dp, 2)]
             return losses, params_of(dp.model)
 
         first_losses, first_params = run()
@@ -385,22 +423,42 @@ class TestDataParallelTrainer:
             for a, b in zip(first_params, params):
                 assert np.array_equal(a, b)
 
-    def test_replicas_and_master_agree_after_epoch(self):
+    def test_replicas_and_master_agree_after_epoch(self, tmp_path):
+        # Every worker's first step of epoch 2 must see the master's
+        # parameters as the optimizer left them at the end of epoch 1.
         dataset = make_dataset()
-        dp = make_trainer(dataset, world_size=3)
-        dp.train_epoch()
-        master = params_of(dp.model)
-        for replica in dp.replica_models[1:]:
-            for a, b in zip(master, params_of(replica)):
-                assert np.array_equal(a, b)
+        dp = make_trainer(dataset, world_size=3, loss_fn=recording_loss(str(tmp_path)))
+        try:
+            dp.train_epoch()
+            master = digest(params_of(dp.model))
+            dp.train_epoch()
+        finally:
+            dp.shutdown()
+        steps = len(dp.replica_loaders[0])
+        logs = worker_logs(tmp_path)
+        assert len(logs) == 3
+        for log in logs:
+            assert len(log) == 2 * steps
+            assert log[steps][0] == master
 
-    def test_buffers_are_mean_synced(self):
+    def test_buffers_are_mean_synced(self, tmp_path):
+        # Epoch 1's averaged BatchNorm statistics reach the master and are
+        # what every worker starts epoch 2 from.
         dataset = make_dataset()
-        dp = make_trainer(dataset, world_size=2)
-        dp.train_epoch()
-        for (_, master_buf), (_, replica_buf) in zip(
-                dp.model.named_buffers(), dp.replica_models[1].named_buffers()):
-            assert np.array_equal(master_buf.data, replica_buf.data)
+        dp = make_trainer(dataset, world_size=2, loss_fn=recording_loss(str(tmp_path)))
+        try:
+            dp.train_epoch()
+            master = digest(buf.data for _, buf in dp.model.named_buffers())
+            dp.train_epoch()
+        finally:
+            dp.shutdown()
+        steps = len(dp.replica_loaders[0])
+        logs = worker_logs(tmp_path)
+        assert len(logs) == 2
+        assert logs[0][0][1] == logs[1][0][1]  # both start from the master's
+        assert logs[0][steps - 1][1] != logs[1][steps - 1][1]  # local BN drift
+        for log in logs:
+            assert log[steps][1] == master
 
     def test_fit_runs_evaluate_on_master(self):
         dataset = make_dataset()
@@ -413,9 +471,15 @@ class TestDataParallelTrainer:
                                  PipelineLoader(val, 8),
                                  world_size=2,
                                  replica_loaders=build_replica_loaders(dataset, 8, 2))
-        history = dp.fit(epochs=2)
+        try:
+            history = dp.fit(epochs=2)
+        finally:
+            dp.shutdown()
         assert len(history) == 2
         assert all(r.val_accuracy is not None for r in history)
+        # The master, detached from the segment, still holds the weights
+        # the last evaluation scored.
+        assert dp.evaluate()["accuracy"] == history[-1].val_accuracy
 
     def test_world_size_validation(self):
         dataset = make_dataset()
@@ -430,6 +494,8 @@ class TestDataParallelTrainer:
                                 replica_loaders=[PipelineLoader(dataset, 8)])
 
     def test_worker_error_propagates(self):
+        # Each worker process counts its own calls: both fail on their third
+        # step, after two good lockstep steps.
         dataset = make_dataset()
         seed_everything(0)
         model = make_model()
@@ -449,10 +515,13 @@ class TestDataParallelTrainer:
                                  world_size=2,
                                  replica_loaders=build_replica_loaders(dataset, 8, 2),
                                  loss_fn=exploding_loss)
-        with pytest.raises(RuntimeError, match="replica blew up"):
-            dp.train_epoch()
+        try:
+            with pytest.raises(ReplicaError, match="replica blew up"):
+                dp.train_epoch()
+        finally:
+            dp.shutdown()
 
-    def test_structure_resync_after_epoch_callback(self):
+    def test_structure_resync_after_epoch_callback(self, tmp_path):
         # Simulate a Cuttlefish-style structural change: an epoch callback
         # that re-initialises the classifier head with a new shape.
         from repro import nn
@@ -461,6 +530,7 @@ class TestDataParallelTrainer:
         seed_everything(0)
         model = make_model()
         optimizer = SGD(model.parameters(), lr=0.05)
+        widened = []
 
         class WidenHead(Callback):
             def on_epoch_end(self, trainer, epoch, logs):
@@ -472,37 +542,42 @@ class TestDataParallelTrainer:
                         nn.Linear(8, old.weight.data.shape[0], rng=get_rng(offset=4)),
                     )
                     trainer.rebuild_optimizer_params()
+                    widened.append(digest(params_of(trainer.model)))
 
         dp = DataParallelTrainer(model, optimizer,
                                  PipelineLoader(dataset, 8, shuffle=True),
                                  world_size=2,
                                  replica_loaders=build_replica_loaders(dataset, 8, 2),
-                                 callbacks=[WidenHead()])
-        history = dp.fit(epochs=2)
+                                 callbacks=[WidenHead()],
+                                 loss_fn=recording_loss(str(tmp_path)))
+        try:
+            history = dp.fit(epochs=2)
+        finally:
+            dp.shutdown()
         assert len(history) == 2
-        # Replicas were re-cloned to the new structure and stay in sync.
-        master = params_of(dp.model)
-        assert len(params_of(dp.replica_models[1])) == len(master)
-        for a, b in zip(master, params_of(dp.replica_models[1])):
-            assert np.array_equal(a, b)
+        # A fresh worker generation was forked against the new structure
+        # and trained the widened master's weights.
+        logs = worker_logs(tmp_path)
+        assert len(logs) == 4
+        assert sum(log[0][0] == widened[0] for log in logs) == 2
 
     def test_epoch_stats_carry_per_replica_split(self):
         dataset = make_dataset()
-        dp = make_trainer(dataset, world_size=2)
-        logs = dp.train_epoch()
+        dp = make_trainer(dataset, world_size=3)
+        (logs,) = epochs_of(dp, 1)
         stats = dp.last_epoch_pipeline_stats
-        assert stats.extra["world_size"] == 2.0
+        assert stats.extra["world_size"] == 3.0
         assert "replica0_stall_seconds" in stats.extra
-        assert "replica1_compute_seconds" in stats.extra
+        assert "replica2_compute_seconds" in stats.extra
         assert stats.extra["wall_seconds"] > 0
         assert logs["samples_per_sec"] > 0
 
     def test_max_batches_caps_lockstep_steps(self):
         dataset = make_dataset()
-        dp = make_trainer(dataset, world_size=2, max_batches_per_epoch=2)
-        dp.train_epoch()
-        # 2 steps x 2 replicas x batch 8 samples.
-        assert dp.last_epoch_pipeline_stats.samples == 2 * 2 * 8
+        dp = make_trainer(dataset, world_size=3, max_batches_per_epoch=1)
+        epochs_of(dp, 1)
+        # 1 step x 3 replicas x batch 8 samples.
+        assert dp.last_epoch_pipeline_stats.samples == 1 * 3 * 8
 
 
 # --------------------------------------------------------------------------- #

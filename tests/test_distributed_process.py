@@ -1,26 +1,30 @@
-"""Tests for process-mode data parallelism (forked workers + shared memory).
+"""Tests for the forked-worker transport behind ``DataParallelTrainer``.
 
-The contract under test (DESIGN.md §13): ``mode="process"`` runs the same
-lockstep epoch as thread mode with one forked worker per rank and all
+The contract under test (DESIGN.md §11): one forked worker per rank, all
 parameter/gradient traffic through one shared-memory segment — and the
 numerics must not notice.  Covered here:
 
 * bit-parity — ``world_size=1`` identical to the plain pipeline ``Trainer``;
-  ``world_size=2`` bit-stable across reruns and bit-identical to thread mode
-  (parameters, losses, and BatchNorm buffers); bucket-boundary configurations
-  (tiny ``bucket_elems``, single-parameter models) agree across modes;
-* lifecycle — segments unlink on shutdown, on worker crash, and on worker
-  exception; shutdown is idempotent; training resumes after shutdown;
-  structural callbacks re-fork the worker generation;
+  ``world_size=2`` bit-stable across reruns; at world sizes 2 and 3, across
+  bucket-boundary configurations (tiny ``bucket_elems``, single-parameter
+  models) and with buffer sync off, identical to a sequential lockstep
+  reference written here (parameters, losses, and BatchNorm buffers);
+* lifecycle — segments unlink on shutdown, on worker crash, on worker
+  exception, and when forking fails part-way; shutdown is idempotent;
+  training resumes after shutdown; structural callbacks re-fork the worker
+  generation;
 * failure semantics — a worker exception propagates with its traceback, a
   worker killed mid-step raises ``ReplicaError``, and neither leaks a
-  ``/dev/shm`` segment;
+  ``/dev/shm`` segment (the autouse leak ledger checks every test);
+* the BLAS budget — each forked worker caps its OpenBLAS pools;
 * integration — ``fit``/``evaluate``, ``max_batches_per_epoch``, per-replica
-  pipeline stats, ``run_experiment(dp_mode="process")`` rows matching thread
-  rows, and the CLI flag.
+  pipeline stats, ``run_experiment`` rows, and the CLI flag.
 """
 
+import copy
 import glob
+import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -28,12 +32,21 @@ import pytest
 
 from repro import nn
 from repro.data import ArrayDataset, PipelineLoader, build_replica_loaders
-from repro.distributed import DataParallelTrainer, ReplicaError
+from repro.distributed import (
+    DEFAULT_BUCKET_ELEMS,
+    DataParallelTrainer,
+    ReplicaError,
+    allreduce_gradients,
+    broadcast_arrays,
+    mean_reduce_buffers,
+)
 from repro.models import build_model
 from repro.optim import SGD
 from repro.tensor import functional as F
+from repro.train.metrics import AverageMeter
 from repro.train.trainer import Callback, Trainer
 from repro.utils import get_rng, seed_everything
+from repro.utils.concurrency import blas_thread_counts, cap_blas_threads, usable_cores
 from repro.utils.shm import SEGMENT_PREFIX, active_owned_segments
 
 
@@ -50,15 +63,34 @@ def make_model(num_classes=4, seed=0):
                        small_input=True, rng=get_rng(offset=seed + 1))
 
 
-def make_trainer(dataset, world_size, mode="process", batch_size=8, lr=0.05,
-                 **kwargs):
+def build_resnet():
     seed_everything(0)
     model = make_model()
-    optimizer = SGD(model.parameters(), lr=lr, momentum=0.9)
+    return model, SGD(model.parameters(), lr=0.05, momentum=0.9)
+
+
+def build_linear():
+    """One bias-free Linear: one parameter, one bucket, no buffers — the
+    degenerate layout for the shared-segment carve."""
+    seed_everything(0)
+    model = nn.Linear(12, 3, bias=False, rng=get_rng(offset=2))
+    return model, SGD(model.parameters(), lr=0.1)
+
+
+def linear_dataset():
+    seed_everything(0)
+    rng = get_rng(offset=5)
+    features = rng.standard_normal((48, 12)).astype(np.float32)
+    labels = rng.integers(0, 3, size=48).astype(np.int64)
+    return ArrayDataset(features, labels)
+
+
+def make_trainer(dataset, world_size, build=build_resnet, batch_size=8, **kwargs):
+    model, optimizer = build()
     train_loader = PipelineLoader(dataset, batch_size, shuffle=True)
     replica_loaders = build_replica_loaders(dataset, batch_size, world_size)
     return DataParallelTrainer(model, optimizer, train_loader,
-                               world_size=world_size, mode=mode,
+                               world_size=world_size,
                                replica_loaders=replica_loaders, **kwargs)
 
 
@@ -74,14 +106,6 @@ def own_segments_on_disk():
     return glob.glob(os.path.join("/dev/shm", f"{SEGMENT_PREFIX}-{os.getpid()}-*"))
 
 
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    """Every test must leave zero owned segments, registered or on disk."""
-    yield
-    assert active_owned_segments() == []
-    assert own_segments_on_disk() == []
-
-
 def run_epochs(trainer, epochs=2):
     try:
         losses = [trainer.train_epoch()["loss"] for _ in range(epochs)]
@@ -90,93 +114,107 @@ def run_epochs(trainer, epochs=2):
         trainer.shutdown()
 
 
+def lockstep_reference(dataset, world_size, build=build_resnet, epochs=2,
+                       batch_size=8, bucket_elems=DEFAULT_BUCKET_ELEMS,
+                       sync_buffers_each_epoch=True):
+    """Data-parallel training without workers: the arithmetic the forked
+    engine must reproduce bit for bit.
+
+    Each step runs deep-copied replicas in rank order, mean-reduces their
+    gradients into the master with ``allreduce_gradients``, takes one
+    optimizer step and copies the parameters back with ``broadcast_arrays``.
+    At each epoch's end the master takes the ``mean_reduce_buffers`` average
+    of the replicas' buffers (and the replicas adopt it) — or, with syncing
+    off, rank 0's buffers.
+    """
+    model, optimizer = build()
+    replicas = [copy.deepcopy(model) for _ in range(world_size)]
+    loaders = build_replica_loaders(dataset, batch_size, world_size)
+    params = list(model.parameters())
+    master_buffers = [buf.data for _, buf in model.named_buffers()]
+    losses = []
+    for epoch in range(epochs):
+        meter = AverageMeter()
+        for replica, loader in zip(replicas, loaders):
+            replica.train()
+            loader.set_epoch(epoch)
+        for batches in zip(*loaders):
+            for replica, batch in zip(replicas, batches):
+                loss = F.softmax_cross_entropy(replica(batch[0]), batch[-1])
+                replica.zero_grad()
+                loss.backward()
+                meter.update(loss.item(), len(batch[-1]))
+            grads = [[p.grad for p in replica.parameters()] for replica in replicas]
+            for p, grad0 in zip(params, grads[0]):
+                p.grad = np.empty_like(grad0)
+            allreduce_gradients(grads, [p.grad for p in params], bucket_elems)
+            optimizer.step()
+            broadcast_arrays([p.data for p in params],
+                             [[p.data for p in replica.parameters()] for replica in replicas])
+        buffer_sets = [[buf.data for _, buf in replica.named_buffers()]
+                       for replica in replicas]
+        if sync_buffers_each_epoch:
+            broadcast_arrays(mean_reduce_buffers(buffer_sets), [master_buffers] + buffer_sets)
+        else:
+            broadcast_arrays(buffer_sets[0], [master_buffers])
+        losses.append(meter.average)
+    return losses, params_of(model), buffers_of(model)
+
+
+def assert_bit_identical(got, want):
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1]) and len(got[2]) == len(want[2])
+    for a, b in zip(got[1] + got[2], want[1] + want[2]):
+        assert np.array_equal(a, b)
+
+
 # --------------------------------------------------------------------------- #
 # Bit-parity
 # --------------------------------------------------------------------------- #
 class TestProcessModeParity:
     def test_world_size_one_bit_identical_to_trainer(self):
         dataset = make_dataset()
-        seed_everything(0)
-        model = make_model()
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        model, optimizer = build_resnet()
         trainer = Trainer(model, optimizer,
                           PipelineLoader(dataset, 8, shuffle=True))
         ref_losses = [trainer.train_epoch()["loss"] for _ in range(2)]
-        losses, params, buffers = run_epochs(make_trainer(dataset, 1))
-        assert losses == ref_losses
-        for a, b in zip(params_of(model), params):
-            assert np.array_equal(a, b)
-        for a, b in zip(buffers_of(model), buffers):
-            assert np.array_equal(a, b)
+        got = run_epochs(make_trainer(dataset, 1))
+        assert_bit_identical(got, (ref_losses, params_of(model), buffers_of(model)))
 
     @pytest.mark.parametrize("world_size", [2, 3])
     def test_bit_stable_across_reruns(self, world_size):
         dataset = make_dataset()
         first = run_epochs(make_trainer(dataset, world_size))
         second = run_epochs(make_trainer(dataset, world_size))
-        assert first[0] == second[0]
-        for a, b in zip(first[1], second[1]):
-            assert np.array_equal(a, b)
+        assert_bit_identical(first, second)
 
-    @pytest.mark.parametrize("world_size", [1, 2])
-    def test_thread_and_process_bit_identical(self, world_size):
+    @pytest.mark.parametrize("world_size", [2, 3])
+    def test_matches_sequential_reference(self, world_size):
         dataset = make_dataset()
-        thread = run_epochs(make_trainer(dataset, world_size, mode="thread"))
-        process = run_epochs(make_trainer(dataset, world_size, mode="process"))
-        assert thread[0] == process[0]
-        for a, b in zip(thread[1], process[1]):
-            assert np.array_equal(a, b)
-        for a, b in zip(thread[2], process[2]):
-            assert np.array_equal(a, b)
+        assert_bit_identical(run_epochs(make_trainer(dataset, world_size)),
+                             lockstep_reference(dataset, world_size))
 
     @pytest.mark.parametrize("bucket_elems", [1, 64, 1 << 18])
     def test_bucket_boundaries_cross_mode(self, bucket_elems):
         # Gradients far over, straddling, and far under the bucket cap must
-        # all reduce to the same bits in both modes.
+        # reduce to the same bits in the forked workers and the sequential
+        # reference.
         dataset = make_dataset(n=32)
-        thread = run_epochs(
-            make_trainer(dataset, 2, mode="thread", bucket_elems=bucket_elems),
-            epochs=1)
-        process = run_epochs(
-            make_trainer(dataset, 2, mode="process", bucket_elems=bucket_elems),
-            epochs=1)
-        assert thread[0] == process[0]
-        for a, b in zip(thread[1], process[1]):
-            assert np.array_equal(a, b)
+        got = run_epochs(make_trainer(dataset, 2, bucket_elems=bucket_elems), epochs=1)
+        assert_bit_identical(got, lockstep_reference(dataset, 2, epochs=1,
+                                                     bucket_elems=bucket_elems))
 
     def test_single_parameter_model_cross_mode(self):
-        # One bias-free Linear: one parameter, one bucket, no buffers — the
-        # degenerate layout for the shared-segment carve.
-        seed_everything(0)
-        rng = get_rng(offset=5)
-        features = rng.standard_normal((48, 12)).astype(np.float32)
-        labels = rng.integers(0, 3, size=48).astype(np.int64)
-        dataset = ArrayDataset(features, labels)
+        dataset = linear_dataset()
+        got = run_epochs(make_trainer(dataset, 2, build=build_linear))
+        assert len(got[1]) == 1
+        assert_bit_identical(got, lockstep_reference(dataset, 2, build=build_linear))
 
-        def run(mode):
-            seed_everything(0)
-            model = nn.Linear(12, 3, bias=False, rng=get_rng(offset=2))
-            assert len(list(model.parameters())) == 1
-            trainer = DataParallelTrainer(
-                model, SGD(model.parameters(), lr=0.1),
-                PipelineLoader(dataset, 8, shuffle=True),
-                world_size=2, mode=mode,
-                replica_loaders=build_replica_loaders(dataset, 8, 2))
-            return run_epochs(trainer)
-
-        thread, process = run("thread"), run("process")
-        assert thread[0] == process[0]
-        assert np.array_equal(thread[1][0], process[1][0])
-
-    def test_buffer_sync_disabled_matches_thread(self):
+    def test_buffer_sync_disabled_matches_reference(self):
         dataset = make_dataset()
-        thread = run_epochs(make_trainer(dataset, 2, mode="thread",
-                                         sync_buffers_each_epoch=False))
-        process = run_epochs(make_trainer(dataset, 2, mode="process",
-                                          sync_buffers_each_epoch=False))
-        assert thread[0] == process[0]
-        for a, b in zip(thread[2], process[2]):
-            assert np.array_equal(a, b)
+        got = run_epochs(make_trainer(dataset, 2, sync_buffers_each_epoch=False))
+        assert_bit_identical(got, lockstep_reference(dataset, 2,
+                                                     sync_buffers_each_epoch=False))
 
 
 # --------------------------------------------------------------------------- #
@@ -213,6 +251,34 @@ class TestProcessModeLifecycle:
             assert np.array_equal(a, p.data)
             assert p.data.base is None
 
+    def test_failed_fork_releases_everything(self, monkeypatch):
+        # Rank 1's fork fails after rank 0's worker started: the constructor
+        # must stop rank 0, detach the parameters and unlink the segment.
+        fork_process = multiprocessing.get_context("fork").Process
+        start = fork_process.start
+        starts = []
+
+        def failing_start(proc):
+            starts.append(proc.name)
+            if len(starts) == 2:
+                raise OSError("fork refused")
+            start(proc)
+
+        monkeypatch.setattr(fork_process, "start", failing_start)
+        dp = make_trainer(make_dataset(n=16), 2)
+        segments = set(active_owned_segments())
+        # Holding the traceback keeps the half-built group alive, so its
+        # __del__ safety net cannot do the constructor's job.
+        with pytest.raises(OSError, match="fork refused") as failure:
+            dp.train_epoch()
+        assert failure.traceback
+        assert starts == ["dp-proc-0", "dp-proc-1"]
+        assert set(active_owned_segments()) == segments
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name.startswith("dp-proc-")]
+        assert all(p.data.base is None for p in dp.model.parameters())
+        dp.shutdown()
+
     def test_structure_change_reforks_generation(self):
         dataset = make_dataset()
 
@@ -244,7 +310,7 @@ class TestProcessModeLifecycle:
         dp = DataParallelTrainer(
             model, SGD(model.parameters(), lr=0.05, momentum=0.9),
             PipelineLoader(dataset, 8, shuffle=True), PipelineLoader(val, 8),
-            world_size=2, mode="process",
+            world_size=2,
             replica_loaders=build_replica_loaders(dataset, 8, 2))
         try:
             history = dp.fit(epochs=2)
@@ -351,13 +417,6 @@ class TestProcessModeFailures:
         finally:
             dp.shutdown()
 
-    def test_invalid_mode_rejected(self):
-        dataset = make_dataset(n=16)
-        model = make_model()
-        with pytest.raises(ValueError, match="mode"):
-            DataParallelTrainer(model, SGD(model.parameters(), lr=0.05),
-                                PipelineLoader(dataset, 8), mode="greenlet")
-
 
 # --------------------------------------------------------------------------- #
 # Experiment harness + CLI integration
@@ -372,11 +431,14 @@ class TestProcessModeIntegration:
         return VisionExperimentConfig(**defaults)
 
     def test_dp_mode_validation(self):
-        assert self._config(dp_mode="process").uses_pipeline_loader()
+        # dp_mode is still checked, but no longer picks the loader or the
+        # trainer: world_size alone does.
+        assert not self._config(dp_mode="process").uses_pipeline_loader()
+        assert self._config(dp_mode="thread", world_size=2).uses_pipeline_loader()
         with pytest.raises(ValueError, match="dp_mode"):
             self._config(dp_mode="fiber").uses_pipeline_loader()
         with pytest.raises(ValueError, match="pipeline loader"):
-            self._config(dp_mode="process",
+            self._config(dp_mode="process", world_size=2,
                          loader="legacy").uses_pipeline_loader()
 
     def test_run_experiment_process_rows_match_thread(self):
@@ -399,10 +461,9 @@ class TestProcessModeIntegration:
             ExperimentSpec(method="full_rank",
                            config=self._config(dp_mode="process")),
             return_context=True)
-        assert isinstance(context.trainer, DataParallelTrainer)
-        assert context.trainer.mode == "process"
+        assert type(context.trainer) is Trainer
 
-    def test_cli_dp_mode_flag(self):
+    def test_cli_world_size_flag(self):
         import io
 
         from repro.cli import main
@@ -410,9 +471,63 @@ class TestProcessModeIntegration:
         stream = io.StringIO()
         code = main(["train", "--method", "full_rank", "--epochs", "1",
                      "--max-batches", "2", "--batch-size", "16",
-                     "--world-size", "2", "--dp-mode", "process"],
+                     "--world-size", "2"],
                     stream=stream)
         assert code == 0
         out = stream.getvalue()
-        assert "dp_mode=process" in out
+        assert "world_size=2)" in out
         assert "data-parallel throughput" in out
+
+
+# --------------------------------------------------------------------------- #
+# BLAS budget
+# --------------------------------------------------------------------------- #
+def in_forked_child(fn):
+    """``fn()``'s result, computed in a forked child process."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=lambda: send.send(fn()))
+    proc.start()
+    try:
+        assert receive.poll(30.0), "the forked child sent no result"
+        return receive.recv()
+    finally:
+        proc.join(timeout=30.0)
+        receive.close()
+        send.close()
+
+
+class TestBlasBudget:
+    def test_forked_child_caps_each_pool_at_the_budget(self):
+        budget = max(1, usable_cores() // 2)
+        before, after = in_forked_child(
+            lambda: (blas_thread_counts(), cap_blas_threads(budget)))
+        if not before:
+            pytest.skip("no OpenBLAS library loaded")
+        assert after == {path: min(n, budget) for path, n in before.items()}
+
+    def test_pool_at_one_stays_at_one(self):
+        def shrink_then_cap():
+            cap_blas_threads(1)
+            return cap_blas_threads(max(2, usable_cores()))
+
+        after = in_forked_child(shrink_then_cap)
+        assert all(n == 1 for n in after.values())
+
+    def test_replicas_train_within_the_budget(self, tmp_path):
+        def reporting_loss(model, batch):
+            with open(tmp_path / f"{os.getpid()}.json", "w") as report:
+                json.dump(blas_thread_counts(), report)
+            return F.softmax_cross_entropy(model(batch[0]), batch[-1])
+
+        dp = make_trainer(make_dataset(n=16), 2, loss_fn=reporting_loss,
+                          max_batches_per_epoch=1)
+        try:
+            dp.train_epoch()
+        finally:
+            dp.shutdown()
+        budget = max(1, usable_cores() // 2)
+        reports = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+        assert len(reports) == 2
+        for counts in reports:
+            assert all(n <= budget for n in counts.values())

@@ -2,10 +2,10 @@
 
 Covers the counter-based per-sample RNG, vectorized batch transforms, the
 ``PipelineLoader``/``PrefetchingLoader`` pair (bit-parity at every prefetch
-depth and worker count, failure propagation, clean shutdown), epoch-sharded
-sampling, and the trainer-level guarantees: a prefetched training run is
-bit-identical to the synchronous one, and epoch logs carry the
-stall-vs-compute split.
+depth and worker count, failure propagation, clean shutdown), collate-ring
+buffer recycling, epoch-sharded sampling, and the trainer-level guarantees:
+a prefetched training run is bit-identical to the synchronous one, and
+epoch logs carry the stall-vs-compute split.
 """
 
 import threading
@@ -30,6 +30,7 @@ from repro.data import (
     standard_train_transform,
 )
 from repro.data.dataset import Dataset
+from repro.data.pipeline import CollateArena
 from repro.models import MLP
 from repro.optim import SGD
 from repro.profiling import PipelineStats, instrument
@@ -236,6 +237,15 @@ class TestPipelineLoader:
         loader = PipelineLoader(image_dataset(n=32, transform=None), batch_size=16)
         with pytest.raises(IndexError):
             loader.load_batch(2)
+
+
+class TestCollateArena:
+    def test_ring_hands_back_its_first_buffer_on_the_third_take(self):
+        ring = CollateArena(slots=2)
+        first = ring.take((4, 3, 8, 8), np.float32)
+        second = ring.take((4, 3, 8, 8), np.float32)
+        assert second is not first
+        assert ring.take((4, 3, 8, 8), np.float32) is first
 
 
 class TestPrefetchingLoader:

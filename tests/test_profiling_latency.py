@@ -1,4 +1,4 @@
-"""Latency/batch-size trackers (repro.profiling.latency): streaming stats,
+"""Latency/batch-size trackers (repro.telemetry): streaming stats,
 windowing, and thread safety under concurrent observers."""
 
 import threading
@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.profiling import BatchSizeHistogram, LatencyTracker
+from repro.telemetry import BatchSizeHistogram, LatencyTracker
 
 
 class TestLatencyTracker:
@@ -152,14 +152,3 @@ class TestBatchSizeHistogram:
     def test_empty_histogram_mean_is_zero(self):
         assert BatchSizeHistogram().mean_batch_size() == 0.0
 
-
-class TestShim:
-    def test_trackers_are_the_telemetry_classes(self):
-        # repro.profiling.latency re-exports from repro.telemetry.metrics so
-        # every historical import site shares one implementation.
-        from repro.profiling import latency
-        from repro.telemetry import metrics
-
-        assert latency.LatencyTracker is metrics.LatencyTracker
-        assert latency.BatchSizeHistogram is metrics.BatchSizeHistogram
-        assert latency.DEFAULT_PERCENTILES == metrics.DEFAULT_PERCENTILES

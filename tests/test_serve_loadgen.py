@@ -5,6 +5,7 @@ jittered-backoff retries that fail loudly when the budget runs out."""
 import http.server
 import json
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -100,8 +101,9 @@ class TestOpenLoop:
         assert result.requests == len(arrivals) == len(seen)
         assert result.errors == 0
         assert result.offered_rps == pytest.approx(len(arrivals) / arrivals[-1])
-        # Round-robin over the sample pool, scheduled order.
-        assert seen[:8] == [float(i % 8) for i in range(8)]
+        # Round-robin over the sample pool.  Senders complete out of
+        # order, so compare the multiset, not the sequence.
+        assert Counter(seen) == Counter(float(i % 8) for i in range(len(arrivals)))
 
     def test_send_errors_are_counted_not_raised(self):
         def flaky(sample):

@@ -1,10 +1,9 @@
 """Metrics registry (repro.telemetry.metrics): instruments, the versioned
 snapshot contract, collector isolation, and Prometheus text exposition.
 
-``LatencyTracker``/``BatchSizeHistogram`` behaviour inherited from the old
-``repro.profiling.latency`` home keeps its coverage in
-``test_profiling_latency.py`` (importing through the shim); this file covers
-what the registry adds on top.
+``LatencyTracker``/``BatchSizeHistogram`` behaviour keeps its coverage in
+``test_profiling_latency.py``; this file covers what the registry adds on
+top.
 """
 
 import json

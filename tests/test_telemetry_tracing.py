@@ -10,7 +10,7 @@ The contracts under test (DESIGN.md §14):
 * ``write_trace`` emits Chrome trace-event JSON or a JSONL event log that
   ``load_trace`` reads back losslessly (and plain ``json.load`` validates the
   Chrome schema for external tools);
-* a 2-rank ``dp_mode="process"`` run merges worker timelines into the parent
+* a 2-rank data-parallel run merges worker timelines into the parent
   session with one labeled lane per rank and ≥95% step coverage.
 """
 
@@ -285,7 +285,7 @@ class TestCrossProcessMerge:
         assert all(isinstance(k, str) for k in payload["threads"])  # picklable
 
     def test_two_rank_process_mode_merged_timeline(self, tmp_path):
-        """The acceptance path: per-rank lanes under dp_mode=process and
+        """The acceptance path: per-rank lanes of the forked workers and
         step coverage ≥95% in the merged trace."""
         from repro.data import ArrayDataset, PipelineLoader, build_replica_loaders
         from repro.distributed import DataParallelTrainer
@@ -303,7 +303,7 @@ class TestCrossProcessMerge:
         optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
         trainer = DataParallelTrainer(
             model, optimizer, PipelineLoader(dataset, 8, shuffle=True),
-            world_size=2, mode="process",
+            world_size=2,
             replica_loaders=build_replica_loaders(dataset, 8, 2))
         session = tracing.enable("trainer")
         try:
