@@ -49,7 +49,7 @@ def training_step_rate(
         step = _build_train_step(model_name, width_mult, batch_size, image_size,
                                  num_classes, optimizer_name, be)
         for _ in range(max(warmup_steps, 0)):
-            step()  # allocator, BLAS threads, im2col caches (and plan capture)
+            step()  # allocator, BLAS threads, arena buffers (and plan capture)
         start = time.perf_counter()
         final_loss = 0.0
         for _ in range(steps):

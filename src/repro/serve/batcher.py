@@ -64,7 +64,7 @@ from repro.serve.engine import (
 from repro.serve.pool import PredictorPool, WorkerContext
 from repro.serve.slo import SLOController, SLOPolicy
 from repro.telemetry import MetricsRegistry
-from repro.utils.concurrency import ClosableQueue
+from repro.utils.concurrency import ClosableQueue, usable_cores
 
 _MODES = ("thread", "process")
 
@@ -227,11 +227,15 @@ class DynamicBatcher:
             self.predict._plan = None
             self.predict._plan_failed = False
         output_shape = probe_output_shape(self.predict, shape)
+        # Each child gets its share of the cores for BLAS, so N engines do
+        # not each run a pool sized for the whole host.
+        blas_threads = max(1, usable_cores() // self.workers)
 
         def process_factory(index: int) -> ProcessEngine:
             return ProcessEngine(self.predict, shape, output_shape,
                                  max_rows=batch_ceiling,
-                                 name=f"{self.name}-engine{index}")
+                                 name=f"{self.name}-engine{index}",
+                                 blas_threads=blas_threads)
 
         return process_factory
 

@@ -40,6 +40,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.concurrency import cap_blas_threads
 from repro.utils.logging import get_logger
 from repro.utils.shm import ShmArena, arena_bytes_for
 
@@ -90,16 +91,20 @@ class InlineEngine:
 
 
 def _engine_child_main(predict_fn, inp, out, ctrl, work_sem, done_sem,
-                       err_conn, parent_pid: int) -> None:
+                       err_conn, parent_pid: int, blas_threads: Optional[int]) -> None:
     """Child loop: wait for work, run one forward, signal done.
 
     Runs in a forked process — ``inp``/``out``/``ctrl`` are inherited
     shared-memory views, ``predict_fn`` (and the model behind it) arrived
     via fork with its weights rebound onto the pool's read-only segment.
-    Exceptions are recoverable: the traceback travels back over the pipe and
-    the loop keeps serving.  Exit paths: a stop command, or the parent
-    disappearing (poll ``getppid`` so an orphan never lingers).
+    The child first shrinks the OpenBLAS pools it inherited (sized for the
+    whole host) to its ``blas_threads`` budget.  Exceptions are
+    recoverable: the traceback travels back over the pipe and the loop keeps
+    serving.  Exit paths: a stop command, or the parent disappearing (poll
+    ``getppid`` so an orphan never lingers).
     """
+    if blas_threads is not None:
+        cap_blas_threads(blas_threads)
     while True:
         while not work_sem.acquire(timeout=_POLL_S):
             if os.getppid() != parent_pid:
@@ -131,7 +136,9 @@ class ProcessEngine:
     called from the single pool-worker thread that owns this engine, so the
     slabs need no locking.  ``max_rows`` bounds the largest batch the slabs
     can carry — the pool sizes it to the batching policy's ceiling
-    (including any SLO-controller headroom).
+    (including any SLO-controller headroom).  ``blas_threads`` caps each
+    OpenBLAS pool in the child (the pool passes ``cores // workers``);
+    ``None`` leaves the inherited pools as they are.
     """
 
     mode = "process"
@@ -143,6 +150,7 @@ class ProcessEngine:
         output_shape: Sequence[int],
         max_rows: int,
         name: str = "engine",
+        blas_threads: Optional[int] = None,
     ):
         import multiprocessing
 
@@ -153,6 +161,7 @@ class ProcessEngine:
         self.input_shape = tuple(int(s) for s in input_shape)
         self.output_shape = tuple(int(s) for s in output_shape)
         self._predict = predict_fn
+        self._blas_threads = blas_threads
         self._ctx = multiprocessing.get_context("fork")
         in_spec = ((self.max_rows, *self.input_shape), np.float32)
         out_spec = ((self.max_rows, *self.output_shape), np.float32)
@@ -194,7 +203,8 @@ class ProcessEngine:
         self._proc = self._ctx.Process(
             target=_engine_child_main,
             args=(self._predict, self._inp, self._out, self._ctrl,
-                  self._work, self._done, err_w, os.getpid()),
+                  self._work, self._done, err_w, os.getpid(),
+                  self._blas_threads),
             name=f"{self.name}-proc",
             daemon=True,
         )

@@ -25,7 +25,8 @@ Two backends ship with the library:
 ``numpy-fast``
     The same arithmetic, scheduled differently: gradient buffers are drawn
     from a shape-keyed arena and recycled as soon as the backward pass has
-    consumed them, accumulation happens in place, im2col scratch is pooled,
+    consumed them, accumulation happens in place, conv and pool columns are
+    gathered in the activations' channels-last layout into pooled buffers,
     and the hot-path kernels (``linear_act``, ``softmax_cross_entropy``,
     fused attention weights) run as single fused graph nodes.  Every fused
     kernel replicates the exact float-op sequence of the unfused chain, so
@@ -77,9 +78,10 @@ class Backend:
     fuse_kernels: bool = False
     #: Draw gradient/scratch buffers from the arena and recycle them.
     pool_buffers: bool = False
-    #: Use the cache-optimised im2col/col2im gather strategies (strided
-    #: window views, contiguous-first scatter).  Bit-identical values; the
-    #: reference backend keeps the original loop-based gathers.
+    #: Gather conv/pool columns from, and scatter their gradients back into,
+    #: a zero-bordered channels-last image: the activations' own layout.
+    #: Bit-identical values; the reference backend keeps the seed's loop
+    #: gathers over an NCHW padded copy.
     fast_gather: bool = False
     #: Keep non-leaf gradients alive after ``backward`` (the reference
     #: behaviour).  Pooling backends drop them so the buffers can be reused.

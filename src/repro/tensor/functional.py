@@ -17,14 +17,20 @@ Three kernels exist in both an unfused (seed-faithful op chain) and a fused
 The fused forms replicate the exact float-op sequence of the unfused chains,
 so both produce bit-identical values; which form runs is decided by the
 active backend's ``fuse_kernels`` flag (the default ``numpy`` backend keeps
-the historical chains, ``numpy-fast`` fuses).  ``conv2d`` additionally keeps
-a small geometry-keyed im2col buffer cache for the graph-free inference path
-and draws its training-time column/scratch buffers from the backend arena.
+the historical chains, ``numpy-fast`` fuses).
+
+Convolution and pooling lower to im2col + GEMM.  On backends with
+``fast_gather`` the columns are gathered from, and gradients scattered back
+into, a zero-bordered channels-last image — the layout the activations
+already have — and every column, padded-image and scratch buffer comes from
+the backend arena, on the training and the ``no_grad`` path alike.  Each
+buffer goes back as soon as nothing reads it; ``take`` hands a buffer to one
+caller only, so concurrent forwards never share memory.  The ``numpy``
+backend keeps the seed's loop gathers, which the tests use as the reference.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -56,34 +62,6 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 # --------------------------------------------------------------------------- #
 # im2col / col2im
 # --------------------------------------------------------------------------- #
-# Minimum number of output pixels before the strided-window gather pays for
-# its less cache-friendly copy pattern (measured on the ResNet cell bench).
-_STRIDED_IM2COL_MIN_PIXELS = 256
-
-# Geometry-keyed buffer cache for the graph-free inference path: repeated
-# forward passes over the same shapes (evaluate loops, profiler probes) reuse
-# one column buffer per conv geometry instead of reallocating it per call.
-_IM2COL_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_IM2COL_CACHE_CAP = 16
-
-
-def _cached_col_buffer(key: tuple, rows: int, cols: int, dtype) -> np.ndarray:
-    buf = _IM2COL_CACHE.get(key)
-    if buf is None:
-        buf = np.empty((rows, cols), dtype=dtype)
-        _IM2COL_CACHE[key] = buf
-        while len(_IM2COL_CACHE) > _IM2COL_CACHE_CAP:
-            _IM2COL_CACHE.popitem(last=False)
-    else:
-        _IM2COL_CACHE.move_to_end(key)
-    return buf
-
-
-def clear_im2col_cache() -> None:
-    """Drop the inference-path im2col buffers (mostly useful in tests)."""
-    _IM2COL_CACHE.clear()
-
-
 def _conv_geometry(shape, kh, kw, stride, pad):
     n, c, h, w = shape
     sh, sw = stride
@@ -91,6 +69,33 @@ def _conv_geometry(shape, kh, kw, stride, pad):
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
     return n, c, h, w, out_h, out_w
+
+
+def padded_image_shape(x_shape, pad) -> Tuple[int, int, int, int]:
+    """Shape of the zero-bordered channels-last image the fast gathers use."""
+    n, c, h, w = x_shape
+    return (n, h + 2 * pad[0], w + 2 * pad[1], c)
+
+
+def _channels_last_image(x: np.ndarray, pad, scratch: Optional[np.ndarray]) -> np.ndarray:
+    """``x`` (NCHW-shaped, any layout) as a channels-last image with a zero border.
+
+    Without padding this is a transposed view of ``x``, which is already
+    C-contiguous for the NHWC-memory activations conv, BatchNorm and ReLU
+    produce.  With padding, ``x`` is copied into the interior of ``scratch``.
+    """
+    xs = x.transpose(0, 2, 3, 1)
+    ph, pw = pad
+    if not (ph or pw):
+        return xs
+    n, h, w, _ = xs.shape
+    img = scratch if scratch is not None else np.empty(padded_image_shape(x.shape, pad), x.dtype)
+    img[:, :ph] = 0
+    img[:, h + ph:] = 0
+    img[:, :, :pw] = 0
+    img[:, :, w + pw:] = 0
+    img[:, ph:h + ph, pw:w + pw] = xs
+    return img
 
 
 def im2col(
@@ -101,38 +106,38 @@ def im2col(
     pad: Tuple[int, int],
     out: Optional[np.ndarray] = None,
     fast: bool = False,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unroll image patches into rows.
 
     ``x`` has shape ``(N, C, H, W)``; the result has shape
     ``(N * out_h * out_w, C * kh * kw)`` so a convolution becomes one matmul.
-    ``out``, when given, must have exactly that shape and receives the
-    columns in place (this is how the backend arena and the inference cache
-    recycle the buffer).  ``fast`` selects the cache-optimised gather
-    strategies (1x1 shortcut, strided window view) used by backends with
-    ``fast_gather``; every strategy produces bit-identical results — they
-    only differ in copy pattern.
+    ``out``, when given, must be a C-contiguous array of exactly that shape
+    and receives the columns in place.
+
+    ``fast`` gathers from a channels-last image: kh·kw strided slice copies
+    whose inner loop runs over channels, instead of the seed's per-row loops
+    over an NCHW padded copy.  ``scratch`` optionally supplies the fast
+    path's zero-bordered image (shape :func:`padded_image_shape`); the
+    caller may recycle it as soon as this returns.  Both paths write the
+    same values into the same layout.
     """
     n, c, h, w, out_h, out_w = _conv_geometry(x.shape, kh, kw, stride, pad)
     sh, sw = stride
     ph, pw = pad
     rows, cols = n * out_h * out_w, c * kh * kw
+
+    if fast:
+        img = _channels_last_image(x, pad, scratch)
+        if out is None:
+            out = np.empty((rows, cols), dtype=x.dtype)
+        col = out.reshape(n, out_h, out_w, c, kh, kw)
+        for y in range(kh):
+            for xx in range(kw):
+                col[..., y, xx] = img[:, y:y + sh * out_h:sh, xx:xx + sw * out_w:sw]
+        return out
+
     img = np.pad(x, [(0, 0), (0, 0), (ph, ph), (pw, pw)]) if (ph or pw) else x
-
-    if fast and kh == 1 and kw == 1:
-        # A 1x1 kernel is a pure layout change: NCHW -> (N*oh*ow, C).
-        if out is None:
-            out = np.empty((rows, cols), dtype=x.dtype)
-        np.copyto(out.reshape(n, out_h, out_w, c), img[:, :, ::sh, ::sw].transpose(0, 2, 3, 1))
-        return out
-    if fast and out_h * out_w >= _STRIDED_IM2COL_MIN_PIXELS:
-        if out is None:
-            out = np.empty((rows, cols), dtype=x.dtype)
-        win = np.lib.stride_tricks.sliding_window_view(img, (kh, kw), axis=(2, 3))
-        src = win[:, :, ::sh, ::sw].transpose(0, 2, 3, 1, 4, 5)
-        np.copyto(out.reshape(n, out_h, out_w, c, kh, kw), src)
-        return out
-
     col = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
     for y in range(kh):
         y_max = y + sh * out_h
@@ -153,30 +158,35 @@ def col2im(
     kw: int,
     stride: Tuple[int, int],
     pad: Tuple[int, int],
-    img_out: Optional[np.ndarray] = None,
     fast: bool = False,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add patch rows back into an image.
 
-    ``img_out`` optionally supplies the (padded) scratch image buffer; the
-    returned array is a view into it.  ``fast`` materialises the permuted
-    column tensor contiguously before the scatter loop (bit-identical sums,
-    cache-friendlier reads).
+    Returns an ``x_shape`` view into a padded image.  ``fast`` scatters
+    straight from ``col``'s row layout into a channels-last image (no
+    transposed copy of ``col``), which ``scratch`` optionally supplies
+    (shape :func:`padded_image_shape`; the result is a view of it).  Each
+    pixel receives its contributions in the same (ky, kx) order starting
+    from zero on both paths, so the sums are bit-identical.
     """
     n, c, h, w = x_shape
     sh, sw = stride
     ph, pw = pad
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
-    col = col.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    if fast and (kh > 1 or kw > 1):
-        col = np.ascontiguousarray(col)
-    padded_shape = (n, c, h + 2 * ph + sh - 1, w + 2 * pw + sw - 1)
-    if img_out is None:
-        img = np.zeros(padded_shape, dtype=col.dtype)
-    else:
-        img = img_out
+
+    if fast:
+        grad = col.reshape(n, out_h, out_w, c, kh, kw)
+        img = scratch if scratch is not None else np.empty(padded_image_shape(x_shape, pad), col.dtype)
         img.fill(0)
+        for y in range(kh):
+            for xx in range(kw):
+                img[:, y:y + sh * out_h:sh, xx:xx + sw * out_w:sw] += grad[..., y, xx]
+        return img[:, ph:h + ph, pw:w + pw].transpose(0, 3, 1, 2)
+
+    col = col.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    img = np.zeros((n, c, h + 2 * ph + sh - 1, w + 2 * pw + sw - 1), dtype=col.dtype)
     for y in range(kh):
         y_max = y + sh * out_h
         for xx in range(kw):
@@ -185,9 +195,35 @@ def col2im(
     return img[:, :, ph:h + ph, pw:w + pw]
 
 
-def padded_image_shape(x_shape, kh, kw, stride, pad) -> Tuple[int, int, int, int]:
-    n, c, h, w = x_shape
-    return (n, c, h + 2 * pad[0] + stride[0] - 1, w + 2 * pad[1] + stride[1] - 1)
+def _gather(be, x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
+    """im2col of ``x`` into a column buffer taken from ``be``.
+
+    The fast path's padded image is taken from ``be`` too and goes back as
+    soon as the columns are gathered.  The caller gives the column buffer
+    back once nothing reads it.
+    """
+    n, c, _, _, out_h, out_w = _conv_geometry(x.shape, kh, kw, stride, pad)
+    col = be.take((n * out_h * out_w, c * kh * kw), x.dtype)
+    scratch = None
+    if be.fast_gather and (pad[0] or pad[1]):
+        scratch = be.take(padded_image_shape(x.shape, pad), x.dtype)
+    im2col(x, kh, kw, stride, pad, out=col, fast=be.fast_gather, scratch=scratch)
+    be.give(scratch)
+    return col
+
+
+def _scatter(be, grad_col: np.ndarray, x_shape, kh: int, kw: int, stride, pad):
+    """col2im of ``grad_col`` with ``be``'s strategy: ``(grad_x, image)``.
+
+    ``grad_x`` is a view into ``image``, which comes from ``be`` on the fast
+    path; the op gives it back in :meth:`~repro.tensor.ops.Op.release`, once
+    the engine has accumulated ``grad_x``.
+    """
+    scratch = None
+    if be.fast_gather:
+        scratch = be.take(padded_image_shape(x_shape, pad), grad_col.dtype)
+    grad_x = col2im(grad_col, x_shape, kh, kw, stride, pad, fast=be.fast_gather, scratch=scratch)
+    return grad_x, scratch
 
 
 # --------------------------------------------------------------------------- #
@@ -197,41 +233,31 @@ class Conv2dOp(Op):
     """im2col convolution over NCHW inputs as a single graph node."""
 
     __slots__ = ("stride", "padding", "col", "w2d", "x_shape", "w_shape",
-                 "b_shape", "out_c", "_col_pooled", "_scratch")
+                 "b_shape", "out_c", "image")
     name = "conv2d"
 
     def __init__(self, stride: Tuple[int, int], padding: Tuple[int, int]):
         self.stride = stride
         self.padding = padding
-        self._col_pooled = False
-        self._scratch = ()
+        self.col = None
+        self.image = None
 
     def forward(self, be, x, weight, bias=None):
         out_c, in_c, kh, kw = weight.shape
         n, c, h, w, out_h, out_w = _conv_geometry(x.shape, kh, kw, self.stride, self.padding)
-        rows, cols = n * out_h * out_w, c * kh * kw
-
-        if self.needs is None:
-            key = (x.shape, kh, kw, self.stride, self.padding, x.dtype.str)
-            col = im2col(x, kh, kw, self.stride, self.padding,
-                         out=_cached_col_buffer(key, rows, cols, x.dtype),
-                         fast=be.fast_gather)
-        elif be.pool_buffers:
-            col = im2col(x, kh, kw, self.stride, self.padding,
-                         out=be.take((rows, cols), x.dtype), fast=be.fast_gather)
-            self._col_pooled = True
-        else:
-            col = im2col(x, kh, kw, self.stride, self.padding, fast=be.fast_gather)
-
+        col = _gather(be, x, kh, kw, self.stride, self.padding)
         w2d = weight.reshape(out_c, -1)
         out2d = col @ w2d.T
-        be.add_flops(self.name, 2.0 * rows * cols * out_c)
+        be.add_flops(self.name, 2.0 * col.shape[0] * col.shape[1] * out_c)
         if bias is not None:
             out2d = out2d + bias.reshape(1, -1)
         out = out2d.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
+        if self.needs is not None and self.needs[1]:
+            self.col = col  # the weight-gradient GEMM reads it
+        else:
+            be.give(col)
         if self.needs is not None:
-            self.col = col
             self.w2d = w2d
             self.x_shape = x.shape
             self.w_shape = weight.shape
@@ -249,30 +275,19 @@ class Conv2dOp(Op):
             grad_w = (grad2d.T @ self.col).reshape(self.w_shape)
         if self.needs[0]:
             _, _, kh, kw = self.w_shape
-            if be.pool_buffers:
-                grad_col = be.take((grad2d.shape[0], self.w2d.shape[1]), grad2d.dtype)
-                np.matmul(grad2d, self.w2d, out=grad_col)
-                img = be.take(padded_image_shape(self.x_shape, kh, kw, self.stride, self.padding),
-                              grad2d.dtype)
-                grad_x = col2im(grad_col, self.x_shape, kh, kw, self.stride, self.padding,
-                                img_out=img, fast=be.fast_gather)
-                self._scratch = (grad_col, img)
-            else:
-                grad_col = grad2d @ self.w2d
-                grad_x = col2im(grad_col, self.x_shape, kh, kw, self.stride, self.padding,
-                                fast=be.fast_gather)
+            grad_col = be.take((grad2d.shape[0], self.w2d.shape[1]), grad2d.dtype)
+            np.matmul(grad2d, self.w2d, out=grad_col)
+            grad_x, self.image = _scatter(be, grad_col, self.x_shape, kh, kw,
+                                          self.stride, self.padding)
+            be.give(grad_col)
         if self.b_shape is not None:
             return (grad_x, grad_w, grad_b)
         return (grad_x, grad_w)
 
     def release(self, be):
-        if self._col_pooled:
-            be.give(self.col)
-            self.col = None
-            self._col_pooled = False
-        for buf in self._scratch:
-            be.give(buf)
-        self._scratch = ()
+        be.give(self.col)
+        be.give(self.image)
+        self.col = self.image = None
 
 
 def conv2d(
@@ -301,28 +316,23 @@ def conv2d(
 
 
 class MaxPool2dOp(Op):
-    __slots__ = ("kernel", "stride", "padding", "argmax", "x_shape", "channels")
+    __slots__ = ("kernel", "stride", "padding", "argmax", "x_shape", "channels", "image")
     name = "max_pool2d"
 
     def __init__(self, kernel, stride, padding):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
+        self.image = None
 
     def forward(self, be, x):
         kh, kw = self.kernel
         n, c, h, w, out_h, out_w = _conv_geometry(x.shape, kh, kw, self.stride, self.padding)
-        rows, cols = n * out_h * out_w, c * kh * kw
-        if self.needs is None:
-            key = ("pool", x.shape, kh, kw, self.stride, self.padding, x.dtype.str)
-            col = im2col(x, kh, kw, self.stride, self.padding,
-                         out=_cached_col_buffer(key, rows, cols, x.dtype),
-                         fast=be.fast_gather)
-        else:
-            col = im2col(x, kh, kw, self.stride, self.padding, fast=be.fast_gather)
-        col = col.reshape(-1, c, kh * kw)
-        argmax = col.argmax(axis=2)
-        out = np.take_along_axis(col, argmax[..., None], axis=2)[..., 0]
+        col = _gather(be, x, kh, kw, self.stride, self.padding)
+        windows = col.reshape(-1, c, kh * kw)
+        argmax = windows.argmax(axis=2)
+        out = np.take_along_axis(windows, argmax[..., None], axis=2)[..., 0]
+        be.give(col)
         out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
         if self.needs is not None:
             self.argmax = argmax
@@ -334,11 +344,17 @@ class MaxPool2dOp(Op):
         kh, kw = self.kernel
         c = self.channels
         g = grad.transpose(0, 2, 3, 1).reshape(-1, c)
-        grad_col = np.zeros((g.shape[0], c, kh * kw), dtype=DEFAULT_DTYPE)
-        np.put_along_axis(grad_col, self.argmax[..., None], g[..., None], axis=2)
-        grad_col = grad_col.reshape(-1, c * kh * kw)
-        return (col2im(grad_col, self.x_shape, kh, kw, self.stride, self.padding,
-                       fast=be.fast_gather),)
+        grad_col = be.take_zeros((g.shape[0], c * kh * kw), DEFAULT_DTYPE)
+        np.put_along_axis(grad_col.reshape(-1, c, kh * kw), self.argmax[..., None],
+                          g[..., None], axis=2)
+        grad_x, self.image = _scatter(be, grad_col, self.x_shape, kh, kw,
+                                      self.stride, self.padding)
+        be.give(grad_col)
+        return (grad_x,)
+
+    def release(self, be):
+        be.give(self.image)
+        self.image = None
 
 
 def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0) -> Tensor:
@@ -349,26 +365,22 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
 
 
 class AvgPool2dOp(Op):
-    __slots__ = ("kernel", "stride", "padding", "x_shape", "channels")
+    __slots__ = ("kernel", "stride", "padding", "x_shape", "channels", "image")
     name = "avg_pool2d"
 
     def __init__(self, kernel, stride, padding):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
+        self.image = None
 
     def forward(self, be, x):
         kh, kw = self.kernel
         n, c, h, w, out_h, out_w = _conv_geometry(x.shape, kh, kw, self.stride, self.padding)
-        rows, cols = n * out_h * out_w, c * kh * kw
-        if self.needs is None:
-            key = ("pool", x.shape, kh, kw, self.stride, self.padding, x.dtype.str)
-            col = im2col(x, kh, kw, self.stride, self.padding,
-                         out=_cached_col_buffer(key, rows, cols, x.dtype),
-                         fast=be.fast_gather)
-        else:
-            col = im2col(x, kh, kw, self.stride, self.padding, fast=be.fast_gather)
-        out = col.reshape(-1, c, kh * kw).mean(axis=2).reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+        col = _gather(be, x, kh, kw, self.stride, self.padding)
+        out = col.reshape(-1, c, kh * kw).mean(axis=2)
+        be.give(col)
+        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
         if self.needs is not None:
             self.x_shape = x.shape
             self.channels = c
@@ -377,11 +389,17 @@ class AvgPool2dOp(Op):
     def backward(self, be, grad):
         kh, kw = self.kernel
         c = self.channels
-        g = grad.transpose(0, 2, 3, 1).reshape(-1, c, 1)
-        grad_col = np.broadcast_to(g / (kh * kw), (g.shape[0], c, kh * kw))
-        grad_col = np.ascontiguousarray(grad_col).reshape(-1, c * kh * kw)
-        return (col2im(grad_col, self.x_shape, kh, kw, self.stride, self.padding,
-                       fast=be.fast_gather),)
+        share = grad.transpose(0, 2, 3, 1).reshape(-1, c, 1) / (kh * kw)
+        grad_col = be.take((share.shape[0], c * kh * kw), share.dtype)
+        np.copyto(grad_col.reshape(-1, c, kh * kw), share)
+        grad_x, self.image = _scatter(be, grad_col, self.x_shape, kh, kw,
+                                      self.stride, self.padding)
+        be.give(grad_col)
+        return (grad_x,)
+
+    def release(self, be):
+        be.give(self.image)
+        self.image = None
 
 
 def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0) -> Tensor:

@@ -17,6 +17,7 @@ probes run on.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,7 +29,19 @@ from repro.tensor import ops as _ops
 from repro.tensor.backend import DEFAULT_DTYPE, get_backend, set_backend, use_backend  # noqa: F401
 from repro.tensor.ops import Op, _unbroadcast  # noqa: F401
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the autograd tape, per thread (enabled by default).
+
+    Per thread because thread-mode serve workers each enter ``no_grad``
+    around every forward: with one process-wide flag, interleaved exits
+    would restore each other's saved value and leave the flag flipped.
+    """
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 # Active graph-capture context (a ``repro.compile.graph.CaptureContext``) or
 # ``None``.  When set, every ``apply_op`` reports the op it just executed so
@@ -40,19 +53,21 @@ _capture = None
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph construction (like ``torch.no_grad``).
+
+    The mode is per thread: it affects only the thread that enters it.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _grad_mode.enabled = previous
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd tape."""
-    return _GRAD_ENABLED
+    return _grad_mode.enabled
 
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -74,7 +89,7 @@ def apply_op(op: Op, *inputs: "Tensor") -> "Tensor":
     returned and the op saves no context (graph-free inference).
     """
     be = _backend._active
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
         op.needs = tuple(t.requires_grad for t in inputs)
         data = op.forward(be, *[t.data for t in inputs])
         be.record(op.name)
@@ -118,8 +133,9 @@ class Tensor:
             data = data.data
         self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._prev: Tuple[Tensor, ...] = _children if _GRAD_ENABLED else ()
+        grad_enabled = _grad_mode.enabled
+        self.requires_grad = bool(requires_grad) and grad_enabled
+        self._prev: Tuple[Tensor, ...] = _children if grad_enabled else ()
         self._op = _op
         self._op_obj: Optional[Op] = None
 

@@ -358,8 +358,8 @@ class Trainer:
     @no_grad()
     def evaluate(self, loader: Optional[BatchStream] = None) -> Dict[str, float]:
         # Under no_grad the engine builds no graph nodes at all (and conv
-        # layers reuse their geometry-keyed im2col buffers), so evaluation is
-        # a pure-forward fast path.
+        # layers give their column buffers back to the arena after each
+        # GEMM), so evaluation is a pure-forward fast path.
         loader = loader or self.val_loader
         if loader is None:
             return {}

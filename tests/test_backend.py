@@ -7,6 +7,8 @@ graph-free inference mode, and the small Tensor API fixes that rode along
 (``item()`` errors, numpy scalar exponents, deterministic dropout fallback).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.tensor import (
     backend_descriptions,
     functional as F,
     get_backend,
+    is_grad_enabled,
     no_grad,
     set_backend,
     use_backend,
@@ -351,22 +354,55 @@ class TestGraphFreeInference:
             assert out._prev == ()
             assert not out.requires_grad
 
-    def test_conv_inference_reuses_cached_col_buffer(self):
-        from repro.tensor.functional import _IM2COL_CACHE, clear_im2col_cache
+    def test_no_grad_is_per_thread(self):
+        entered, leave = threading.Event(), threading.Event()
+        inside = []
 
-        clear_im2col_cache()
+        def hold_no_grad():
+            with no_grad():
+                inside.append(is_grad_enabled())
+                entered.set()
+                leave.wait(30.0)
+
+        worker = threading.Thread(target=hold_no_grad, name="no-grad-holder")
+        worker.start()
+        try:
+            assert entered.wait(30.0)
+            assert is_grad_enabled()
+            x = Tensor(np.ones((2, 3)), requires_grad=True)
+            assert (x * 2.0)._op_obj is not None
+        finally:
+            leave.set()
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert inside == [False]
+        assert is_grad_enabled()
+
+    def test_conv_inference_returns_its_buffers_to_the_arena(self):
         conv = nn.Conv2d(3, 4, 3, padding=1)
-        x = np.ones((2, 3, 8, 8), dtype=np.float32)
-        with no_grad():
-            first = conv(Tensor(x)).data.copy()
-            assert len(_IM2COL_CACHE) == 1
-            second = conv(Tensor(x)).data.copy()
-            assert len(_IM2COL_CACHE) == 1
-        assert np.array_equal(first, second)
-        # Training-mode forward must not touch the inference cache.
-        conv(Tensor(x, requires_grad=True))
-        assert len(_IM2COL_CACHE) == 1
-        clear_im2col_cache()
+        x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        with use_backend("numpy"):
+            with no_grad():
+                expected = conv(Tensor(x)).data.copy()
+        with use_backend("numpy-fast") as be:
+            be.clear_arena()
+            col = be.take((2 * 8 * 8, 3 * 3 * 3))
+            image = be.take((2, 10, 10, 3))   # the zero-bordered NHWC input
+            col.fill(np.nan)
+            image.fill(np.nan)
+            be.give(col)
+            be.give(image)
+            with no_grad():
+                first = conv(Tensor(x)).data.copy()
+                second = conv(Tensor(x)).data.copy()
+            # Both forwards gathered through these two buffers and gave them back.
+            assert be.take(col.shape) is col
+            assert be.take(image.shape) is image
+            be.clear_arena()
+        assert np.array_equal(col, F.im2col(x, 3, 3, (1, 1), (1, 1)))
+        assert np.array_equal(image[:, 1:9, 1:9], x.transpose(0, 2, 3, 1))
+        assert np.array_equal(first, expected)
+        assert np.array_equal(second, expected)
 
     def test_inference_forward_matches_training_forward(self):
         seed_everything(0)

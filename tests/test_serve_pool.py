@@ -2,8 +2,10 @@
 bit-invariance, admission control, response cache, SLO adaptation, and
 fault injection (dead workers must fail loudly and respawn cleanly)."""
 
+import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -27,7 +29,9 @@ from repro.serve import (
 )
 from repro.serve.engine import InlineEngine, ProcessEngine, probe_output_shape
 from repro.telemetry.metrics import MetricsRegistry
+from repro.tensor import use_backend
 from repro.utils import seed_everything
+from repro.utils.concurrency import blas_thread_counts, usable_cores
 from repro.utils.shm import active_owned_segments
 
 fork_only = pytest.mark.skipif(not fork_available(),
@@ -52,6 +56,15 @@ def _mlp_predictor():
     return Predictor(model)
 
 
+def _resnet_predictor():
+    """The ResNet cell (resnet18 x0.125): convs, BatchNorm and pooling down
+    to 2x2 maps on 16x16 inputs."""
+    seed_everything(7)
+    model = build_model("resnet18", num_classes=10, width_mult=0.125)
+    model.eval()
+    return Predictor(model)
+
+
 def _echo_predict(batch):
     return np.asarray(batch, dtype=np.float32)
 
@@ -60,28 +73,37 @@ def _samples(n=24, dim=16, seed=3):
     return np.random.default_rng(seed).standard_normal((n, dim)).astype(np.float32)
 
 
+def _images(n=24, seed=3):
+    return np.random.default_rng(seed).standard_normal((n, 3, 16, 16)).astype(np.float32)
+
+
+_MODELS = {"mlp": (_mlp_predictor, _samples), "resnet": (_resnet_predictor, _images)}
+
+
 # --------------------------------------------------------------------------- #
 # Bit-invariance across pool sizes and modes (the tentpole guarantee)
 # --------------------------------------------------------------------------- #
 class TestPoolBitInvariance:
-    def _outputs(self, workers, mode):
-        predictor = _mlp_predictor()
-        samples = _samples()
+    def _outputs(self, workers, mode, model="mlp"):
+        build, inputs = _MODELS[model]
+        predictor = build()
+        samples = inputs()
         batcher = DynamicBatcher(
             predictor,
             policy=BatchingPolicy(max_batch_size=8, max_wait_ms=1.0),
             name=f"inv-{mode}{workers}", workers=workers, mode=mode,
-            input_shape=(16,))
+            input_shape=samples.shape[1:])
         try:
             futures = [batcher.submit(s, timeout=None) for s in samples]
             return np.concatenate([f.result(timeout=30.0) for f in futures])
         finally:
             batcher.close(drain=True)
 
-    def test_thread_pool_sizes_bit_identical(self):
-        reference = self._outputs(1, "thread")
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_thread_pool_sizes_bit_identical(self, model):
+        reference = self._outputs(1, "thread", model)
         for workers in (2, 4):
-            assert np.array_equal(reference, self._outputs(workers, "thread"))
+            assert np.array_equal(reference, self._outputs(workers, "thread", model))
 
     @fork_only
     def test_process_pool_sizes_bit_identical_to_thread_pool1(self):
@@ -115,6 +137,41 @@ class TestPoolBitInvariance:
     def test_process_mode_without_input_shape_fails_loudly(self):
         with pytest.raises(ValueError, match="input_shape"):
             DynamicBatcher(_echo_predict, workers=2, mode="process")
+
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-fast"])
+    def test_concurrent_conv_clones_match_the_serial_forward(self, backend):
+        """Thread-mode workers run predictor clones concurrently; numpy drops
+        the GIL inside every copy and GEMM, so any buffer two forwards share
+        gets overwritten mid-use.  Every concurrent output must equal the
+        serial one."""
+        calls = 40
+        predictor = _resnet_predictor()
+        batch = _images(8)
+        with use_backend(backend):
+            expected = predictor(batch)
+            clones = [predictor.clone() for _ in range(2)]
+            outputs = [[] for _ in clones]
+
+            def serve(index):
+                for _ in range(calls):
+                    outputs[index].append(clones[index](batch))
+
+            threads = [threading.Thread(target=serve, args=(i,), name=f"race-{i}")
+                       for i in range(len(clones))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results in outputs:
+            assert len(results) == calls
+            wrong = sum(not np.array_equal(out, expected) for out in results)
+            assert wrong == 0, f"{wrong} of {calls} concurrent forwards differ"
 
 
 # --------------------------------------------------------------------------- #
@@ -182,6 +239,42 @@ class TestEngines:
         assert probe_output_shape(_echo_predict, (16,)) == (16,)
         with pytest.raises(ValueError, match="batch axis"):
             probe_output_shape(lambda b: np.float32(1.0), (16,))
+
+
+class _BlasReport:
+    """Echo that first records the BLAS pool sizes of the process running it."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def __call__(self, batch):
+        with open(os.path.join(self.directory, f"{os.getpid()}.json"), "w") as report:
+            json.dump(blas_thread_counts(), report)
+        return np.asarray(batch, dtype=np.float32)
+
+
+class TestBlasBudget:
+    @fork_only
+    def test_process_engines_cap_each_pool_at_their_share(self, tmp_path):
+        before = blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS library loaded")
+        batcher = DynamicBatcher(_BlasReport(str(tmp_path)), workers=2,
+                                 mode="process", input_shape=(16,), name="blas")
+        try:
+            # The queue is empty, so each worker's engine is idle: drive
+            # every child once.
+            for worker in batcher.pool.workers:
+                worker.engine.predict(_samples(2))
+            pids = set(batcher.pool.worker_pids())
+        finally:
+            batcher.close(drain=True)
+        budget = max(1, usable_cores() // 2)
+        reports = {int(path.stem): json.loads(path.read_text())
+                   for path in tmp_path.glob("*.json")}
+        assert len(pids) == 2 and pids <= set(reports)
+        for pid in pids:
+            assert reports[pid] == {path: min(n, budget) for path, n in before.items()}
 
 
 class _SlowPredict:

@@ -1,9 +1,11 @@
 """Unit tests for stateless NN operations (repro.tensor.functional)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, use_backend
 
 
 def _reference_conv2d(x, w, b, stride, pad):
@@ -221,3 +223,78 @@ class TestDropoutAndHelpers:
         lhs = float((cols * y).sum())
         rhs = float((x * F.col2im(y, x.shape, 3, 3, (2, 2), (1, 1))).sum())
         np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
+
+
+# --------------------------------------------------------------------------- #
+# Fast gathers vs the seed loops
+# --------------------------------------------------------------------------- #
+def _input_layouts(rng, c, h, w):
+    """One NCHW-shaped input in each memory layout a gather meets."""
+    base = rng.standard_normal((2, c, h, w)).astype(np.float32)
+    return {
+        "nchw": base,  # loader batches
+        "nhwc": np.ascontiguousarray(base.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+        "channel-slice": rng.standard_normal((2, c + 2, h, w)).astype(np.float32)[:, 1:c + 1],
+    }
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.int32)
+
+
+class TestFastGatherParity:
+    """``fast=True`` must reproduce the seed loops bit for bit, including
+    from dirty (recycled) scratch images."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    def test_im2col_and_col2im_match_the_seed_loops(self, rng, kernel, stride):
+        maps = [(2, 2), (3, 5), (8, 8), (7, 4)]
+        for pad, (h, w), c in itertools.product(range(3), maps, [1, 3, 8, 64]):
+            if h + 2 * pad < kernel or w + 2 * pad < kernel:
+                continue
+            geometry = (kernel, kernel, (stride, stride), (pad, pad))
+            for layout, x in _input_layouts(rng, c, h, w).items():
+                case = (layout, pad, h, w, c)
+                dirty = np.full(F.padded_image_shape(x.shape, (pad, pad)), np.nan,
+                                dtype=np.float32)
+                cols = F.im2col(x, *geometry)
+                fast = F.im2col(x, *geometry, fast=True, scratch=dirty)
+                assert cols.shape == fast.shape and np.array_equal(_bits(cols), _bits(fast)), case
+                grad = rng.standard_normal(cols.shape).astype(np.float32)
+                image = F.col2im(grad, x.shape, *geometry)
+                dirty.fill(np.nan)
+                fast = F.col2im(grad, x.shape, *geometry, fast=True, scratch=dirty)
+                assert image.shape == fast.shape and np.array_equal(_bits(image), _bits(fast)), case
+
+    @pytest.mark.parametrize("op,kernel,stride,pad", [
+        ("conv", 3, 1, 1), ("conv", 3, 2, 1), ("conv", 1, 2, 0), ("conv", 4, 4, 0),
+        ("conv_pair", 3, 1, 1),  # the second conv gathers into buffers of the first's shape
+        ("max_pool", 3, 2, 1), ("max_pool", 2, 2, 0),
+        ("avg_pool", 2, 2, 0), ("avg_pool", 4, 4, 0),
+    ])
+    def test_ops_match_between_backends(self, rng, op, kernel, stride, pad):
+        weights = [rng.standard_normal((6, 6, kernel, kernel)).astype(np.float32)
+                   for _ in range(2 if op == "conv_pair" else 1)]
+        bias = rng.standard_normal(6).astype(np.float32)
+        for x0 in _input_layouts(rng, 6, 8, 8).values():
+            results = []
+            for backend in ("numpy", "numpy-fast"):
+                with use_backend(backend):
+                    x = Tensor(x0, requires_grad=True)
+                    params = []
+                    if op.startswith("conv"):
+                        out = x
+                        for weight in weights:
+                            params += [Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)]
+                            out = F.conv2d(out, *params[-2:], stride=stride, padding=pad)
+                    elif op == "max_pool":
+                        out = F.max_pool2d(x, kernel, stride, pad)
+                    else:
+                        out = F.avg_pool2d(x, kernel, stride, pad)
+                    upstream = np.random.default_rng(1).standard_normal(out.shape)
+                    (out * Tensor(upstream.astype(np.float32))).sum().backward()
+                    results.append([out.data, x.grad] + [p.grad for p in params])
+            for reference, fast in zip(*results):
+                assert reference.shape == fast.shape
+                assert np.array_equal(_bits(reference), _bits(fast))
