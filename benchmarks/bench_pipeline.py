@@ -1,31 +1,20 @@
 """Input-pipeline throughput benchmark: legacy loader vs streaming pipeline.
 
-Measures loader samples/sec on the ResNet-cell input shape (batch 32, 3x32x32
-CIFAR-style images, random-crop + flip + normalise) for:
+Measures loader-only samples/sec (drain the stream as fast as possible) on
+the ResNet-cell input shape (batch 32, 3x32x32 CIFAR-style images,
+random-crop + flip + normalise) for:
 
 * ``legacy``      — the per-sample ``DataLoader`` (Python ``__getitem__``
                     loop, per-sample transforms, list collate);
 * ``vectorized``  — the synchronous ``PipelineLoader`` (fancy-index gather,
-                    batch-level transforms, counter-based per-sample RNG);
-* ``prefetch-*``  — ``PrefetchingLoader`` wrappers at several depths and
-                    worker counts.
-
-Two measurements per configuration:
-
-* **loader-only** throughput — drain the stream as fast as possible; this is
-  what vectorization buys on its own;
-* **overlapped** epoch time — a simulated training step (a BLAS-bound GEMM,
-  which releases the GIL like every hot kernel in the engine) runs per
-  batch; prefetching should hide loader time behind compute, pushing the
-  stall fraction toward zero.
+                    batch-level transforms, counter-based per-sample RNG).
 
 The measurement bodies live in ``repro.bench.workloads`` — the same code the
 registered ``pipeline`` suite times under ``repro bench run``.  The harness
-additionally asserts bit-parity: every prefetched configuration must deliver
-batches identical to the synchronous pipeline, and records whether the
-vectorized loader clears the 2x samples/sec target over the legacy one.
-Results go to ``benchmarks/output/pipeline.json`` plus the versioned
-``repro.bench`` contract (``pipeline.bench.json`` + ``history.jsonl``).
+additionally records whether the vectorized loader clears the 2x
+samples/sec target over the legacy one.  Results go to
+``benchmarks/output/pipeline.json`` plus the versioned ``repro.bench``
+contract (``pipeline.bench.json`` + ``history.jsonl``).
 
 Usage::
 
@@ -39,8 +28,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 try:
     import repro  # noqa: F401
@@ -50,27 +37,9 @@ except ImportError:
 OUTPUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
 
 
-def check_parity(dataset, batch_size: int) -> bool:
-    """Prefetched output must be bit-identical to the synchronous pipeline."""
-    from repro.data import PipelineLoader, PrefetchingLoader
-
-    sync = PipelineLoader(dataset, batch_size, shuffle=True)
-    sync.set_epoch(1)
-    reference = list(sync)
-    for depth, workers in ((1, 1), (2, 1), (4, 2)):
-        stream = PrefetchingLoader(PipelineLoader(dataset, batch_size, shuffle=True),
-                                   depth=depth, workers=workers)
-        stream.set_epoch(1)
-        for expected, got in zip(reference, stream):
-            for field_e, field_g in zip(expected, got):
-                if not np.array_equal(field_e, field_g):
-                    return False
-    return True
-
-
 def main(argv=None) -> int:
     from repro.bench import add_standard_flags, emit_script_result, get_suite
-    from repro.bench.workloads import build_pipeline_dataset, loader_throughput
+    from repro.bench.workloads import loader_throughput
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add_standard_flags(parser, "pipeline", output_dir=OUTPUT_DIR)
@@ -79,58 +48,33 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=None,
                         help="measured epochs per config (default 3, tiny 1)")
     parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--step-ms", type=float, default=4.0,
-                        help="simulated training-step cost for the overlap run")
     args = parser.parse_args(argv)
 
     n = args.samples or (256 if args.tiny else 2048)
     epochs = args.epochs or (1 if args.tiny else 3)
 
-    measured = loader_throughput(samples=n, batch_size=args.batch_size,
-                                 epochs=epochs, step_ms=args.step_ms)
-    results = {"samples": n, "batch_size": args.batch_size, "epochs": epochs}
-    results.update(measured)
+    measured = loader_throughput(samples=n, batch_size=args.batch_size, epochs=epochs)
+    results = {"samples": n, "batch_size": args.batch_size, "epochs": epochs,
+               "loader_only": measured}
 
-    print(f"{'config':>16} | {'loader-only':>14} | {'overlapped':>14} | stall%")
-    for name in measured["loader_only"]:
-        loader_only = measured["loader_only"][name]
-        overlapped = measured["overlapped"][name]
-        print(f"{name:>16} | {loader_only['samples_per_sec']:10.0f} s/s "
-              f"| {overlapped['samples_per_sec']:10.0f} s/s "
-              f"| {100 * overlapped['stall_fraction']:5.1f}%")
+    print(f"{'config':>16} | {'loader-only':>14}")
+    for name, stats in measured.items():
+        print(f"{name:>16} | {stats['samples_per_sec']:10.0f} s/s")
 
-    legacy = results["loader_only"]["legacy"]["samples_per_sec"]
-    vectorized = results["loader_only"]["vectorized"]["samples_per_sec"]
-    sync_overlap = results["overlapped"]["vectorized"]["samples_per_sec"]
-    best_prefetch = max(
-        results["overlapped"][name]["samples_per_sec"]
-        for name in results["overlapped"] if name.startswith("prefetch"))
-    legacy_overlap = results["overlapped"]["legacy"]["samples_per_sec"]
-    results["speedups"] = {
-        "vectorized_vs_legacy_loader_only": vectorized / max(legacy, 1e-9),
-        "prefetch_vs_sync_overlapped": best_prefetch / max(sync_overlap, 1e-9),
-        "pipeline_vs_legacy_overlapped": best_prefetch / max(legacy_overlap, 1e-9),
-    }
-    dataset = build_pipeline_dataset(n)
-    results["parity_prefetch_vs_sync"] = check_parity(dataset, args.batch_size)
-    results["meets_2x_target"] = bool(
-        results["speedups"]["pipeline_vs_legacy_overlapped"] >= 2.0
-        or results["speedups"]["vectorized_vs_legacy_loader_only"] >= 2.0)
-
-    for name, value in results["speedups"].items():
-        print(f"{name}: {value:.2f}x")
-    print(f"parity (prefetch vs sync): {results['parity_prefetch_vs_sync']}")
+    legacy = measured["legacy"]["samples_per_sec"]
+    vectorized = measured["vectorized"]["samples_per_sec"]
+    speedup = vectorized / max(legacy, 1e-9)
+    results["speedups"] = {"vectorized_vs_legacy_loader_only": speedup}
+    results["meets_2x_target"] = bool(speedup >= 2.0)
+    print(f"vectorized_vs_legacy_loader_only: {speedup:.2f}x")
     print(f"meets >=2x loader target: {results['meets_2x_target']}")
-    if not results["parity_prefetch_vs_sync"]:
-        raise SystemExit("FAIL: prefetched batches diverged from the synchronous pipeline")
 
     emit_script_result(
         args, "pipeline", results,
         {
             "legacy_samples_per_sec": (legacy, "samples/s", True),
             "vectorized_samples_per_sec": (vectorized, "samples/s", True),
-            "vectorized_speedup": (vectorized / max(legacy, 1e-9), "x", True),
-            "prefetch_overlapped_samples_per_sec": (best_prefetch, "samples/s", True),
+            "vectorized_speedup": (speedup, "x", True),
         },
         specs=get_suite("pipeline").metrics)
     return 0

@@ -4,8 +4,8 @@ The suites cover every headline speed claim from PRs 2–7:
 
 * ``throughput``        — training steps/sec, ``numpy`` vs ``numpy-fast``
   (PR 2);
-* ``pipeline``          — loader samples/sec, legacy vs vectorized vs
-  prefetched (PR 4);
+* ``pipeline``          — loader samples/sec, legacy per-sample loader vs
+  the vectorized ``PipelineLoader`` (PR 4);
 * ``dataparallel-proc`` — data-parallel (forked workers, shared-memory
   gradient exchange) samples/sec at world_size 1 and 2 (PR 7);
 * ``serving``           — dynamic micro-batching vs batch-1 requests/sec
@@ -96,14 +96,12 @@ def compiled_throughput_suite(budget: SuiteBudget) -> Dict[str, float]:
 
 @register_suite(
     "pipeline",
-    "input-pipeline samples/sec: legacy loader vs vectorized vs prefetched",
+    "input-pipeline samples/sec: legacy per-sample loader vs vectorized",
     metrics=(
         MetricSpec("legacy_samples_per_sec", SAMPLES_PER_SEC),
         MetricSpec("vectorized_samples_per_sec", SAMPLES_PER_SEC),
         MetricSpec("vectorized_speedup", RATIO,
                    description="vectorized over legacy loader-only samples/sec"),
-        MetricSpec("prefetch_overlapped_samples_per_sec", SAMPLES_PER_SEC,
-                   description="best prefetched config under a simulated train step"),
     ),
     tags=("data", "hot"),
 )
@@ -113,16 +111,12 @@ def pipeline_suite(budget: SuiteBudget) -> Dict[str, float]:
     epochs = budget.resolve_iters(full_default=2, tiny_default=1)
     samples = 256 if budget.tiny else 1024
     results = loader_throughput(samples=samples, epochs=epochs)
-    prefetch = max(
-        results["overlapped"][name]["samples_per_sec"]
-        for name in results["overlapped"] if name.startswith("prefetch"))
-    legacy = results["loader_only"]["legacy"]["samples_per_sec"]
-    vectorized = results["loader_only"]["vectorized"]["samples_per_sec"]
+    legacy = results["legacy"]["samples_per_sec"]
+    vectorized = results["vectorized"]["samples_per_sec"]
     return {
         "legacy_samples_per_sec": legacy,
         "vectorized_samples_per_sec": vectorized,
         "vectorized_speedup": vectorized / max(legacy, 1e-9),
-        "prefetch_overlapped_samples_per_sec": prefetch,
     }
 
 

@@ -195,22 +195,17 @@ def build_pipeline_dataset(n: int, image_size: int = 32):
 
 
 def build_pipeline_loaders(dataset, batch_size: int) -> Dict[str, object]:
-    """Factories for every loader configuration the pipeline bench measures."""
-    from repro.data import DataLoader, PipelineLoader, PrefetchingLoader
-
-    def pipeline():
-        return PipelineLoader(dataset, batch_size, shuffle=True)
+    """Factories for every loader the pipeline bench measures."""
+    from repro.data import DataLoader, PipelineLoader
 
     return {
         "legacy": lambda: DataLoader(dataset, batch_size, shuffle=True),
-        "vectorized": pipeline,
-        "prefetch-d2": lambda: PrefetchingLoader(pipeline(), depth=2),
-        "prefetch-d4-w2": lambda: PrefetchingLoader(pipeline(), depth=4, workers=2),
+        "vectorized": lambda: PipelineLoader(dataset, batch_size, shuffle=True),
     }
 
 
-def drain_loader(loader, epochs: int, compute=None) -> Dict[str, float]:
-    """Iterate ``epochs`` epochs; return the stall/compute split as a dict."""
+def drain_loader(loader, epochs: int) -> Dict[str, float]:
+    """Iterate ``epochs`` epochs; return the loader's time split as a dict."""
     from repro.profiling import PipelineStats, instrument
 
     stats = PipelineStats()
@@ -218,33 +213,9 @@ def drain_loader(loader, epochs: int, compute=None) -> Dict[str, float]:
         set_epoch = getattr(loader, "set_epoch", None)
         if set_epoch is not None:
             set_epoch(epoch)
-        for batch in instrument(loader, stats):
-            if compute is not None:
-                compute(batch)
+        for _ in instrument(loader, stats):
+            pass
     return stats.as_dict()
-
-
-def make_simulated_step(ms_target: float):
-    """A GIL-releasing stand-in for one training step (~``ms_target`` ms)."""
-    size = 192
-    a = np.random.default_rng(0).standard_normal((size, size)).astype(np.float32)
-    # Calibrate repetitions so the simulated step costs ~ms_target.
-    reps, elapsed = 1, 0.0
-    while True:
-        start = time.perf_counter()
-        for _ in range(reps):
-            a @ a
-        elapsed = time.perf_counter() - start
-        if elapsed * 1e3 >= ms_target / 4 or reps >= 1 << 14:
-            break
-        reps *= 4
-    reps = max(1, int(reps * ms_target / max(elapsed * 1e3, 1e-6)))
-
-    def compute(batch):
-        for _ in range(reps):
-            a @ a
-
-    return compute
 
 
 def loader_throughput(
@@ -253,26 +224,17 @@ def loader_throughput(
     batch_size: int = 32,
     epochs: int = 3,
     image_size: int = 32,
-    step_ms: float = 4.0,
-    configs: Sequence[str] = ("legacy", "vectorized", "prefetch-d2", "prefetch-d4-w2"),
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Loader-only and compute-overlapped samples/sec per loader config."""
+) -> Dict[str, Dict[str, float]]:
+    """Loader-only samples/sec (and time split) of each loader the pipeline
+    bench measures."""
     from repro.utils import seed_everything
 
     seed_everything(0)
     dataset = build_pipeline_dataset(samples, image_size)
-    factories = build_pipeline_loaders(dataset, batch_size)
-    unknown = [name for name in configs if name not in factories]
-    if unknown:
-        raise ValueError(f"unknown loader configs {unknown}; have {sorted(factories)}")
-
-    compute = make_simulated_step(step_ms)
-    results: Dict[str, Dict[str, Dict[str, float]]] = {"loader_only": {}, "overlapped": {}}
-    for name in configs:
-        factory = factories[name]
+    results: Dict[str, Dict[str, float]] = {}
+    for name, factory in build_pipeline_loaders(dataset, batch_size).items():
         drain_loader(factory(), 1)  # warm-up epoch (allocator, caches)
-        results["loader_only"][name] = drain_loader(factory(), epochs)
-        results["overlapped"][name] = drain_loader(factory(), epochs, compute=compute)
+        results[name] = drain_loader(factory(), epochs)
     return results
 
 
@@ -290,7 +252,7 @@ def build_dp_dataset(n: int, image_size: int, num_classes: int = 4):
 
 
 def build_dp_training(dataset, batch_size: int, width_mult: float, world_size: int):
-    from repro.data import PipelineLoader, build_replica_loaders
+    from repro.data import PipelineLoader
     from repro.distributed import DataParallelTrainer
     from repro.models import build_model
     from repro.optim import SGD
@@ -301,10 +263,7 @@ def build_dp_training(dataset, batch_size: int, width_mult: float, world_size: i
                         small_input=True, rng=get_rng(offset=1))
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
     train_loader = PipelineLoader(dataset, batch_size, shuffle=True)
-    replica_loaders = build_replica_loaders(dataset, batch_size, world_size)
-    return DataParallelTrainer(model, optimizer, train_loader,
-                               world_size=world_size,
-                               replica_loaders=replica_loaders)
+    return DataParallelTrainer(model, optimizer, train_loader, world_size=world_size)
 
 
 def dataparallel_throughput(dataset, *, batch_size: int, width_mult: float,

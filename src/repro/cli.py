@@ -58,7 +58,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core import CuttlefishConfig, RankTracker, profile_layer_stacks
-from repro.data import DataLoader, make_vision_task
+from repro.data import PipelineLoader, make_vision_task
 from repro.models import available_models, build_model
 from repro.optim import SGD, build_paper_cifar_schedule
 from repro.profiling import get_device
@@ -116,23 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default="numpy", choices=available_backends(),
                        help="tensor execution backend (numpy-fast pools buffers "
                             "and fuses hot-path kernels; identical results)")
-        p.add_argument("--loader", default="auto", choices=["auto", "legacy", "pipeline"],
-                       help="input pipeline: 'legacy' per-sample loader, the "
-                            "vectorized streaming 'pipeline' (counter-based "
-                            "augmentation RNG), or 'auto' (pipeline when "
-                            "--prefetch > 0, legacy otherwise)")
-        p.add_argument("--prefetch", type=int, default=0, metavar="DEPTH",
-                       help="prefetch depth: batches materialised ahead of the "
-                            "training step on producer threads (0 = synchronous)")
-        p.add_argument("--loader-workers", type=int, default=1, metavar="N",
-                       help="producer threads for the prefetching loader "
-                            "(results are bit-identical at any worker count)")
         p.add_argument("--world-size", type=int, default=1, metavar="N",
                        help="data-parallel replicas: N forked workers train "
                             "on ShardedSampler shards with a deterministic "
                             "gradient all-reduce and Goyal lr scaling "
-                            "(N > 1 implies --loader pipeline; results are "
-                            "bit-stable across reruns)")
+                            "(results are bit-stable across reruns)")
         p.add_argument("--no-lr-scaling", action="store_true",
                        help="disable the Goyal world_size x lr scaling rule "
                             "under --world-size > 1")
@@ -331,9 +319,6 @@ def _experiment_config(args: argparse.Namespace) -> VisionExperimentConfig:
         weight_decay=args.weight_decay,
         seed=args.seed,
         max_batches_per_epoch=args.max_batches,
-        loader=args.loader,
-        prefetch_depth=args.prefetch,
-        loader_workers=args.loader_workers,
         world_size=args.world_size,
         dp_lr_scaling=not args.no_lr_scaling,
     )
@@ -382,42 +367,33 @@ def cmd_train(args: argparse.Namespace, stream=sys.stdout) -> int:
     set_backend(args.backend)
     config = _experiment_config(args)
     spec = ExperimentSpec(method=args.method, config=config)
-    wants_model = args.save_checkpoint or args.export
-    uses_pipeline = config.uses_pipeline_loader()
     traced = _start_trace(args, "trainer")
     try:
-        if wants_model or uses_pipeline:
-            row, context = run_experiment(spec, return_context=True)
-        else:
-            row = run_experiment(spec)
+        row, context = run_experiment(spec, return_context=True)
     finally:
         if traced:
             # With --json the trace line would corrupt the stdout payload.
             _finish_trace(args, sys.stderr if args.json else stream)
     _emit_rows([row], args.json, stream)
-    if uses_pipeline and context.trainer is not None:
-        stats = context.trainer.pipeline_stats
-        # With --json the stats line would corrupt the machine-readable
-        # stdout payload — send it to stderr there instead.
-        out = sys.stderr if args.json else stream
-        out.write(
-            f"pipeline: {stats.describe()} "
-            f"(loader=pipeline prefetch={config.prefetch_depth} "
-            f"workers={config.loader_workers} world_size={config.world_size})\n")
-        wall = stats.extra.get("wall_seconds", 0.0)
-        if config.world_size > 1 and wall > 0:
-            # describe()'s samples/sec divides by summed per-replica worker
-            # time; replicas overlap, so wall-clock throughput is the honest
-            # data-parallel number.
-            out.write(f"data-parallel throughput: {stats.samples / wall:.1f} "
-                      f"samples/s over {wall:.3f}s wall\n")
-        last = context.trainer.last_epoch_pipeline_stats
-        if config.world_size > 1 and last is not None:
-            per_replica = " ".join(
-                f"r{rank}={last.extra.get(f'replica{rank}_stall_seconds', 0.0):.3f}s"
-                f"/{last.extra.get(f'replica{rank}_compute_seconds', 0.0):.3f}s"
-                for rank in range(config.world_size))
-            out.write(f"replicas (stall/compute, last epoch): {per_replica}\n")
+    stats = context.trainer.pipeline_stats
+    # With --json the stats line would corrupt the machine-readable
+    # stdout payload — send it to stderr there instead.
+    out = sys.stderr if args.json else stream
+    out.write(f"pipeline: {stats.describe()} (world_size={config.world_size})\n")
+    wall = stats.extra.get("wall_seconds", 0.0)
+    if config.world_size > 1 and wall > 0:
+        # describe()'s samples/sec divides by summed per-replica worker
+        # time; replicas overlap, so wall-clock throughput is the honest
+        # data-parallel number.
+        out.write(f"data-parallel throughput: {stats.samples / wall:.1f} "
+                  f"samples/s over {wall:.3f}s wall\n")
+    last = context.trainer.last_epoch_pipeline_stats
+    if config.world_size > 1 and last is not None:
+        per_replica = " ".join(
+            f"r{rank}={last.extra.get(f'replica{rank}_stall_seconds', 0.0):.3f}s"
+            f"/{last.extra.get(f'replica{rank}_compute_seconds', 0.0):.3f}s"
+            for rank in range(config.world_size))
+        out.write(f"replicas (stall/compute, last epoch): {per_replica}\n")
     if args.save_checkpoint:
         from repro.utils import save_checkpoint
 
@@ -509,7 +485,7 @@ def cmd_profile(args: argparse.Namespace, stream=sys.stdout) -> int:
 def cmd_rank_trace(args: argparse.Namespace, stream=sys.stdout) -> int:
     seed_everything(args.seed)
     train_ds, _, spec = make_vision_task(args.task)
-    loader = DataLoader(train_ds, batch_size=args.batch_size, shuffle=True)
+    loader = PipelineLoader(train_ds, args.batch_size, shuffle=True)
     model = build_model(args.model, num_classes=spec.num_classes,
                         width_mult=args.width_mult, rng=get_rng(offset=args.seed + 1))
     optimizer = SGD(model.parameters(), lr=args.lr, momentum=0.9, weight_decay=args.weight_decay)

@@ -12,11 +12,8 @@ from repro.data.augment import (
 )
 from repro.data.pipeline import (
     BatchStream,
-    CollateArena,
     PipelineLoader,
-    PrefetchingLoader,
     build_loaders,
-    build_replica_loaders,
     shard_loader,
 )
 from repro.data.sampler import (
@@ -50,11 +47,8 @@ __all__ = [
     "standard_train_transform",
     "supports_batch",
     "BatchStream",
-    "CollateArena",
     "PipelineLoader",
-    "PrefetchingLoader",
     "build_loaders",
-    "build_replica_loaders",
     "shard_loader",
     "Sampler",
     "SequentialSampler",

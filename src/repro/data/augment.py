@@ -15,7 +15,7 @@ Two application paths exist:
   randomness from counter-based streams keyed on ``(root_seed, epoch,
   transform_stream, sample_id)`` (see :mod:`repro.utils.seed`).  The bits a
   sample receives are a pure function of its identity, so batch size,
-  iteration order, prefetch depth and worker count cannot change them — the
+  iteration order and data-parallel sharding cannot change them — the
   property the streaming pipeline's bit-parity guarantee rests on.
 
 The batch path is bit-identical to applying itself on single-sample batches:

@@ -4,7 +4,7 @@ A sampler maps ``epoch → index order``.  Unlike the legacy loader's stateful
 generator (whose permutation depends on how many epochs were drawn before),
 samplers here are pure functions of ``(root_seed, seed_offset, epoch)`` —
 asking for epoch 3's order twice gives the same answer.  That replayability
-is what makes mid-epoch resume, prefetching and sharding deterministic.
+is what makes mid-epoch resume and sharding deterministic.
 
 ``ShardedSampler`` is the data-parallel foothold: each rank sees a
 deterministic 1/world_size slice of the same global permutation, padded so

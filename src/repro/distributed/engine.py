@@ -74,8 +74,7 @@ class DataParallelTrainer(Trainer):
         Number of replicas.  ``1`` reproduces the single-process pipeline
         path bit-for-bit through the same lockstep machinery.
     replica_loaders:
-        One :class:`BatchStream` per rank, each yielding that rank's shard
-        (build with :func:`repro.data.pipeline.build_replica_loaders`).
+        One :class:`BatchStream` per rank, each yielding that rank's shard.
         Defaults to sharding ``train_loader`` via
         :func:`repro.data.pipeline.shard_loader`.
     bucket_elems:
@@ -177,11 +176,11 @@ class DataParallelTrainer(Trainer):
         return group
 
     def _rank0_random_access_loader(self):
-        """Rank 0's underlying random-access loader, for parent-side batch
-        reload when a step callback actually consumes the batch."""
+        """Rank 0's loader, for parent-side batch reload when a step
+        callback actually consumes the batch (``None`` without random
+        access)."""
         loader = self.replica_loaders[0]
-        inner = getattr(loader, "loader", loader)  # unwrap PrefetchingLoader
-        return inner if hasattr(inner, "load_batch") else None
+        return loader if hasattr(loader, "load_batch") else None
 
     def _reduce_gradients(self, group, params) -> None:
         replica_grads = group.replica_grads()

@@ -236,47 +236,42 @@ class ProcessReplicaGroup:
                 stall = compute = 0.0
                 samples = batches = 0
                 iterator = iter(loader)
-                try:
-                    for _ in range(steps):
-                        requested = time.perf_counter()
-                        batch = next(iterator)
-                        delivered = time.perf_counter()
-                        stall += delivered - requested
-                        batches += 1
-                        loss, accuracy, n = trainer._replica_step(batch)
-                        for i, p in enumerate(params):
-                            grad = p.grad
-                            if grad is None:
-                                presence[i] = 0
-                            else:
-                                presence[i] = 1
-                                np.copyto(grad_views[i], grad)
-                        compute_end = time.perf_counter()
-                        compute += compute_end - delivered
-                        samples += n
-                        stats_row[_STAT_LOSS] = loss
-                        stats_row[_STAT_ACC] = accuracy if accuracy is not None else 0.0
-                        stats_row[_STAT_HAS_ACC] = 1.0 if accuracy is not None else 0.0
-                        stats_row[_STAT_N] = float(n)
-                        stats_row[_STAT_STALL] = stall
-                        stats_row[_STAT_COMPUTE] = compute
-                        stats_row[_STAT_SAMPLES] = float(samples)
-                        stats_row[_STAT_BATCHES] = float(batches)
-                        if trace:
-                            _tracing.record_span("step", requested, compute_end,
-                                                 cat="dp", rank=rank)
-                            _tracing.record_span("data_wait", requested,
-                                                 delivered, cat="dp",
-                                                 parent="step")
-                        self._arrive.release()
-                        self._await_resume(rank)
-                        if trace:
-                            _tracing.record_span("sync_wait", compute_end,
-                                                 time.perf_counter(), cat="dp")
-                finally:
-                    close = getattr(iterator, "close", None)
-                    if close is not None:
-                        close()
+                for _ in range(steps):
+                    requested = time.perf_counter()
+                    batch = next(iterator)
+                    delivered = time.perf_counter()
+                    stall += delivered - requested
+                    batches += 1
+                    loss, accuracy, n = trainer._replica_step(batch)
+                    for i, p in enumerate(params):
+                        grad = p.grad
+                        if grad is None:
+                            presence[i] = 0
+                        else:
+                            presence[i] = 1
+                            np.copyto(grad_views[i], grad)
+                    compute_end = time.perf_counter()
+                    compute += compute_end - delivered
+                    samples += n
+                    stats_row[_STAT_LOSS] = loss
+                    stats_row[_STAT_ACC] = accuracy if accuracy is not None else 0.0
+                    stats_row[_STAT_HAS_ACC] = 1.0 if accuracy is not None else 0.0
+                    stats_row[_STAT_N] = float(n)
+                    stats_row[_STAT_STALL] = stall
+                    stats_row[_STAT_COMPUTE] = compute
+                    stats_row[_STAT_SAMPLES] = float(samples)
+                    stats_row[_STAT_BATCHES] = float(batches)
+                    if trace:
+                        _tracing.record_span("step", requested, compute_end,
+                                             cat="dp", rank=rank)
+                        _tracing.record_span("data_wait", requested,
+                                             delivered, cat="dp",
+                                             parent="step")
+                    self._arrive.release()
+                    self._await_resume(rank)
+                    if trace:
+                        _tracing.record_span("sync_wait", compute_end,
+                                             time.perf_counter(), cat="dp")
                 # Epoch-end buffer phase: expose this replica's buffers (BN
                 # running stats), wait for the parent to reduce, and — when
                 # syncing — adopt the reduced values for the next epoch.
@@ -453,6 +448,12 @@ class ProcessReplicaGroup:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover — ignored SIGTERM
+                proc.kill()
+                proc.join()
+            # Reaped: release the sentinel pipe now, not when a traceback
+            # that still references the process object is collected.
+            proc.close()
         for conn in self._conns:
             try:
                 conn.close()

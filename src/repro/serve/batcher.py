@@ -171,24 +171,32 @@ class DynamicBatcher:
             if cache_size > 0 else None
 
         self._shared_weights: Optional[SharedModelWeights] = None
-        engine_factory = self._build_engine_factory(input_shape, batch_ceiling)
-        context = WorkerContext(
-            name=name,
-            queue=self._queue,
-            policy=self.policy,
-            queue_latency=self.queue_latency,
-            compute_latency=self.compute_latency,
-            request_latency=self.request_latency,
-            batch_sizes=self.batch_sizes,
-            errors=self._errors,
-            cache=self.cache,
-            slo=self.slo,
-        )
-        self.pool = PredictorPool(engine_factory, self.workers, context,
-                                  registry=self.metrics)
-        self.pool.start()
-        if self.slo is not None:
-            self.slo.start()
+        self.pool: Optional[PredictorPool] = None
+        try:
+            engine_factory = self._build_engine_factory(input_shape, batch_ceiling)
+            context = WorkerContext(
+                name=name,
+                queue=self._queue,
+                policy=self.policy,
+                queue_latency=self.queue_latency,
+                compute_latency=self.compute_latency,
+                request_latency=self.request_latency,
+                batch_sizes=self.batch_sizes,
+                errors=self._errors,
+                cache=self.cache,
+                slo=self.slo,
+            )
+            pool = PredictorPool(engine_factory, self.workers, context,
+                                 registry=self.metrics)
+            pool.start()  # releases its own engines and threads on failure
+            self.pool = pool
+            if self.slo is not None:
+                self.slo.start()
+        except BaseException:
+            # Stop the pool and the controller, put the weights back on the
+            # heap and unlink their segment.
+            self.close(drain=False)
+            raise
 
     # ------------------------------------------------------------------ #
     def _build_engine_factory(self, input_shape, batch_ceiling: int):
@@ -373,9 +381,10 @@ class DynamicBatcher:
             self.slo.stop()
         if not drain:
             self._fail_pending(BatcherClosedError(f"{self.name} closed without draining"))
-        self.pool.request_stop()
-        if not self.pool.join(timeout=timeout):
-            raise RuntimeError(f"{self.name}: worker did not stop within {timeout}s")
+        if self.pool is not None:
+            self.pool.request_stop()
+            if not self.pool.join(timeout=timeout):
+                raise RuntimeError(f"{self.name}: worker did not stop within {timeout}s")
         # Final sweep: fail anything a racing submit slipped in after the
         # workers drained past their sentinels (see _enqueue).
         self._fail_pending(BatcherClosedError(f"{self.name} is shut down"))

@@ -173,17 +173,24 @@ class ProcessEngine:
         self._proc = None
         self._err_r = None
         self._closed = False
-        self.respawn()
+        try:
+            self.respawn()
+        except BaseException:
+            self.close()  # the slabs must not outlive a failed first fork
+            raise
 
     # ------------------------------------------------------------------ #
     @property
     def alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
+        return self.pid is not None
 
     @property
     def pid(self) -> Optional[int]:
         proc = self._proc
-        return proc.pid if proc is not None and proc.is_alive() else None
+        try:
+            return proc.pid if proc is not None and proc.is_alive() else None
+        except ValueError:  # closed by a concurrent respawn/close: it is gone
+            return None
 
     def respawn(self) -> bool:
         """Fork a fresh child (fresh semaphores, fresh error pipe).
@@ -196,11 +203,12 @@ class ProcessEngine:
         """
         if self._closed or self.alive:
             return False
+        self._reap()
         self._work = self._ctx.Semaphore(0)
         self._done = self._ctx.Semaphore(0)
         err_r, err_w = self._ctx.Pipe(duplex=False)
         self._ctrl[:] = 0
-        self._proc = self._ctx.Process(
+        proc = self._ctx.Process(
             target=_engine_child_main,
             args=(self._predict, self._inp, self._out, self._ctrl,
                   self._work, self._done, err_w, os.getpid(),
@@ -208,12 +216,37 @@ class ProcessEngine:
             name=f"{self.name}-proc",
             daemon=True,
         )
-        self._proc.start()
-        err_w.close()
-        if self._err_r is not None:
-            self._err_r.close()
+        try:
+            proc.start()
+        except BaseException:
+            err_r.close()
+            raise
+        finally:
+            err_w.close()
+        self._proc = proc
         self._err_r = err_r
         return True
+
+    def _reap(self) -> None:
+        """Release the current child and its error pipe: stop it politely,
+        then by force, and close the reaped process object (its sentinel
+        pipe would otherwise live as long as any traceback that holds it)."""
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            if proc.is_alive():
+                self._ctrl[0] = _STOP
+                self._work.release()
+                proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover — stuck child
+                proc.terminate()
+                proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover — ignored SIGTERM
+                proc.kill()
+                proc.join()
+            proc.close()
+        if self._err_r is not None:
+            self._err_r.close()
+            self._err_r = None
 
     # ------------------------------------------------------------------ #
     def predict(self, batch: np.ndarray) -> np.ndarray:
@@ -255,19 +288,7 @@ class ProcessEngine:
     def close(self) -> None:
         """Stop the child (politely, then by force) and unlink the slabs."""
         self._closed = True
-        proc = self._proc
-        if proc is not None:
-            if proc.is_alive():
-                self._ctrl[0] = _STOP
-                self._work.release()
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover — stuck child
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            self._proc = None
-        if self._err_r is not None:
-            self._err_r.close()
-            self._err_r = None
+        self._reap()
         self._arena.close()
 
 

@@ -18,8 +18,7 @@ Closed-loop means offered load adapts to service rate, so the comparison
 between policies is fair: every configuration is driven to saturation.
 
 The client fleet itself is the shared :func:`repro.utils.concurrency.
-run_worker_threads` fan-out — the same primitive the pipeline benchmark
-drives its producers with.
+run_worker_threads` fan-out.
 
 Open-loop load (:func:`run_open_loop`) is the complement: requests fire on
 a fixed **arrival schedule** regardless of how fast the server answers, so

@@ -276,12 +276,24 @@ class PredictorPool:
 
     # ------------------------------------------------------------------ #
     def start(self) -> "PredictorPool":
-        for index in range(self.size):
-            worker = PoolWorker(index, self._engine_factory(index), self.ctx,
-                                self._on_worker_exit)
-            self._workers.append(worker)
-        for worker in self._workers:
-            worker.start()
+        """Build every worker's engine, then start the workers.  On failure,
+        stop what started and close every engine built so far."""
+        started: List[PoolWorker] = []
+        try:
+            for index in range(self.size):
+                worker = PoolWorker(index, self._engine_factory(index), self.ctx,
+                                    self._on_worker_exit)
+                self._workers.append(worker)
+            for worker in self._workers:
+                worker.start()
+                started.append(worker)
+        except BaseException:
+            self.request_stop()
+            for worker in started:
+                worker.join()
+            for worker in self._workers:
+                worker.engine.close()  # idempotent for the started ones
+            raise
         self._g_alive.set(self.alive_workers)
         return self
 

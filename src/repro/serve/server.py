@@ -100,7 +100,12 @@ class ModelServer:
         self._http_errors = self.metrics.counter("http_errors_total")
 
         handler = _make_handler(self)
-        self._http = _HTTPServer((host, port), handler)
+        try:
+            # socketserver closes its own socket when bind/listen fail.
+            self._http = _HTTPServer((host, port), handler)
+        except BaseException:
+            self.batcher.close(drain=False)
+            raise
         self._thread: Optional[threading.Thread] = None
         self._serving = False
 

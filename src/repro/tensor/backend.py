@@ -286,9 +286,8 @@ class NumpyFastBackend(Backend):
         bucket = self._arena.get((shape, dt.str, self._c_strides(shape, dt.itemsize)))
         if bucket:
             # list.pop() is atomic, but the emptiness check above is not —
-            # threads that share this arena (a prefetching loader's
-            # producers, a thread-mode serving pool's workers) may race past
-            # `if bucket` with one buffer left.  Losing the race means
+            # threads that share this arena (a thread-mode serving pool's
+            # workers) may race past `if bucket` with one buffer left.  Losing the race means
             # allocating fresh, never sharing a buffer.
             try:
                 return bucket.pop()

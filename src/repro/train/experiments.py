@@ -44,7 +44,7 @@ from repro.core import (
     installed_rank,
     profile_layer_stacks,
 )
-from repro.data import DataLoader, build_loaders, build_replica_loaders, make_vision_task
+from repro.data import build_loaders, make_vision_task
 from repro.models import build_model
 from repro.optim import SGD, build_paper_cifar_schedule
 from repro.profiling import V100, DeviceSpec, ModuleTrace, price_layer_times, trace_shapes
@@ -99,56 +99,31 @@ class VisionExperimentConfig:
     seed: int = 0
     small_input: bool = True
 
-    # Input pipeline.  ``legacy`` is the seed-faithful per-sample DataLoader;
-    # ``pipeline`` is the vectorized streaming loader (counter-based
-    # augmentation RNG), optionally prefetched on background producer
-    # threads; ``auto`` resolves to ``pipeline`` when ``prefetch_depth > 0``
-    # and ``legacy`` otherwise.  The two families differ in shuffle-stream
-    # and augmentation bits, so rows are only comparable within one family
-    # (an explicit ``legacy`` with prefetch_depth > 0 raises rather than
-    # silently switching families); within the pipeline family results are
-    # bit-identical at every prefetch depth/worker count.
-    loader: str = "auto"
-    prefetch_depth: int = 0
-    loader_workers: int = 1
-    reuse_collate_buffers: bool = False
+    # The input pipeline is the vectorized ``PipelineLoader`` (counter-based
+    # augmentation RNG); ``loader`` is not read.  It stays, accepting only
+    # "pipeline", because the repository benchmark's training cells
+    # (perfbench/train_cell.py) pass it.
+    loader: str = "pipeline"
 
     # Data-parallel training (repro.distributed).  ``world_size > 1`` runs N
     # forked replica workers over ShardedSampler shards with a deterministic
-    # gradient all-reduce; it *requires* the pipeline loader family (shards
-    # are epoch-keyed sampler slices).  ``dp_lr_scaling`` applies the Goyal
+    # gradient all-reduce.  ``dp_lr_scaling`` applies the Goyal
     # linear-scaling rule: peak lr × world_size, warming up from the
     # single-replica lr (the effective batch is ``world_size × batch_size``).
-    # ``dp_mode`` is no longer read (world_size alone picks the trainer); it
-    # stays, still validated, because the repository benchmark's training
-    # cells (perfbench/train_cell.py) pass it.
+    # ``dp_mode`` is not read either (world_size alone picks the trainer); it
+    # stays, still validated, for the same benchmark cells.
     world_size: int = 1
     dp_mode: str = "thread"
     dp_lr_scaling: bool = True
 
-    def uses_pipeline_loader(self) -> bool:
+    def __post_init__(self) -> None:
+        if self.loader != "pipeline":
+            raise ValueError(f"loader must be 'pipeline', got {self.loader!r}")
         if self.world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {self.world_size}")
         if self.dp_mode not in ("thread", "process"):
             raise ValueError(
                 f"dp_mode must be 'thread' or 'process', got {self.dp_mode!r}")
-        if self.loader == "pipeline":
-            return True
-        if self.loader == "auto":
-            return self.prefetch_depth > 0 or self.world_size > 1
-        if self.loader == "legacy":
-            if self.prefetch_depth > 0:
-                raise ValueError(
-                    "prefetching requires the pipeline loader: got "
-                    f"loader='legacy' with prefetch_depth={self.prefetch_depth} "
-                    "(use loader='pipeline' or 'auto')")
-            if self.world_size > 1:
-                raise ValueError(
-                    "data-parallel training requires the pipeline loader: got "
-                    f"loader='legacy' with world_size={self.world_size} "
-                    "(use loader='pipeline' or 'auto')")
-            return False
-        raise ValueError(f"unknown loader {self.loader!r}; use 'auto', 'legacy' or 'pipeline'")
 
     def effective_peak_lr(self) -> float:
         """Goyal linear-scaling rule: peak lr × world_size when enabled."""
@@ -185,33 +160,14 @@ class ExperimentSpec:
 # Builders
 # --------------------------------------------------------------------------- #
 def _build_task(config: VisionExperimentConfig):
-    """Build (train_loader, val_loader, task_spec, replica_loaders).
+    """Build (train_loader, val_loader, task_spec).
 
-    ``replica_loaders`` is ``None`` except under data-parallel training
-    (``world_size > 1``), where it holds one ShardedSampler-backed pipeline
-    loader per rank; ``train_loader`` then stays the *global* (unsharded)
-    pipeline loader so non-rank-aware consumers see the whole dataset.
+    ``train_loader`` is the global (unsharded) pipeline loader; under
+    data-parallel training the trainer derives each rank's shard from it.
     """
     train_ds, val_ds, spec = make_vision_task(config.task)
-    replica_loaders = None
-    if config.uses_pipeline_loader():
-        train_loader, val_loader = build_loaders(
-            train_ds, val_ds, config.batch_size,
-            prefetch_depth=config.prefetch_depth,
-            workers=config.loader_workers,
-            reuse_buffers=config.reuse_collate_buffers,
-        )
-        if config.world_size > 1:
-            replica_loaders = build_replica_loaders(
-                train_ds, config.batch_size, config.world_size,
-                prefetch_depth=config.prefetch_depth,
-                workers=config.loader_workers,
-                reuse_buffers=config.reuse_collate_buffers,
-            )
-    else:
-        train_loader = DataLoader(train_ds, batch_size=config.batch_size, shuffle=True)
-        val_loader = DataLoader(val_ds, batch_size=config.batch_size)
-    return train_loader, val_loader, spec, replica_loaders
+    train_loader, val_loader = build_loaders(train_ds, val_ds, config.batch_size)
+    return train_loader, val_loader, spec
 
 
 def _build_model(config: VisionExperimentConfig, num_classes: int,
@@ -365,7 +321,7 @@ def run_experiment(spec: ExperimentSpec, return_context: bool = False):
     method = build_method(spec.method, **spec.method_kwargs)
 
     seed_everything(config.seed)
-    train_loader, val_loader, task_spec, replica_loaders = _build_task(config)
+    train_loader, val_loader, task_spec = _build_task(config)
     model = _build_model(config, task_spec.num_classes)
     context = ExperimentContext(
         config=config,
@@ -397,7 +353,6 @@ def run_experiment(spec: ExperimentSpec, return_context: bool = False):
         context.trainer = DataParallelTrainer(
             context.model, context.optimizer, train_loader, val_loader,
             world_size=config.world_size,
-            replica_loaders=replica_loaders,
             **trainer_kwargs,
         )
     else:

@@ -19,9 +19,9 @@ This keeps the training loop itself free of any Cuttlefish-specific logic and
 identical across the full-rank baseline and every low-rank method.
 
 Data flows in through the :class:`~repro.data.pipeline.BatchStream` protocol
-— any length-aware iterable of stacked-array batch tuples works (the legacy
-``DataLoader``, the vectorized ``PipelineLoader``, a ``PrefetchingLoader``
-around either).  The trainer advances the stream's epoch (``set_epoch``)
+— any length-aware iterable of stacked-array batch tuples works (the
+vectorized ``PipelineLoader`` the experiment harness builds, or the legacy
+per-sample ``DataLoader``).  The trainer advances the stream's epoch (``set_epoch``)
 before every training epoch so epoch-keyed shuffling and counter-based
 augmentation stay deterministic, and it splits wall time per epoch into
 *data stall* (blocked in ``next(batch)``) versus *step compute* — the
@@ -228,79 +228,71 @@ class Trainer:
         compiler = self._step_compiler()
         iterator = iter(self.train_loader)
         batch_index = 0
-        try:
-            while True:
-                requested = time.perf_counter()
-                try:
-                    batch = next(iterator)
-                except StopIteration:
-                    break
-                # The cap check sits *after* the fetch on purpose: the old
-                # enumerate loop materialised batch ``max`` before breaking,
-                # and the legacy loader's per-sample transforms draw from a
-                # stateful stream — skipping that fetch would shift every
-                # later epoch's augmentation bits away from the seed capture.
-                if self.max_batches_per_epoch is not None and batch_index >= self.max_batches_per_epoch:
-                    break
-                delivered = time.perf_counter()
-                stats.observe_stall(delivered - requested)
-                # One branch per step when tracing is off; when on, the phase
-                # boundaries reuse the perf_counter stamps the loop already
-                # takes plus three extra clock reads — no context managers in
-                # the hot path.
-                traced = _tracing.enabled()
-                for callback in self.callbacks:
-                    callback.on_batch_begin(self, batch_index, batch)
-                self._last_train_logits = None
-                if compiler is not None:
-                    handle = compiler.forward(
-                        self.model, batch,
-                        lambda: self._loss_with_hook(batch),
-                        aux=lambda: {"logits": self._last_train_logits})
-                    loss = handle.loss
-                    if handle.was_replay:
-                        self._last_train_logits = handle.aux.get("logits")
-                else:
-                    handle = None
-                    loss = self._loss_with_hook(batch)
-                if traced:
-                    forward_end = time.perf_counter()
-                self.optimizer.zero_grad()
-                if handle is not None:
-                    handle.backward()
-                else:
-                    loss.backward()
-                if self.grad_hook is not None:
-                    self.grad_hook(self.model)
-                if traced:
-                    backward_end = time.perf_counter()
-                self.optimizer.step()
-                if traced:
-                    optimizer_end = time.perf_counter()
-                batch_size = len(batch[-1])
-                loss_meter.update(loss.item(), batch_size)
-                batch_accuracy = self._batch_accuracy(batch)
-                if batch_accuracy is not None:
-                    acc_meter.update(batch_accuracy, batch_size)
-                batch_logs = {"loss": loss.item()}
-                if batch_accuracy is not None:
-                    batch_logs["accuracy"] = batch_accuracy
-                for callback in self.callbacks:
-                    callback.on_batch_end(self, batch_index, batch_logs)
-                compute_end = time.perf_counter()
-                stats.observe_compute(compute_end - delivered, batch_size)
-                if traced:
-                    self._record_step_spans(batch_index, requested, delivered,
-                                            forward_end, backward_end,
-                                            optimizer_end, compute_end)
-                batch_index += 1
-        finally:
-            # A prefetching stream keeps producer threads behind its
-            # iterator; closing the generator (early break, error) shuts
-            # them down deterministically instead of leaking them.
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()
+        while True:
+            requested = time.perf_counter()
+            try:
+                batch = next(iterator)
+            except StopIteration:
+                break
+            # The cap check sits *after* the fetch on purpose: the old
+            # enumerate loop materialised batch ``max`` before breaking,
+            # and the legacy loader's per-sample transforms draw from a
+            # stateful stream — skipping that fetch would shift every
+            # later epoch's augmentation bits away from the seed capture.
+            if self.max_batches_per_epoch is not None and batch_index >= self.max_batches_per_epoch:
+                break
+            delivered = time.perf_counter()
+            stats.observe_stall(delivered - requested)
+            # One branch per step when tracing is off; when on, the phase
+            # boundaries reuse the perf_counter stamps the loop already
+            # takes plus three extra clock reads — no context managers in
+            # the hot path.
+            traced = _tracing.enabled()
+            for callback in self.callbacks:
+                callback.on_batch_begin(self, batch_index, batch)
+            self._last_train_logits = None
+            if compiler is not None:
+                handle = compiler.forward(
+                    self.model, batch,
+                    lambda: self._loss_with_hook(batch),
+                    aux=lambda: {"logits": self._last_train_logits})
+                loss = handle.loss
+                if handle.was_replay:
+                    self._last_train_logits = handle.aux.get("logits")
+            else:
+                handle = None
+                loss = self._loss_with_hook(batch)
+            if traced:
+                forward_end = time.perf_counter()
+            self.optimizer.zero_grad()
+            if handle is not None:
+                handle.backward()
+            else:
+                loss.backward()
+            if self.grad_hook is not None:
+                self.grad_hook(self.model)
+            if traced:
+                backward_end = time.perf_counter()
+            self.optimizer.step()
+            if traced:
+                optimizer_end = time.perf_counter()
+            batch_size = len(batch[-1])
+            loss_meter.update(loss.item(), batch_size)
+            batch_accuracy = self._batch_accuracy(batch)
+            if batch_accuracy is not None:
+                acc_meter.update(batch_accuracy, batch_size)
+            batch_logs = {"loss": loss.item()}
+            if batch_accuracy is not None:
+                batch_logs["accuracy"] = batch_accuracy
+            for callback in self.callbacks:
+                callback.on_batch_end(self, batch_index, batch_logs)
+            compute_end = time.perf_counter()
+            stats.observe_compute(compute_end - delivered, batch_size)
+            if traced:
+                self._record_step_spans(batch_index, requested, delivered,
+                                        forward_end, backward_end,
+                                        optimizer_end, compute_end)
+            batch_index += 1
         self._last_train_logits = None
         self.epochs_completed += 1
         self.last_epoch_pipeline_stats = stats

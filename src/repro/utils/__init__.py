@@ -14,9 +14,7 @@ from repro.utils.seed import (
 from repro.utils.logging import get_logger
 from repro.utils.concurrency import (
     CLOSED,
-    BackgroundProducer,
     ClosableQueue,
-    ProducerFailure,
     run_worker_threads,
 )
 from repro.utils.shm import (
@@ -47,9 +45,7 @@ __all__ = [
     "sample_integers",
     "sample_uniforms",
     "CLOSED",
-    "BackgroundProducer",
     "ClosableQueue",
-    "ProducerFailure",
     "run_worker_threads",
     "get_logger",
     "SEGMENT_PREFIX",

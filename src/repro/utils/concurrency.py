@@ -1,21 +1,13 @@
-"""Bounded-queue and producer-thread primitives shared across the system.
+"""Bounded-queue and worker-thread primitives shared across the system.
 
-Three layers use exactly the same pattern — a bounded queue between producer
-and consumer threads, a shutdown sentinel, loud propagation of producer
-exceptions and a sweep that fails anything left behind:
-
-* the data pipeline's :class:`~repro.data.pipeline.PrefetchingLoader`
-  (producer threads materialise batches ahead of the training loop);
-* the serving engine's :class:`~repro.serve.batcher.DynamicBatcher`
-  (HTTP handler threads feed one inference worker);
-* the load generator's closed-loop client fleet.
-
-This module is that pattern, written once.  ``ClosableQueue`` is a bounded
+The serving engine's :class:`~repro.serve.batcher.DynamicBatcher` (HTTP
+handler threads feed a pool of inference workers) and the load generator's
+closed-loop client fleet share one pattern: a bounded queue between producer
+and consumer threads, a shutdown sentinel and a sweep that fails anything
+left behind.  ``ClosableQueue`` is that pattern, written once — a bounded
 ``queue.Queue`` plus a shared ``CLOSED`` sentinel and drain helpers;
-``BackgroundProducer`` runs an iterable into a queue on a daemon thread,
-forwarding exceptions as :class:`ProducerFailure` items instead of dying
-silently; ``run_worker_threads`` is the start-then-join fan-out used by
-benchmarks and the load generator.
+``run_worker_threads`` is the start-then-join fan-out used by the load
+generator.
 
 It also holds the BLAS thread budget for forked workers:
 :func:`cap_blas_threads` shrinks every loaded OpenBLAS thread pool, so N
@@ -28,7 +20,7 @@ import ctypes
 import os
 import queue
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class _Closed:
@@ -43,33 +35,15 @@ class _Closed:
 CLOSED = _Closed()
 
 
-class ProducerFailure:
-    """An exception captured on a producer thread, queued for the consumer.
-
-    Producers must never die silently: wrapping the exception and enqueueing
-    it lets the consumer re-raise on *its* thread, with the producer-side
-    traceback attached as ``__cause__``.
-    """
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException):
-        self.error = error
-
-    def reraise(self) -> None:
-        raise self.error
-
-
 class ClosableQueue:
     """A bounded queue with a shutdown sentinel and a pending-item sweep.
 
     Thin wrapper over ``queue.Queue`` — it deliberately re-exports the
     blocking semantics (``queue.Full`` / ``queue.Empty``) so callers keep
-    precise control over timeouts and backpressure, and adds the three
+    precise control over timeouts and backpressure, and adds the two
     operations every producer/consumer pair here needs: ``close`` (enqueue
-    the sentinel), ``put_cooperative`` (a put that gives up when a stop event
-    fires, so producers never deadlock against a full queue at shutdown) and
-    ``drain`` (sweep remaining real items, e.g. to fail their futures).
+    the sentinel) and ``drain`` (sweep remaining real items, e.g. to fail
+    their futures).
     """
 
     def __init__(self, maxsize: int = 0):
@@ -82,21 +56,6 @@ class ClosableQueue:
 
     def put_nowait(self, item: Any) -> None:
         self._queue.put_nowait(item)
-
-    def put_cooperative(self, item: Any, stop: threading.Event,
-                        poll_s: float = 0.05) -> bool:
-        """Put, polling ``stop`` while the queue is full.
-
-        Returns ``False`` (item dropped) when ``stop`` fires first — the
-        consumer has gone away and nothing will ever drain the queue.
-        """
-        while not stop.is_set():
-            try:
-                self._queue.put(item, timeout=poll_s)
-                return True
-            except queue.Full:
-                continue
-        return False
 
     def close(self) -> None:
         """Enqueue the shutdown sentinel (blocking until there is room)."""
@@ -132,65 +91,12 @@ class ClosableQueue:
         return self._queue.qsize()
 
 
-class BackgroundProducer:
-    """Run ``source()`` (an iterable factory) into a queue on a daemon thread.
-
-    Items flow through ``queue``; an exception raised by the source is
-    wrapped in :class:`ProducerFailure` and queued in its place, and the
-    ``CLOSED`` sentinel always follows the final item so consumers know the
-    stream ended.  ``stop()`` asks the producer to cease, drains the queue so
-    a blocked put can finish, and joins the thread — the shutdown path is
-    deterministic, never "daemon thread dies with the process".
-    """
-
-    def __init__(
-        self,
-        source: Callable[[], Iterable[Any]],
-        out: ClosableQueue,
-        name: str = "producer",
-        stop: Optional[threading.Event] = None,
-    ):
-        self.queue = out
-        self.stop_event = stop or threading.Event()
-        self._source = source
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-
-    def start(self) -> "BackgroundProducer":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        try:
-            for item in self._source():
-                if not self.queue.put_cooperative(item, self.stop_event):
-                    return  # consumer is gone; skip the sentinel too
-        except BaseException as error:  # noqa: BLE001 — forwarded to the consumer
-            self.queue.put_cooperative(ProducerFailure(error), self.stop_event)
-        self.queue.put_cooperative(CLOSED, self.stop_event)
-
-    def stop(self, timeout: Optional[float] = 10.0) -> None:
-        """Signal, unblock and join the producer.  Safe to call repeatedly."""
-        self.stop_event.set()
-        # A producer blocked on put() polls the stop event between attempts;
-        # draining just accelerates its exit under heavy queueing.
-        self.queue.drain()
-        if self._thread.is_alive():
-            self._thread.join(timeout=timeout)
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout=timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()
-
-
 def run_worker_threads(target: Callable[[int], None], count: int,
                        name: str = "worker") -> List[threading.Thread]:
     """Start ``count`` daemon threads running ``target(worker_id)``; join all.
 
-    The fan-out/join used by the closed-loop load generator and the pipeline
-    benchmark.  Returns the (joined) threads for inspection.
+    The fan-out/join used by the closed-loop load generator.  Returns the
+    (joined) threads for inspection.
     """
     threads = [
         threading.Thread(target=target, args=(i,), name=f"{name}-{i}", daemon=True)
@@ -266,9 +172,7 @@ def cap_blas_threads(limit: int) -> Dict[str, int]:
 
 __all__ = [
     "CLOSED",
-    "BackgroundProducer",
     "ClosableQueue",
-    "ProducerFailure",
     "blas_thread_counts",
     "cap_blas_threads",
     "run_worker_threads",

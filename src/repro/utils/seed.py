@@ -17,7 +17,7 @@ Two flavours of derived randomness exist:
   spirit of Philox/Threefry.  The data pipeline keys augmentation on
   ``(root_seed, epoch, transform_stream, sample_id)``, which makes every
   augmentation bit a pure function of the sample's identity — independent of
-  batch size, iteration order, prefetch depth and worker count.
+  batch size, iteration order and data-parallel sharding.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -21,9 +22,19 @@ def _seed_everything():
     yield
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _resource_tracker():
+    """Start multiprocessing's resource tracker once for the session.  The
+    first shm segment a process creates starts it and opens a pipe that stays
+    open for the life of the process; no test should be charged for it."""
+    resource_tracker.ensure_running()
+    yield
+
+
 class LeakLedger:
     """What a test leaves behind: shared-memory segments this process owns
-    (registered or on disk), live child processes and live threads."""
+    (registered or on disk), live child processes, live threads and open
+    file descriptors."""
 
     #: How long new threads and children get to finish exiting before they
     #: count as leaked.
@@ -33,6 +44,23 @@ class LeakLedger:
         self.segments = self._segments()
         self.children = set(multiprocessing.active_children())
         self.threads = set(threading.enumerate())
+        self.fds = self._fds()
+
+    @staticmethod
+    def _fds():
+        """Open descriptors of this process and what each one refers to
+        (empty where there is no /proc)."""
+        try:
+            names = os.listdir("/proc/self/fd")
+        except OSError:
+            return {}
+        fds = {}
+        for name in names:
+            try:
+                fds[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+            except OSError:  # the listing's own descriptor, closed by now
+                pass
+        return fds
 
     @staticmethod
     def _segments():
@@ -57,12 +85,15 @@ class LeakLedger:
             children, threads = self._live()
         found += [f"child process {child.name} (pid {child.pid})" for child in children]
         found += [f"thread {thread.name}" for thread in threads]
+        fds = self._fds()
+        found += [f"fd {fd} ({fds[fd]})" for fd in sorted(fds.keys() - self.fds.keys())]
         return found
 
 
 @pytest.fixture(autouse=True)
 def leak_ledger():
-    """Fail any test that leaks a shm segment, a child process or a thread."""
+    """Fail any test that leaks a shm segment, a child process, a thread or
+    an open file descriptor."""
     ledger = LeakLedger()
     yield ledger
     leaks = ledger.leaks()

@@ -70,6 +70,15 @@ class TestParser:
             args = build_parser().parse_args(["train", "--method", method])
             assert args.method == method
 
+    @pytest.mark.parametrize("flags", [
+        ["--prefetch", "2"], ["--loader", "legacy"], ["--loader-workers", "2"],
+    ], ids=["prefetch", "loader", "loader-workers"])
+    def test_removed_loader_flags_are_argparse_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["train", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestListMethodsCommand:
     def test_table_lists_all_methods(self):
@@ -117,6 +126,16 @@ class TestTrainCommand:
         rows = json.loads(out)
         assert len(rows) == 1 and rows[0]["method"] == "full_rank"
         assert rows[0]["params"] > 0
+
+    def test_default_train_reports_the_pipeline_split(self):
+        code, out = _run([
+            "train", "--method", "full_rank", "--epochs", "1", "--max-batches", "2",
+            "--width-mult", "0.125",
+        ])
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("pipeline:"))
+        assert "stall=" in line and "compute=" in line
+        assert "prefetch=" not in line and "workers=" not in line
 
     def test_smoke_cuttlefish_table_row(self):
         code, out = _run([

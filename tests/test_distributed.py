@@ -23,9 +23,7 @@ from repro.data import (
     ArrayDataset,
     DataLoader,
     PipelineLoader,
-    PrefetchingLoader,
     ShardedSampler,
-    build_replica_loaders,
     shard_loader,
 )
 from repro.distributed import (
@@ -65,10 +63,8 @@ def make_trainer(dataset, world_size, batch_size=8, lr=0.05, **kwargs):
     model = make_model()
     optimizer = SGD(model.parameters(), lr=lr, momentum=0.9)
     train_loader = PipelineLoader(dataset, batch_size, shuffle=True)
-    replica_loaders = build_replica_loaders(dataset, batch_size, world_size)
     return DataParallelTrainer(model, optimizer, train_loader,
-                               world_size=world_size,
-                               replica_loaders=replica_loaders, **kwargs)
+                               world_size=world_size, **kwargs)
 
 
 def params_of(model):
@@ -316,15 +312,6 @@ class TestShardLoader:
         assert sharded.sampler.rank == 1
         assert len(sharded.sampler) == len(dataset) // 2
 
-    def test_rewraps_prefetching_loader(self):
-        dataset = make_dataset()
-        loader = PrefetchingLoader(PipelineLoader(dataset, 8, shuffle=True),
-                                   depth=2, workers=2)
-        sharded = shard_loader(loader, rank=0, world_size=2)
-        assert isinstance(sharded, PrefetchingLoader)
-        assert sharded.depth == 2 and sharded.workers == 2
-        assert isinstance(sharded.loader.sampler, ShardedSampler)
-
     def test_legacy_loader_rejected(self):
         dataset = make_dataset()
         with pytest.raises(TypeError, match="PipelineLoader"):
@@ -404,6 +391,36 @@ class TestDataParallelTrainer:
         (logs,) = epochs_of(dp, 1)
         assert np.isfinite(logs["loss"])
 
+    def test_default_shards_are_the_explicit_sharded_loaders(self):
+        # Without replica_loaders each rank trains on exactly the batches of
+        # PipelineLoader(ds, bs, sampler=ShardedSampler(...)) for its rank.
+        dataset = make_dataset()
+        explicit = [PipelineLoader(dataset, 8, sampler=ShardedSampler(
+                        len(dataset), rank=rank, world_size=2, shuffle=True,
+                        seed_offset=7))
+                    for rank in range(2)]
+        seed_everything(0)
+        default = make_trainer(dataset, world_size=2)
+        for epoch in range(2):
+            for derived, given in zip(default.replica_loaders, explicit):
+                derived.set_epoch(epoch)
+                given.set_epoch(epoch)
+                assert len(derived) == len(given)
+                for a, b in zip(derived, given):
+                    for field_a, field_b in zip(a, b):
+                        assert np.array_equal(field_a, field_b)
+
+        seed_everything(0)
+        model = make_model()
+        reference = DataParallelTrainer(
+            model, SGD(model.parameters(), lr=0.05, momentum=0.9),
+            PipelineLoader(dataset, 8, shuffle=True), world_size=2,
+            replica_loaders=explicit)
+        got, want = epochs_of(default, 2), epochs_of(reference, 2)
+        assert [logs["loss"] for logs in got] == [logs["loss"] for logs in want]
+        for a, b in zip(params_of(default.model), params_of(reference.model)):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("world_size", [2, 4])
     def test_bit_stable_across_reruns(self, world_size):
         # Three reruns: any arrival-order leak into the reduction would show
@@ -469,8 +486,7 @@ class TestDataParallelTrainer:
         dp = DataParallelTrainer(model, optimizer,
                                  PipelineLoader(dataset, 8, shuffle=True),
                                  PipelineLoader(val, 8),
-                                 world_size=2,
-                                 replica_loaders=build_replica_loaders(dataset, 8, 2))
+                                 world_size=2)
         try:
             history = dp.fit(epochs=2)
         finally:
@@ -513,7 +529,6 @@ class TestDataParallelTrainer:
         dp = DataParallelTrainer(model, optimizer,
                                  PipelineLoader(dataset, 8, shuffle=True),
                                  world_size=2,
-                                 replica_loaders=build_replica_loaders(dataset, 8, 2),
                                  loss_fn=exploding_loss)
         try:
             with pytest.raises(ReplicaError, match="replica blew up"):
@@ -547,7 +562,6 @@ class TestDataParallelTrainer:
         dp = DataParallelTrainer(model, optimizer,
                                  PipelineLoader(dataset, 8, shuffle=True),
                                  world_size=2,
-                                 replica_loaders=build_replica_loaders(dataset, 8, 2),
                                  callbacks=[WidenHead()],
                                  loss_fn=recording_loss(str(tmp_path)))
         try:
@@ -593,9 +607,13 @@ class TestExperimentIntegration:
         return VisionExperimentConfig(**defaults)
 
     def test_world_size_implies_pipeline_loader(self):
-        assert self._config(world_size=2).uses_pipeline_loader()
-        with pytest.raises(ValueError, match="pipeline loader"):
-            self._config(world_size=2, loader="legacy").uses_pipeline_loader()
+        from repro.train.experiments import _build_task
+
+        train_loader, val_loader, _ = _build_task(self._config(world_size=2))
+        assert isinstance(train_loader, PipelineLoader)
+        assert isinstance(val_loader, PipelineLoader)
+        with pytest.raises(ValueError, match="loader"):
+            self._config(world_size=2, loader="legacy")
 
     def test_goyal_lr_scaling(self):
         assert self._config(world_size=4, peak_lr=0.1).effective_peak_lr() == \

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.data import ArrayDataset, PipelineLoader, build_replica_loaders
+from repro.data import ArrayDataset, PipelineLoader, ShardedSampler
 from repro.distributed import (
     DEFAULT_BUCKET_ELEMS,
     DataParallelTrainer,
@@ -88,10 +88,8 @@ def linear_dataset():
 def make_trainer(dataset, world_size, build=build_resnet, batch_size=8, **kwargs):
     model, optimizer = build()
     train_loader = PipelineLoader(dataset, batch_size, shuffle=True)
-    replica_loaders = build_replica_loaders(dataset, batch_size, world_size)
     return DataParallelTrainer(model, optimizer, train_loader,
-                               world_size=world_size,
-                               replica_loaders=replica_loaders, **kwargs)
+                               world_size=world_size, **kwargs)
 
 
 def params_of(model):
@@ -129,7 +127,9 @@ def lockstep_reference(dataset, world_size, build=build_resnet, epochs=2,
     """
     model, optimizer = build()
     replicas = [copy.deepcopy(model) for _ in range(world_size)]
-    loaders = build_replica_loaders(dataset, batch_size, world_size)
+    loaders = [PipelineLoader(dataset, batch_size, sampler=ShardedSampler(
+                   len(dataset), rank=rank, world_size=world_size, shuffle=True))
+               for rank in range(world_size)]
     params = list(model.parameters())
     master_buffers = [buf.data for _, buf in model.named_buffers()]
     losses = []
@@ -310,8 +310,7 @@ class TestProcessModeLifecycle:
         dp = DataParallelTrainer(
             model, SGD(model.parameters(), lr=0.05, momentum=0.9),
             PipelineLoader(dataset, 8, shuffle=True), PipelineLoader(val, 8),
-            world_size=2,
-            replica_loaders=build_replica_loaders(dataset, 8, 2))
+            world_size=2)
         try:
             history = dp.fit(epochs=2)
             assert len(history) == 2
@@ -431,15 +430,14 @@ class TestProcessModeIntegration:
         return VisionExperimentConfig(**defaults)
 
     def test_dp_mode_validation(self):
-        # dp_mode is still checked, but no longer picks the loader or the
-        # trainer: world_size alone does.
-        assert not self._config(dp_mode="process").uses_pipeline_loader()
-        assert self._config(dp_mode="thread", world_size=2).uses_pipeline_loader()
+        # dp_mode is still checked, at construction, but picks neither the
+        # loader nor the trainer: world_size alone picks the trainer.
+        self._config(dp_mode="process")
+        self._config(dp_mode="thread", world_size=2)
         with pytest.raises(ValueError, match="dp_mode"):
-            self._config(dp_mode="fiber").uses_pipeline_loader()
-        with pytest.raises(ValueError, match="pipeline loader"):
-            self._config(dp_mode="process", world_size=2,
-                         loader="legacy").uses_pipeline_loader()
+            self._config(dp_mode="fiber")
+        with pytest.raises(ValueError, match="loader"):
+            self._config(dp_mode="process", world_size=2, loader="legacy")
 
     def test_run_experiment_process_rows_match_thread(self):
         from repro.train.experiments import ExperimentSpec, run_experiment

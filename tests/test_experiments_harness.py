@@ -155,6 +155,24 @@ class TestReferenceProfiling:
         assert set(other_threshold.factorize_stacks) <= set(base.factorize_stacks)
 
 
+class TestConfig:
+    def test_build_task_returns_pipeline_loaders(self):
+        from repro.data import PipelineLoader
+
+        train_loader, val_loader, spec = experiments._build_task(VisionExperimentConfig())
+        assert isinstance(train_loader, PipelineLoader)
+        assert isinstance(val_loader, PipelineLoader)
+        assert spec.num_classes > 0
+
+    @pytest.mark.parametrize("overrides", [
+        {"loader": "legacy"}, {"loader": "auto"}, {"world_size": 0},
+        {"dp_mode": "fiber"},
+    ], ids=["loader-legacy", "loader-auto", "world-size-0", "dp-mode-fiber"])
+    def test_invalid_config_raises_at_construction(self, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            VisionExperimentConfig(**overrides)
+
+
 class TestFormatting:
     def test_format_rows_contains_headers_and_methods(self):
         row = run_vision_method("full_rank", _tiny_config())

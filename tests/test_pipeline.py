@@ -1,14 +1,12 @@
 """Tests for the streaming data pipeline.
 
 Covers the counter-based per-sample RNG, vectorized batch transforms, the
-``PipelineLoader``/``PrefetchingLoader`` pair (bit-parity at every prefetch
-depth and worker count, failure propagation, clean shutdown), collate-ring
-buffer recycling, epoch-sharded sampling, and the trainer-level guarantees:
-a prefetched training run is bit-identical to the synchronous one, and
-epoch logs carry the stall-vs-compute split.
+synchronous ``PipelineLoader`` (epoch-keyed replay, mid-epoch resume,
+subset identity, the per-sample fallback), epoch-sharded sampling, and the
+trainer-level guarantees: epoch logs carry the stall-vs-compute split and
+the batch cap fetches exactly like the seed-era loop.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -19,7 +17,6 @@ from repro.data import (
     DataLoader,
     Normalize,
     PipelineLoader,
-    PrefetchingLoader,
     RandomCrop,
     RandomHorizontalFlip,
     SequentialSampler,
@@ -30,7 +27,6 @@ from repro.data import (
     standard_train_transform,
 )
 from repro.data.dataset import Dataset
-from repro.data.pipeline import CollateArena
 from repro.models import MLP
 from repro.optim import SGD
 from repro.profiling import PipelineStats, instrument
@@ -220,106 +216,10 @@ class TestPipelineLoader:
         assert sum(len(b[0]) for b in batches) == 10
         np.testing.assert_array_equal(batches[0][1], np.arange(4))
 
-    def test_arena_reuse_is_bit_identical(self):
-        ds = image_dataset()
-        plain = PipelineLoader(ds, batch_size=16, shuffle=True)
-        pooled = PipelineLoader(ds, batch_size=16, shuffle=True, reuse_buffers=True)
-        plain.set_epoch(1)
-        pooled.set_epoch(1)
-        # Compare batch-by-batch: arena buffers are recycled after
-        # ``arena_slots`` batches, so a consumer must not retain them (the
-        # documented contract); comparing in stride respects it.
-        for expected, got in zip(plain, pooled):
-            for field_e, field_g in zip(expected, got):
-                np.testing.assert_array_equal(field_e, field_g)
-
     def test_out_of_range_batch_raises(self):
         loader = PipelineLoader(image_dataset(n=32, transform=None), batch_size=16)
         with pytest.raises(IndexError):
             loader.load_batch(2)
-
-
-class TestCollateArena:
-    def test_ring_hands_back_its_first_buffer_on_the_third_take(self):
-        ring = CollateArena(slots=2)
-        first = ring.take((4, 3, 8, 8), np.float32)
-        second = ring.take((4, 3, 8, 8), np.float32)
-        assert second is not first
-        assert ring.take((4, 3, 8, 8), np.float32) is first
-
-
-class TestPrefetchingLoader:
-    @pytest.mark.parametrize("depth,workers", [(1, 1), (2, 1), (4, 1), (2, 2), (4, 3)])
-    def test_bit_parity_with_synchronous_loader(self, depth, workers):
-        ds = image_dataset()
-        sync = PipelineLoader(ds, batch_size=16, shuffle=True)
-        sync.set_epoch(2)
-        reference = list(sync)
-        stream = PrefetchingLoader(PipelineLoader(ds, batch_size=16, shuffle=True),
-                                   depth=depth, workers=workers)
-        stream.set_epoch(2)
-        batches_equal(reference, list(stream))
-
-    def test_parity_across_epochs(self):
-        ds = image_dataset()
-        sync = PipelineLoader(ds, batch_size=16, shuffle=True)
-        stream = PrefetchingLoader(PipelineLoader(ds, batch_size=16, shuffle=True), depth=2)
-        for epoch in range(3):
-            sync.set_epoch(epoch)
-            stream.set_epoch(epoch)
-            batches_equal(list(sync), list(stream))
-
-    def test_producer_exception_propagates(self):
-        class Explode:
-            def __call__(self, image):
-                return image
-
-            def apply_batch(self, images, sample_ids, epoch):
-                if (np.asarray(sample_ids) >= 64).any():
-                    raise RuntimeError("synthetic producer failure")
-                return images
-
-        ds = image_dataset(n=96, transform=None)
-        ds.transform = Explode()
-        stream = PrefetchingLoader(PipelineLoader(ds, batch_size=16), depth=2, workers=2)
-        with pytest.raises(RuntimeError, match="synthetic producer failure"):
-            list(stream)
-        self._assert_no_prefetch_threads()
-
-    def test_early_exit_shuts_producers_down(self):
-        ds = image_dataset(n=96, transform=None)
-        stream = PrefetchingLoader(PipelineLoader(ds, batch_size=8, shuffle=True),
-                                   depth=2, workers=2)
-        iterator = iter(stream)
-        next(iterator)
-        next(iterator)
-        iterator.close()
-        self._assert_no_prefetch_threads()
-
-    @staticmethod
-    def _assert_no_prefetch_threads(timeout_s: float = 2.0):
-        deadline = time.time() + timeout_s
-        while time.time() < deadline:
-            alive = [t.name for t in threading.enumerate() if t.name.startswith("prefetch")]
-            if not alive:
-                return
-            time.sleep(0.02)
-        raise AssertionError(f"prefetch producer threads leaked: {alive}")
-
-    def test_rejects_invalid_configuration(self):
-        loader = PipelineLoader(image_dataset(n=16, transform=None), batch_size=8)
-        with pytest.raises(ValueError):
-            PrefetchingLoader(loader, depth=0)
-        with pytest.raises(ValueError):
-            PrefetchingLoader(loader, depth=1, workers=0)
-
-    def test_multi_worker_requires_random_access(self):
-        legacy = DataLoader(image_dataset(n=16, transform=None), batch_size=8)
-        with pytest.raises(TypeError):
-            PrefetchingLoader(legacy, depth=2, workers=2)
-        # Single-worker iterator mode works over any BatchStream.
-        stream = PrefetchingLoader(legacy, depth=2)
-        assert sum(len(b[0]) for b in stream) == 16
 
 
 class TestShardedSampler:
@@ -366,7 +266,7 @@ class TestShardedSampler:
         assert sorted(shuffled.indices(1).tolist()) == list(range(16))
 
 
-def feature_loaders(prefetch_depth=0, workers=1, n=128, dim=12, classes=3):
+def feature_loaders(n=128, dim=12, classes=3):
     rng = np.random.default_rng(21)
     centers = 4 * rng.standard_normal((classes, dim))
     labels = rng.integers(0, classes, size=n)
@@ -374,12 +274,12 @@ def feature_loaders(prefetch_depth=0, workers=1, n=128, dim=12, classes=3):
     ds = ArrayDataset(features, labels.astype(np.int64))
     split = int(0.75 * n)
     return build_loaders(Subset(ds, range(split)), Subset(ds, range(split, n)),
-                         batch_size=32, prefetch_depth=prefetch_depth, workers=workers)
+                         batch_size=32)
 
 
-def run_training(prefetch_depth=0, workers=1, epochs=2):
+def run_training(epochs=2):
     seed_everything(77)
-    train_loader, val_loader = feature_loaders(prefetch_depth, workers)
+    train_loader, val_loader = feature_loaders()
     model = MLP(12, [16], 3)
     trainer = Trainer(model, SGD(model.parameters(), lr=0.1, momentum=0.9),
                       train_loader, val_loader)
@@ -388,18 +288,8 @@ def run_training(prefetch_depth=0, workers=1, epochs=2):
 
 
 class TestTrainerPipeline:
-    def test_prefetched_training_is_bit_identical_to_synchronous(self):
-        sync = run_training(prefetch_depth=0)
-        for depth, workers in ((1, 1), (2, 1), (3, 2)):
-            prefetched = run_training(prefetch_depth=depth, workers=workers)
-            for a, b in zip(sync.history, prefetched.history):
-                assert a.train_loss == b.train_loss
-                assert a.train_accuracy == b.train_accuracy
-                assert a.val_loss == b.val_loss
-                assert a.val_accuracy == b.val_accuracy
-
     def test_epoch_records_carry_stall_compute_split(self):
-        trainer = run_training(prefetch_depth=2)
+        trainer = run_training()
         for record in trainer.history:
             assert "data_stall_seconds" in record.extra
             assert "data_compute_seconds" in record.extra
@@ -421,21 +311,20 @@ class TestTrainerPipeline:
         trainer.fit(1)
         assert trainer.history[0].extra["data_compute_seconds"] > 0
 
-    def test_max_batches_cap_closes_prefetcher(self):
+    def test_max_batches_cap_counts_one_batch(self):
         seed_everything(5)
-        train_loader, _ = feature_loaders(prefetch_depth=2, workers=2)
+        train_loader, _ = feature_loaders()
         model = MLP(12, [8], 3)
         trainer = Trainer(model, SGD(model.parameters(), lr=0.1), train_loader,
                           max_batches_per_epoch=1)
         trainer.fit(1)
-        TestPrefetchingLoader._assert_no_prefetch_threads()
         assert trainer.pipeline_stats.batches == 1
+        assert trainer.pipeline_stats.samples == 32
 
 
 class TestReviewRegressions:
     """Pins for defects found in review: legacy RNG consumption at the batch
-    cap, arena sizing under multi-worker prefetch, and shard padding when
-    world_size exceeds the dataset."""
+    cap and shard padding when world_size exceeds the dataset."""
 
     def test_legacy_batch_cap_consumes_rng_like_enumerate(self):
         """The capped training loop must fetch (and discard) the batch at the
@@ -473,65 +362,10 @@ class TestReviewRegressions:
         trainer.fit(2)
         batches_equal([(b,) for b in reference], [(b,) for b in seen])
 
-    def test_arena_safe_under_multiworker_prefetch(self):
-        """build_loaders must size the collate arena past every buffer that
-        can be live at once (queues + producers + consumer); undersizing
-        silently corrupts in-flight batches."""
-        ds = image_dataset(n=128)
-        sync = PipelineLoader(ds, batch_size=16, shuffle=True)
-        sync.set_epoch(0)
-        reference = list(sync)
-        stream, _ = build_loaders(ds, None, 16, prefetch_depth=2, workers=2,
-                                  reuse_buffers=True)
-        stream.set_epoch(0)
-        for expected, got in zip(reference, stream):
-            time.sleep(0.002)   # let producers run ahead while we hold `got`
-            for field_e, field_g in zip(expected, got):
-                np.testing.assert_array_equal(field_e, field_g)
-
     def test_shard_padding_when_world_size_exceeds_n(self):
         shards = [ShardedSampler(2, rank=r, world_size=5).indices(0) for r in range(5)]
         assert all(len(s) == 1 for s in shards)
         assert set(np.concatenate(shards).tolist()) == {0, 1}
-
-    def test_explicit_legacy_loader_with_prefetch_raises(self):
-        from repro.train.experiments import VisionExperimentConfig
-
-        config = VisionExperimentConfig(loader="legacy", prefetch_depth=2)
-        with pytest.raises(ValueError, match="pipeline loader"):
-            config.uses_pipeline_loader()
-        assert not VisionExperimentConfig(loader="legacy").uses_pipeline_loader()
-        assert VisionExperimentConfig(prefetch_depth=2).uses_pipeline_loader()
-        assert not VisionExperimentConfig().uses_pipeline_loader()
-
-
-class TestResNetCellParity:
-    def test_two_epoch_resnet_train_is_bit_identical_under_prefetch(self):
-        """The acceptance-criterion shape: a 2-epoch ResNet-cell run through
-        ``run_experiment`` must produce identical losses and accuracies with
-        the synchronous pipeline and with prefetching (any depth/workers)."""
-        from repro.train.experiments import (
-            ExperimentSpec,
-            VisionExperimentConfig,
-            run_experiment,
-        )
-
-        def run(depth, workers=1):
-            config = VisionExperimentConfig(
-                task="cifar10_small", model="resnet18", width_mult=0.125,
-                epochs=2, batch_size=32, max_batches_per_epoch=4,
-                loader="pipeline", prefetch_depth=depth, loader_workers=workers)
-            return run_experiment(ExperimentSpec(method="full_rank", config=config),
-                                  return_context=True)
-
-        row_sync, ctx_sync = run(depth=0)
-        for depth, workers in ((2, 1), (2, 2)):
-            row_pf, ctx_pf = run(depth=depth, workers=workers)
-            assert row_pf.val_accuracy == row_sync.val_accuracy
-            for a, b in zip(ctx_sync.trainer.history, ctx_pf.trainer.history):
-                assert a.train_loss == b.train_loss
-                assert a.train_accuracy == b.train_accuracy
-                assert a.val_loss == b.val_loss
 
 
 class TestPipelineStats:

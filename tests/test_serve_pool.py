@@ -3,6 +3,7 @@ bit-invariance, admission control, response cache, SLO adaptation, and
 fault injection (dead workers must fail loudly and respawn cleanly)."""
 
 import json
+import multiprocessing
 import os
 import signal
 import sys
@@ -28,10 +29,11 @@ from repro.serve import (
     batch_cache_key,
 )
 from repro.serve.engine import InlineEngine, ProcessEngine, probe_output_shape
+from repro.serve.pool import PredictorPool, WorkerContext
 from repro.telemetry.metrics import MetricsRegistry
 from repro.tensor import use_backend
 from repro.utils import seed_everything
-from repro.utils.concurrency import blas_thread_counts, usable_cores
+from repro.utils.concurrency import ClosableQueue, blas_thread_counts, usable_cores
 from repro.utils.shm import active_owned_segments
 
 fork_only = pytest.mark.skipif(not fork_available(),
@@ -348,6 +350,51 @@ class TestFaultInjection:
         finally:
             batcher.close(drain=True)
         assert active_owned_segments() == []
+
+
+# --------------------------------------------------------------------------- #
+# Failed constructors release what they acquired
+# --------------------------------------------------------------------------- #
+@fork_only
+class TestConstructorCleanup:
+    def test_failed_output_probe_restores_the_weights(self, leak_ledger):
+        predictor = _mlp_predictor()
+        tensors = list(predictor.model.parameters())
+        tensors += [buf for _, buf in predictor.model.named_buffers()]
+        originals = [t.data for t in tensors]
+        with pytest.raises(ValueError):
+            DynamicBatcher(predictor, workers=2, mode="process", input_shape=(17,))
+        assert active_owned_segments() == []
+        assert all(t.data is original for t, original in zip(tensors, originals))
+        assert leak_ledger.leaks() == []
+
+    def test_failed_engine_factory_closes_the_engines_built_before_it(self, leak_ledger):
+        def factory(index):
+            if index == 1:
+                raise RuntimeError("no second engine")
+            return ProcessEngine(_echo_predict, input_shape=(16,),
+                                 output_shape=(16,), max_rows=8)
+
+        ctx = WorkerContext(name="cleanup", queue=ClosableQueue(8),
+                            policy=BatchingPolicy(), queue_latency=None,
+                            compute_latency=None, request_latency=None,
+                            batch_sizes=None, errors=None)
+        pool = PredictorPool(factory, 2, ctx)
+        with pytest.raises(RuntimeError, match="no second engine"):
+            pool.start()
+        assert active_owned_segments() == []
+        assert leak_ledger.leaks() == []
+
+    def test_failed_first_fork_releases_the_slabs(self, monkeypatch, leak_ledger):
+        def refuse(proc):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
+        with pytest.raises(OSError, match="fork refused"):
+            ProcessEngine(_echo_predict, input_shape=(16,), output_shape=(16,),
+                          max_rows=8)
+        assert active_owned_segments() == []
+        assert leak_ledger.leaks() == []
 
 
 # --------------------------------------------------------------------------- #

@@ -2,12 +2,14 @@
 error handling, and concurrent clients — all over a real ThreadingHTTPServer
 on an ephemeral port."""
 
+import socket
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import factorize_model, full_rank_of
+from repro.distributed.process import fork_available
 from repro.models import build_model
 from repro.serve import (
     BatchingPolicy,
@@ -18,7 +20,7 @@ from repro.serve import (
     load_artifact,
 )
 from repro.tensor import no_grad
-from repro.utils import get_rng, seed_everything
+from repro.utils import active_owned_segments, get_rng, seed_everything
 
 MLP_SPEC = {"name": "mlp",
             "kwargs": {"in_features": 20, "hidden_sizes": [40, 40], "num_classes": 6}}
@@ -253,6 +255,27 @@ class TestLifecycle:
         path, _ = mlp_artifact
         with ModelServer(path, port=0) as instance:
             assert ServeClient(instance.url).healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("mode", [
+        "thread",
+        pytest.param("process", marks=pytest.mark.skipif(
+            not fork_available(), reason="fork start method unavailable")),
+    ])
+    def test_busy_port_releases_the_batcher(self, mlp_artifact, mode, leak_ledger):
+        path, _ = mlp_artifact
+        predictor = load_artifact(path)
+        originals = [p.data for p in predictor.model.parameters()]
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            with pytest.raises(OSError):
+                ModelServer(predictor, port=busy.getsockname()[1], workers=2, mode=mode)
+        # No batcher thread, engine child, segment or socket survives, and
+        # the weights are back on the heap.
+        assert leak_ledger.leaks() == []
+        assert active_owned_segments() == []
+        assert all(p.data is original
+                   for p, original in zip(predictor.model.parameters(), originals))
 
     def test_serves_predictor_and_in_memory_model(self, mlp_artifact):
         path, model = mlp_artifact

@@ -221,3 +221,14 @@ class TestLeakLedger:
         finally:
             segment.unlink()
         assert leak_ledger.leaks() == []
+
+    def test_reports_a_leaked_pipe(self, leak_ledger):
+        read_end, write_end = os.pipe()
+        try:
+            leaks = leak_ledger.leaks()
+            for fd in (read_end, write_end):
+                assert any(leak.startswith(f"fd {fd} (pipe:") for leak in leaks), leaks
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert leak_ledger.leaks() == []

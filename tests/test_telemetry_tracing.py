@@ -287,7 +287,7 @@ class TestCrossProcessMerge:
     def test_two_rank_process_mode_merged_timeline(self, tmp_path):
         """The acceptance path: per-rank lanes of the forked workers and
         step coverage ≥95% in the merged trace."""
-        from repro.data import ArrayDataset, PipelineLoader, build_replica_loaders
+        from repro.data import ArrayDataset, PipelineLoader
         from repro.distributed import DataParallelTrainer
         from repro.models import build_model
         from repro.optim import SGD
@@ -303,8 +303,7 @@ class TestCrossProcessMerge:
         optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
         trainer = DataParallelTrainer(
             model, optimizer, PipelineLoader(dataset, 8, shuffle=True),
-            world_size=2,
-            replica_loaders=build_replica_loaders(dataset, 8, 2))
+            world_size=2)
         session = tracing.enable("trainer")
         try:
             trainer.train_epoch()
