@@ -14,15 +14,18 @@ The deployment path for trained (and factorized) models:
    a response cache, and an SLO controller (:class:`SLOPolicy`) layer on
    top.
 4. :class:`ModelServer` exposes ``/predict``, ``/healthz``, ``/metrics``
-   and ``/respawn`` over a stdlib ``ThreadingHTTPServer``;
-   :class:`ServeClient` talks to it with jittered-backoff retries.
+   and ``/respawn`` over a stdlib ``ThreadingHTTPServer``.  ``/predict``
+   speaks JSON to any HTTP client and, when the headers ask for it, binary
+   ``.npy`` tensors (:mod:`repro.serve.wire`); :class:`ServeClient` switches
+   to the binary wire once the server answers in it, and retries with
+   jittered backoff.
 5. :mod:`repro.serve.loadgen` drives closed-loop load for benchmarking and
    open-loop load (:class:`TrafficShape` / :func:`run_open_loop`) for
    SLO-attainment studies.
 
-See DESIGN.md §9 for the artifact format and the determinism guarantee
-(predictions independent of batch composition), and §16 for the pool
-architecture, admission policy, and SLO control loop.
+See DESIGN.md §9 for the artifact format, the determinism guarantee
+(predictions independent of batch composition) and the HTTP wire, and §16
+for the pool architecture, admission policy, and SLO control loop.
 """
 
 from repro.serve.admission import (

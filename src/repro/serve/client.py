@@ -1,8 +1,14 @@
 """Minimal stdlib HTTP client for a :class:`~repro.serve.server.ModelServer`.
 
 Used by the closed-loop load generator, the CI smoke job and the quickstart
-example; downstream users can talk to the server with any HTTP client — the
-wire format is plain JSON.
+example; downstream users can talk to the server with any HTTP client.
+
+Every predict asks for ``Accept: application/x-npy, application/json``.  The
+first request body is JSON, which every server reads; once a response comes
+back as ``.npy`` (:mod:`repro.serve.wire`), later request bodies are
+``.npy`` too, so a :class:`ServeClient` speaks the binary wire to a
+``ModelServer`` and plain JSON to a server that only speaks JSON, with no
+option and no extra request.  Outputs are bit-identical either way.
 
 Transient failures are retried with jittered exponential backoff: transport
 errors (connection refused/reset while a pool worker restarts, status 0)
@@ -21,9 +27,14 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.serve import wire
+
+#: The ``Accept`` header of every predict: npy preferred, JSON understood.
+_ACCEPT = f"{wire.NPY_MEDIA_TYPE}, {wire.JSON_MEDIA_TYPE}"
 
 
 class ServeClientError(RuntimeError):
@@ -43,7 +54,7 @@ class ServeClientError(RuntimeError):
 
 
 class ServeClient:
-    """Blocking JSON client: ``predict``, ``healthz``, ``metrics``.
+    """Blocking client: ``predict``, ``healthz``, ``metrics``, ``respawn``.
 
     ``retries`` bounds how many times a *retryable* failure is retried
     (total attempts = retries + 1); the sleep before attempt ``k`` is
@@ -62,20 +73,20 @@ class ServeClient:
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
         self.retry_statuses = tuple(retry_statuses)
+        # Set once the server answers a predict in npy: it then reads npy too.
+        self._npy = False
 
     # ------------------------------------------------------------------ #
-    def _request_once(self, path: str,
-                      payload: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
+    def _request_once(self, path: str, data: Optional[bytes],
+                      headers: Dict[str, str]) -> Tuple[str, bytes]:
+        """One exchange; returns the response's media type and body."""
         request = urllib.request.Request(
-            url, data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-            method="POST" if data else "GET",
+            f"{self.base_url}{path}", data=data, headers=headers,
+            method="POST" if data is not None else "GET",
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                return response.headers.get_content_type(), response.read()
         except urllib.error.HTTPError as error:
             try:
                 body = json.loads(error.read().decode("utf-8"))
@@ -94,13 +105,14 @@ class ServeClient:
         # get better; respect it and fail fast.
         return error.body.get("retry", True) is not False
 
-    def _request(self, path: str,
-                 payload: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def _exchange(self, path: str, data: Optional[bytes] = None,
+                  headers: Optional[Dict[str, str]] = None) -> Tuple[str, bytes]:
+        """:meth:`_request_once` under the retry policy, for either wire."""
         started = time.perf_counter()
         attempt = 0
         while True:
             try:
-                return self._request_once(path, payload)
+                return self._request_once(path, data, headers or {})
             except ServeClientError as error:
                 if attempt >= self.retries or not self._retryable(error):
                     if attempt:
@@ -118,22 +130,47 @@ class ServeClient:
                 time.sleep(delay * (1.0 + random.random()))
                 attempt += 1
 
+    def _request(self, path: str,
+                 payload: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """GET ``path``, or POST ``payload`` as JSON; returns the JSON reply."""
+        if payload is None:
+            return json.loads(self._exchange(path)[1])
+        data = json.dumps(payload).encode("utf-8")
+        return json.loads(self._exchange(path, data, {"Content-Type": wire.JSON_MEDIA_TYPE})[1])
+
+    def _predict(self, samples: np.ndarray, priority: int, single: bool) -> np.ndarray:
+        """One ``/predict``: a JSON body until the server has answered in npy.
+
+        ``single`` sends one sample: as ``"input"`` in JSON, as a batch of
+        one in npy.  Returns a writable float32 array either way.
+        """
+        headers = {"Accept": _ACCEPT}
+        if self._npy:
+            path = f"/predict?priority={int(priority)}" if priority else "/predict"
+            headers["Content-Type"] = wire.NPY_MEDIA_TYPE
+            data = wire.encode(samples[None] if single else samples)
+        else:
+            path = "/predict"
+            headers["Content-Type"] = wire.JSON_MEDIA_TYPE
+            payload: Dict[str, Any] = {("input" if single else "inputs"): samples.tolist()}
+            if priority:
+                payload["priority"] = int(priority)
+            data = json.dumps(payload).encode("utf-8")
+        media, body = self._exchange(path, data, headers)
+        if media != wire.NPY_MEDIA_TYPE:
+            return np.asarray(json.loads(body)["outputs"], dtype=np.float32)
+        self._npy = True
+        outputs = wire.decode(body).copy()
+        return outputs[0] if single else outputs
+
     # ------------------------------------------------------------------ #
     def predict(self, inputs: np.ndarray, priority: int = 0) -> np.ndarray:
         """Send a batch ``(n, *sample_shape)``; returns outputs ``(n, ...)``."""
-        payload: Dict[str, Any] = {
-            "inputs": np.asarray(inputs, dtype=np.float32).tolist()}
-        if priority:
-            payload["priority"] = int(priority)
-        return np.asarray(self._request("/predict", payload)["outputs"], dtype=np.float32)
+        return self._predict(np.asarray(inputs, dtype=np.float32), priority, single=False)
 
     def predict_one(self, sample: np.ndarray, priority: int = 0) -> np.ndarray:
         """Send a single sample (no batch axis); returns its output vector."""
-        payload: Dict[str, Any] = {
-            "input": np.asarray(sample, dtype=np.float32).tolist()}
-        if priority:
-            payload["priority"] = int(priority)
-        return np.asarray(self._request("/predict", payload)["outputs"], dtype=np.float32)
+        return self._predict(np.asarray(sample, dtype=np.float32), priority, single=True)
 
     def healthz(self) -> Dict[str, Any]:
         return self._request("/healthz")

@@ -1,14 +1,24 @@
 """Stdlib-only HTTP frontend for the micro-batching inference engine.
 
 ``ModelServer`` wires an exported artifact (or an in-memory model) to a
-:class:`~repro.serve.batcher.DynamicBatcher` and exposes three endpoints on a
+:class:`~repro.serve.batcher.DynamicBatcher` and exposes four endpoints on a
 ``ThreadingHTTPServer``:
 
-* ``POST /predict``  — body ``{"inputs": [<sample>, ...]}`` (or a single
-  ``"input"``); each sample must match the artifact's input shape.  Handler
-  threads only parse JSON and wait on the batcher future; every forward pass
-  happens on the single engine worker.  Responses carry the model outputs
-  plus the argmax per sample.
+* ``POST /predict``  — one batch of samples in, the model outputs out, in
+  either of two wires that standard headers pick (:mod:`repro.serve.wire`):
+
+  - **JSON** (any ``Content-Type`` but npy): body ``{"inputs": [<sample>,
+    ...]}`` (or a single ``"input"``) with an optional ``"priority"``;
+  - **npy** (``Content-Type: application/x-npy``): the body is one ``.npy``
+    float32 array of shape ``(n, *input_shape)``, validated header-first,
+    and the priority travels as ``POST /predict?priority=N``.
+
+  A 200 is one ``.npy`` of the float32 outputs, shape
+  ``(n, *output_shape)``, when the request's ``Accept`` lists
+  ``application/x-npy``; otherwise it is JSON with the outputs, the argmax
+  per sample and ``batched_samples``.  Errors are always JSON.  Handler
+  threads only decode, wait on the batcher future and encode; every forward
+  pass happens on the engine workers.
 * ``GET /healthz``   — liveness: model name, uptime, request counter, plus
   the load-shedding signals (batcher queue depth, inference-worker
   liveness); a dead worker reports ``status: "degraded"``.
@@ -17,9 +27,11 @@
   statistics, plus the unified versioned telemetry snapshot
   (:mod:`repro.telemetry`).  ``GET /metrics?format=prometheus`` returns the
   Prometheus text exposition instead.
+* ``POST /respawn``  — replace dead pool workers.
 
 Overload (full request queue) returns ``503`` so closed-loop clients back
-off; malformed bodies return ``400``; unknown routes ``404``.
+off; malformed bodies, and a ``Content-Length`` that is not a non-negative
+integer, return ``400``; unknown routes ``404``.
 """
 
 from __future__ import annotations
@@ -28,12 +40,13 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
 from repro import nn
+from repro.serve import wire
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.artifact import Predictor, load_artifact
 from repro.serve.batcher import BatcherClosedError, BatchingPolicy, DynamicBatcher, QueueFullError
@@ -176,6 +189,16 @@ class ModelServer:
         return self._http_errors.value
 
     def handle_predict(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        """Run one decoded ``/predict`` request.
+
+        ``payload`` is the request as either wire decodes it: ``inputs`` (a
+        batch as nested lists, or the float32 array an npy body holds) or a
+        single ``input``, plus an optional ``priority``.  A 200 result holds
+        the ``outputs`` array, shape ``(n, *output_shape)``, and ``single``
+        (the request used the ``input`` spelling); the handler encodes it in
+        the wire the request's ``Accept`` header picks.  Any other status
+        comes with a JSON error body.
+        """
         started = time.perf_counter()
         if "inputs" in payload:
             raw, single = payload["inputs"], False
@@ -220,13 +243,7 @@ class ModelServer:
             # worker records batch_assembly/inference/respond on its own.
             _tracing.record_span("request", started, finished, cat="serve",
                                  samples=int(batch.shape[0]))
-        result: Dict[str, Any] = {
-            "outputs": outputs[0].tolist() if single else outputs.tolist(),
-            "argmax": (int(np.argmax(outputs[0])) if single
-                       else [int(i) for i in np.argmax(outputs, axis=-1)]),
-            "batched_samples": int(batch.shape[0]),
-        }
-        return 200, result
+        return 200, {"outputs": outputs, "single": single}
 
     def handle_healthz(self) -> Tuple[int, Dict[str, Any]]:
         worker_alive = self.batcher.worker_alive
@@ -274,27 +291,75 @@ class ModelServer:
             self._http_errors.inc()
 
 
+def _json_predict_body(result: Dict[str, Any]) -> Dict[str, Any]:
+    """The JSON body of a 200 ``/predict``: outputs, argmax, batched_samples."""
+    outputs, single = result["outputs"], result["single"]
+    return {
+        "outputs": outputs[0].tolist() if single else outputs.tolist(),
+        "argmax": (int(np.argmax(outputs[0])) if single
+                   else [int(i) for i in np.argmax(outputs, axis=-1)]),
+        "batched_samples": int(outputs.shape[0]),
+    }
+
+
+def _decode_json(body: bytes) -> Dict[str, Any]:
+    payload = json.loads(body or b"{}")
+    if not isinstance(payload, dict):
+        raise ValueError("body must be a JSON object")
+    return payload
+
+
+def _decode_npy(body: bytes, query: Dict[str, List[str]],
+                sample_shape: Optional[Tuple[int, ...]]) -> Dict[str, Any]:
+    payload: Dict[str, Any] = {"inputs": wire.decode(body, sample_shape)}
+    if "priority" in query:
+        payload["priority"] = query["priority"][-1]
+    return payload
+
+
+def _trace_codec(name: str, started: float, wire_name: str, size: int) -> None:
+    """A ``decode``/``encode`` span on the handler thread's lane, beside the
+    ``request`` span :meth:`ModelServer.handle_predict` records."""
+    if _tracing.enabled():
+        _tracing.record_span(name, started, time.perf_counter(), cat="serve",
+                             wire=wire_name, bytes=size)
+
+
 def _make_handler(server: ModelServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
-        def _respond(self, status: int, body: Dict[str, Any]) -> None:
-            encoded = json.dumps(body).encode("utf-8")
+        def _send(self, status: int, content_type: str, encoded: bytes) -> None:
             server._count(status)
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(encoded)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(encoded)
 
-        def _respond_text(self, status: int, body: str) -> None:
-            encoded = body.encode("utf-8")
-            server._count(status)
-            self.send_response(status)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
+        def _respond(self, status: int, body: Dict[str, Any]) -> None:
+            self._send(status, wire.JSON_MEDIA_TYPE, json.dumps(body).encode("utf-8"))
+
+        def _read_body(self) -> Optional[bytes]:
+            """The request body, empty without a ``Content-Length``.
+
+            A length that is not a non-negative integer gets a 400 before
+            anything is read (``rfile.read(-1)`` would block until the client
+            hangs up) and returns None; the request's framing is lost with
+            it, so the connection closes.
+            """
+            length = self.headers.get("Content-Length")
+            if length is None:
+                return b""
+            length = length.strip()
+            if not (length.isascii() and length.isdigit()):
+                self.close_connection = True
+                self._respond(400, {"error": "Content-Length must be a non-negative "
+                                             f"integer, got {length!r}"})
+                return None
+            return self.rfile.read(int(length))
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             parts = urlsplit(self.path)
@@ -303,7 +368,8 @@ def _make_handler(server: ModelServer):
                 self._respond(*server.handle_healthz())
             elif parts.path == "/metrics":
                 if query.get("format", [""])[0] == "prometheus":
-                    self._respond_text(*server.handle_metrics_prometheus())
+                    status, text = server.handle_metrics_prometheus()
+                    self._send(status, "text/plain; version=0.0.4", text.encode("utf-8"))
                 else:
                     self._respond(*server.handle_metrics())
             else:
@@ -311,24 +377,44 @@ def _make_handler(server: ModelServer):
                                              f"endpoints: /predict /healthz /metrics"})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
-            if self.path == "/respawn":
-                # Drain the (ignored) body so a keep-alive connection stays
-                # framed correctly for its next request.
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self._respond(*server.handle_respawn())
-                return
-            if self.path != "/predict":
+            parts = urlsplit(self.path)
+            if parts.path not in ("/predict", "/respawn"):
                 self._respond(404, {"error": f"unknown path {self.path!r}"})
                 return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                if not isinstance(payload, dict):
-                    raise ValueError("body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as error:
-                self._respond(400, {"error": f"invalid JSON body: {error}"})
+            # /respawn ignores its body but reads it too, so a keep-alive
+            # connection stays framed correctly for its next request.
+            body = self._read_body()
+            if body is None:
                 return
-            self._respond(*server.handle_predict(payload))
+            if parts.path == "/respawn":
+                self._respond(*server.handle_respawn())
+            else:
+                self._predict(body, parse_qs(parts.query))
+
+        def _predict(self, body: bytes, query: Dict[str, List[str]]) -> None:
+            """Decode by ``Content-Type``, run, encode a 200 by ``Accept``."""
+            npy = self.headers.get_content_type() == wire.NPY_MEDIA_TYPE
+            started = time.perf_counter()
+            try:
+                payload = (_decode_npy(body, query, server.predictor.input_shape) if npy
+                           else _decode_json(body))
+            except (ValueError, RecursionError) as error:  # deep JSON nesting recurses
+                self._respond(400, {"error": f"invalid {'npy' if npy else 'JSON'} body: "
+                                             f"{error}"})
+                return
+            _trace_codec("decode", started, "npy" if npy else "json", len(body))
+            status, result = server.handle_predict(payload)
+            if status != 200:
+                self._respond(status, result)
+                return
+            started = time.perf_counter()
+            if wire.accepts_npy(self.headers.get("Accept", "")):
+                name, media, encoded = "npy", wire.NPY_MEDIA_TYPE, wire.encode(result["outputs"])
+            else:
+                name, media = "json", wire.JSON_MEDIA_TYPE
+                encoded = json.dumps(_json_predict_body(result)).encode("utf-8")
+            _trace_codec("encode", started, name, len(encoded))
+            self._send(200, media, encoded)
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             logger.debug("http: " + format, *args)

@@ -101,6 +101,23 @@ def leak_ledger():
 
 
 @pytest.fixture
+def sent_requests(monkeypatch):
+    """Every ``urllib.request.Request`` sent while the test runs, in order
+    (the serve client's wire, as the server sees it)."""
+    import urllib.request
+
+    sent = []
+    original = urllib.request.urlopen
+
+    def spy(request, *args, **kwargs):
+        sent.append(request)
+        return original(request, *args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", spy)
+    return sent
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(7)
 

@@ -209,6 +209,21 @@ class TestClientRetry:
         assert excinfo.value.status == 400
         assert handler.hits == 1
 
+    def test_json_only_server_gets_only_json(self, scripted_server, sent_requests):
+        """No probe, no switch: a server that never answers in npy keeps
+        getting JSON bodies, one request per predict."""
+        url, handler = scripted_server([])
+        client = ServeClient(url, retries=0)
+        for _ in range(3):
+            assert client.predict(np.zeros((1, 1), dtype=np.float32)).shape == (1, 1)
+        assert client.predict_one(np.zeros(1, dtype=np.float32), priority=2).shape == (1, 1)
+        assert [(r.get_header("Content-type"), r.get_header("Accept"))
+                for r in sent_requests] == [
+            ("application/json", "application/x-npy, application/json")] * 4
+        for request in sent_requests:
+            json.loads(request.data)
+        assert handler.hits == 4
+
     def test_connection_refused_retries_then_reports_transport_error(self):
         client = ServeClient("http://127.0.0.1:9",    # discard port: refused
                              retries=1, backoff_base_s=0.001, timeout=1.0)

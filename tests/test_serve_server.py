@@ -1,9 +1,13 @@
 """HTTP inference server (repro.serve.server): endpoints, parity, metrics,
-error handling, and concurrent clients — all over a real ThreadingHTTPServer
-on an ephemeral port."""
+error handling, request framing, the JSON and npy wires, and concurrent
+clients — all over a real ThreadingHTTPServer on an ephemeral port."""
 
+import io
+import json
 import socket
 import threading
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -14,16 +18,77 @@ from repro.models import build_model
 from repro.serve import (
     BatchingPolicy,
     ModelServer,
+    Predictor,
     ServeClient,
     ServeClientError,
     export_artifact,
     load_artifact,
 )
+from repro.telemetry import tracing
 from repro.tensor import no_grad
 from repro.utils import active_owned_segments, get_rng, seed_everything
 
 MLP_SPEC = {"name": "mlp",
             "kwargs": {"in_features": 20, "hidden_sizes": [40, 40], "num_classes": 6}}
+
+JSON = "application/json"
+NPY = "application/x-npy"
+
+#: The benchmark's input: the ResNet cell serves 3x16x16 images.
+CELL_SHAPE = (3, 16, 16)
+
+PROCESS = pytest.param("process", marks=pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable"))
+
+
+def npy_body(array, **kwargs):
+    stream = io.BytesIO()
+    np.lib.format.write_array(stream, array, **kwargs)
+    return stream.getvalue()
+
+
+def post(url, body, content_type, accept=None):
+    """One raw POST; ``(status, response media type, response body)``."""
+    headers = {"Content-Type": content_type}
+    if accept:
+        headers["Accept"] = accept
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, response.headers.get_content_type(), response.read()
+    except urllib.error.HTTPError as error:
+        try:
+            return error.code, error.headers.get_content_type(), error.read()
+        finally:
+            error.close()
+
+
+def npy_header(shape):
+    """A format-1.0 ``<f4`` header declaring ``shape`` (a tuple, or the
+    text of one), padded as numpy pads it, with no payload."""
+    text = f"{{'descr': '<f4', 'fortran_order': False, 'shape': {shape}, }}".encode()
+    text += b" " * (-(len(text) + 11) % 64) + b"\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text
+
+
+def resnet_cell():
+    """The factorized ResNet-18 x0.125 cell, ready to serve 3x16x16 inputs."""
+    seed_everything(5)
+    model = build_model("resnet18", num_classes=10, width_mult=0.125, small_input=True)
+    paths = [p for p in model.factorization_candidates()
+             if p.startswith(("layer1.", "layer2.", "layer3."))]
+    ranks = {p: max(1, full_rank_of(model.get_submodule(p)) // 4) for p in paths}
+    factorize_model(model, ranks, skip_non_reducing=False)
+    model.eval()
+    return model
+
+
+@pytest.fixture
+def cell_server():
+    """A thread-mode server of the ResNet cell."""
+    predictor = Predictor(resnet_cell(), manifest={"input_shape": list(CELL_SHAPE)})
+    with ModelServer(predictor, port=0) as instance:
+        yield instance
 
 
 @pytest.fixture
@@ -80,6 +145,7 @@ class TestEndpoints:
         with no_grad():
             expected = np.argmax(model(x).data, axis=-1)
         assert body["argmax"] == [int(i) for i in expected]
+        assert body["batched_samples"] == 4
 
     def test_metrics_populated_after_traffic(self, server):
         instance, _ = server
@@ -163,6 +229,13 @@ class TestEndpoints:
             ServeClient(instance.url).predict(np.zeros((2, 7), dtype=np.float32))
         assert excinfo.value.status == 400
         assert "shape" in excinfo.value.body["error"]
+
+    def test_deeply_nested_json_body_400(self, server):
+        instance, _ = server
+        status, media, reply = post(f"{instance.url}/predict",
+                                    b"[" * 100_000 + b"]" * 100_000, JSON)
+        assert (status, media) == (400, JSON)
+        assert json.loads(reply)["error"].startswith("invalid JSON body")
 
     def test_ragged_inputs_400(self, server):
         instance, _ = server
@@ -306,16 +379,36 @@ class TestPoolServing:
             out = ServeClient(instance.url).predict(x)
         assert np.array_equal(out, direct)
 
-    def test_priority_field_accepted_and_bad_priority_400(self, mlp_artifact):
+    def test_priority_field_accepted_and_bad_priority_400(self, mlp_artifact, sent_requests,
+                                                          monkeypatch):
         path, _ = mlp_artifact
         with ModelServer(path, port=0) as instance:
+            admission = instance.batcher.admission
+            admitted = []
+            original = admission.admit
+
+            def spy(request, timeout):
+                admitted.append(request.priority)
+                return original(request, timeout)
+
+            monkeypatch.setattr(admission, "admit", spy)
             client = ServeClient(instance.url)
-            out = client.predict_one(np.zeros(20, dtype=np.float32), priority=3)
-            assert out.shape == (6,)
+            # A JSON "priority" field, then ?priority=3 once on the npy wire.
+            for _ in range(2):
+                out = client.predict_one(np.zeros(20, dtype=np.float32), priority=3)
+                assert out.shape == (6,)
+            assert admitted == [3, 3]
+            second = sent_requests[1]
+            assert second.get_header("Content-type") == NPY
+            assert second.full_url == f"{instance.url}/predict?priority=3"
             status, body = instance.handle_predict(
                 {"input": [0.0] * 20, "priority": "urgent"})
             assert status == 400
             assert "priority" in body["error"]
+            status, media, reply = post(f"{instance.url}/predict?priority=urgent",
+                                        npy_body(np.zeros((1, 20), np.float32)), NPY)
+            assert (status, media) == (400, JSON)
+            assert "priority" in json.loads(reply)["error"]
 
     def test_dead_pool_returns_retryable_503_and_respawn_recovers(self, mlp_artifact):
         path, _ = mlp_artifact
@@ -352,3 +445,131 @@ class TestPoolServing:
             assert client.healthz()["status"] == "ok"
         finally:
             instance.stop()
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("path, length", [("/predict", "-1"), ("/respawn", "abc")])
+    def test_bad_content_length_400_before_any_read(self, server, path, length):
+        """Answered at once, and the connection closes: the framing is lost."""
+        instance, _ = server
+        host, port = instance.address
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Type: application/json\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+
+class TestNpyWire:
+    def test_first_body_is_json_then_npy(self, server, sent_requests):
+        instance, _ = server
+        x = get_rng(offset=2).standard_normal((4, 20)).astype(np.float32)
+        client = ServeClient(instance.url)
+        for _ in range(3):
+            client.predict(x)
+        client.predict_one(x[0])
+        assert [r.get_header("Content-type") for r in sent_requests] == [JSON, NPY, NPY, NPY]
+
+    @pytest.mark.parametrize("mode", ["thread", PROCESS])
+    @pytest.mark.parametrize("cell", ["mlp", "resnet"])
+    def test_outputs_bit_equal_across_wires(self, mlp_artifact, cell, mode):
+        if cell == "mlp":
+            source, model = mlp_artifact
+            shape = (20,)
+        else:
+            model, shape = resnet_cell(), CELL_SHAPE
+            source = Predictor(model, manifest={"input_shape": list(shape)})
+        x = get_rng(offset=4).standard_normal((8,) + shape).astype(np.float32)
+        with no_grad():
+            direct = model(x).data
+        with ModelServer(source, port=0, mode=mode,
+                         policy=BatchingPolicy(max_batch_size=8, max_wait_ms=5.0)) as instance:
+            client = ServeClient(instance.url)
+            outputs = [client.predict(x), client.predict(x)]   # JSON body, then npy
+            reply = client._request("/predict", {"inputs": x.tolist()})   # JSON only
+        plain = np.asarray(reply["outputs"], dtype=np.float32)
+        np.testing.assert_array_equal(plain, direct)
+        for out in outputs:
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(out, direct)
+            np.testing.assert_array_equal(out, plain)
+
+    def test_predict_one_is_row_zero_of_predict(self, server):
+        instance, _ = server
+        x = get_rng(offset=7).standard_normal((1, 20)).astype(np.float32)
+        client = ServeClient(instance.url)
+        batch = client.predict(x)
+        single = client.predict_one(x[0])        # sent as a batch of one
+        assert single.shape == (6,) and single.flags.writeable
+        np.testing.assert_array_equal(single, batch[0])
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)], ids=["1.0", "2.0", "3.0"])
+    def test_every_npy_format_version_is_read(self, server, version):
+        instance, model = server
+        x = get_rng(offset=8).standard_normal((4, 20)).astype(np.float32)
+        with no_grad():
+            direct = model(x).data
+        status, media, reply = post(f"{instance.url}/predict",
+                                    npy_body(x, version=version), NPY, accept=NPY)
+        assert (status, media) == (200, NPY)
+        outputs = np.load(io.BytesIO(reply), allow_pickle=False)
+        assert outputs.dtype == np.dtype("<f4")
+        np.testing.assert_array_equal(outputs, direct)
+
+    @pytest.mark.parametrize("body, problem", [
+        pytest.param(lambda: npy_body(np.zeros((2,) + CELL_SHAPE, "<f8")), "dtype",
+                     id="float64"),
+        pytest.param(lambda: npy_body(np.zeros((2,) + CELL_SHAPE, ">f4")), "dtype",
+                     id="big-endian"),
+        pytest.param(lambda: npy_body(np.empty((2,) + CELL_SHAPE, object),
+                                      allow_pickle=True), "dtype", id="pickled-object"),
+        pytest.param(lambda: npy_body(np.asfortranarray(
+            np.zeros((2,) + CELL_SHAPE, np.float32))), "C order", id="fortran-order"),
+        pytest.param(lambda: npy_body(np.zeros((2, 3, 16, 15), np.float32)), "shape",
+                     id="sample-shape"),
+        pytest.param(lambda: npy_body(np.zeros((0,) + CELL_SHAPE, np.float32)),
+                     "at least one sample", id="zero-rows"),
+        pytest.param(lambda: npy_body(np.zeros((2,) + CELL_SHAPE, np.float32))[:-4],
+                     "payload bytes", id="truncated"),
+        pytest.param(lambda: npy_body(np.zeros((2,) + CELL_SHAPE, np.float32)) + bytes(4),
+                     "payload bytes", id="trailing-bytes"),
+        pytest.param(lambda: json.dumps({"inputs": [[0.0]]}).encode(), "not a .npy",
+                     id="not-npy"),
+        # read_array would try to allocate 279 TiB for this header.
+        pytest.param(lambda: npy_header((10**11,) + CELL_SHAPE) + bytes(3000),
+                     "payload bytes", id="huge-declared-shape"),
+        # ast.literal_eval raises RecursionError on this header.
+        pytest.param(lambda: npy_header("(" + "-" * 4000 + "2, 3, 16, 16)") + bytes(6144),
+                     "not a .npy", id="deeply-nested-header"),
+    ])
+    def test_decoder_rejects_with_json_400(self, cell_server, body, problem):
+        status, media, reply = post(f"{cell_server.url}/predict", body(), NPY, accept=NPY)
+        assert (status, media) == (400, JSON)
+        error = json.loads(reply)["error"]
+        assert error.startswith("invalid npy body") and problem in error
+
+    def test_codec_spans_name_their_wire(self, server):
+        instance, _ = server
+        x = get_rng(offset=3).standard_normal((2, 20)).astype(np.float32)
+        body = npy_body(x)
+        session = tracing.enable("serve")
+        try:
+            ServeClient(instance.url)._request("/predict", {"inputs": x.tolist()})
+            _, _, reply = post(f"{instance.url}/predict", body, NPY, accept=NPY)
+        finally:
+            tracing.disable()
+        codec = sorted((e["name"], e["args"]["wire"], e["args"]["bytes"])
+                       for e in session.event_dicts()
+                       if e["name"] in ("decode", "encode") and e["cat"] == "serve")
+        assert [(name, wire) for name, wire, _ in codec] == [
+            ("decode", "json"), ("decode", "npy"), ("encode", "json"), ("encode", "npy")]
+        assert codec[1][2] == len(body) and codec[3][2] == len(reply)
