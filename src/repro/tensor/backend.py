@@ -13,14 +13,17 @@ Backends are registered exactly like models and training methods::
     class MyBackend(Backend):
         ...
 
-    set_backend("my-backend")          # or use_backend("...") as a context
+    set_backend("my-backend")          # the process default
+    with use_backend("my-backend"):    # this thread only, for the block
+        ...
 
 Two backends ship with the library:
 
 ``numpy`` (default)
     The reference execution strategy.  Every op allocates fresh buffers and
     the hot paths run as the same op chains the original engine recorded, so
-    results are bit-for-bit identical to the historical implementation.
+    results are bit-for-bit identical to the historical implementation, except
+    where GELU cubes its input (``x * x * x``; the seed engine used ``** 3``).
 
 ``numpy-fast``
     The same arithmetic, scheduled differently: gradient buffers are drawn
@@ -43,6 +46,7 @@ from traced shapes.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
 
@@ -213,31 +217,54 @@ def _instance(name: str) -> Backend:
     return _INSTANCES[name]
 
 
+class _ThreadBackend(threading.local):
+    """The calling thread's :func:`use_backend` override (``None``: none).
+
+    Per thread for the reason grad mode is: thread-mode serve workers each
+    enter ``use_backend`` around every forward, and with one process-wide
+    slot interleaved exits would restore each other's saved backend.  A
+    forked child keeps the forking thread's override.
+    """
+
+    override: Optional[Backend] = None
+
+
+_thread = _ThreadBackend()
+
+
+def _resolve(backend: Union[str, Backend]) -> Backend:
+    if isinstance(backend, str):
+        return _instance(backend)
+    if not isinstance(backend, Backend):
+        raise TypeError(f"expected a backend name or Backend instance, got {type(backend)!r}")
+    return backend
+
+
 def get_backend() -> Backend:
-    """The backend every tensor op currently dispatches through."""
-    return _active
+    """The backend the calling thread's tensor ops dispatch through."""
+    override = _thread.override
+    return _default if override is None else override
 
 
 def set_backend(backend: Union[str, Backend]) -> Backend:
-    """Install ``backend`` (a registered name or an instance) as active."""
-    global _active
-    if isinstance(backend, str):
-        backend = _instance(backend)
-    elif not isinstance(backend, Backend):
-        raise TypeError(f"set_backend expects a name or Backend instance, got {type(backend)!r}")
-    _active = backend
-    return backend
+    """Install ``backend`` (a registered name or an instance) as the process
+    default: every thread not inside a :func:`use_backend` block uses it."""
+    global _default
+    _default = _resolve(backend)
+    return _default
 
 
 @contextlib.contextmanager
 def use_backend(backend: Union[str, Backend]) -> Iterator[Backend]:
-    """Temporarily switch the active backend (restores the previous one)."""
-    previous = _active
-    installed = set_backend(backend)
+    """Switch the calling thread's backend for the block; other threads and
+    the process default are untouched."""
+    installed = _resolve(backend)
+    previous = _thread.override
+    _thread.override = installed
     try:
         yield installed
     finally:
-        set_backend(previous)
+        _thread.override = previous
 
 
 # --------------------------------------------------------------------------- #
@@ -460,7 +487,7 @@ class NumpyCompiledBackend(NumpyFastBackend):
         super().give(array)
 
 
-_active: Backend = _instance("numpy")
+_default: Backend = _instance("numpy")
 
 __all__ = [
     "DEFAULT_DTYPE",

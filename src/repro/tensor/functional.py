@@ -36,7 +36,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.tensor.backend import DEFAULT_DTYPE, get_backend
-from repro.tensor.ops import Op, _unbroadcast
+from repro.tensor.ops import Op, _unbroadcast, gelu_forward, gelu_local_grad
 from repro.tensor.tensor import Tensor, apply_op
 from repro.tensor import tensor as _tensor_core
 
@@ -623,10 +623,7 @@ class LinearActOp(Op):
             if self.needs is not None:
                 self.mask = mask
         elif self.activation == "gelu":
-            c = np.sqrt(2.0 / np.pi).astype(DEFAULT_DTYPE)
-            inner = c * (y + 0.044715 * y ** 3)
-            tanh_inner = np.tanh(inner)
-            out = 0.5 * y * (1.0 + tanh_inner)
+            out, tanh_inner = gelu_forward(y)
             if self.needs is not None:
                 self.pre = y
                 self.tanh_inner = tanh_inner
@@ -641,11 +638,7 @@ class LinearActOp(Op):
         if self.activation == "relu":
             g = grad * self.mask
         elif self.activation == "gelu":
-            c = np.sqrt(2.0 / np.pi).astype(DEFAULT_DTYPE)
-            sech2 = 1.0 - self.tanh_inner ** 2
-            d_inner = c * (1.0 + 3 * 0.044715 * self.pre ** 2)
-            local = 0.5 * (1.0 + self.tanh_inner) + 0.5 * self.pre * sech2 * d_inner
-            g = grad * local
+            g = grad * gelu_local_grad(self.pre, self.tanh_inner)
 
         x, w = self.x, self.w
         grad_x = grad_w = grad_b = None

@@ -8,7 +8,9 @@ objects — the engine in ``tensor.py`` owns graph bookkeeping, and the active
 :class:`~repro.tensor.backend.Backend` owns buffer policy.
 
 Every formula here is a verbatim port of the original per-call backward
-closures, so gradients are bit-for-bit identical to the seed engine.  Ops
+closures, so gradients are bit-for-bit identical to the seed engine.  The
+one exception is GELU's forward, which cubes by multiplication
+(:func:`gelu_forward`) where the seed engine called ``** 3``.  Ops
 may return broadcast/transpose *views* from ``backward`` — the backend
 copies during accumulation, never writes through the returned array.
 
@@ -206,26 +208,45 @@ class ReluOp(Op):
         return (grad * self.mask,)
 
 
-class GeluOp(Op):
-    """GELU, tanh approximation (same constants as the seed implementation)."""
+# sqrt(2/pi) of GELU's tanh approximation, rounded to float32 once.
+_GELU_C = np.sqrt(2.0 / np.pi).astype(DEFAULT_DTYPE)
 
-    __slots__ = ("a", "tanh_inner", "c")
+
+def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """GELU's tanh approximation of ``x``: returns ``(out, tanh_inner)``.
+
+    The one GELU kernel: :class:`GeluOp` and the fused ``linear_act`` both
+    call it.  The cube is ``x * x * x``, not ``x ** 3``: numpy's float32
+    ``power`` can take 70-100x longer on negative inputs than on positive
+    ones, and its bits depend on which SIMD kernel numpy dispatches to.
+    Two multiplies are cheap for either sign and give the same bytes on
+    every host.
+    """
+    tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+
+
+def gelu_local_grad(x: np.ndarray, tanh_inner: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``, from the ``tanh_inner`` its forward returned."""
+    sech2 = 1.0 - tanh_inner ** 2
+    d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+    return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
+
+
+class GeluOp(Op):
+    """GELU, tanh approximation (:func:`gelu_forward`)."""
+
+    __slots__ = ("a", "tanh_inner")
     name = "gelu"
 
     def forward(self, be, a):
-        c = np.sqrt(2.0 / np.pi).astype(DEFAULT_DTYPE)
-        inner = c * (a + 0.044715 * a ** 3)
-        tanh_inner = np.tanh(inner)
+        out, tanh_inner = gelu_forward(a)
         if self.needs is not None:
-            self.a, self.tanh_inner, self.c = a, tanh_inner, c
-        return 0.5 * a * (1.0 + tanh_inner)
+            self.a, self.tanh_inner = a, tanh_inner
+        return out
 
     def backward(self, be, grad):
-        a, tanh_inner, c = self.a, self.tanh_inner, self.c
-        sech2 = 1.0 - tanh_inner ** 2
-        d_inner = c * (1.0 + 3 * 0.044715 * a ** 2)
-        local = 0.5 * (1.0 + tanh_inner) + 0.5 * a * sech2 * d_inner
-        return (grad * local,)
+        return (grad * gelu_local_grad(self.a, self.tanh_inner),)
 
 
 class AbsOp(Op):

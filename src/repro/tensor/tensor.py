@@ -22,7 +22,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.tensor import backend as _backend
 from repro.tensor import ops as _ops
 # DEFAULT_DTYPE / _unbroadcast / the backend selectors are re-exported here
 # for modules that historically imported them from repro.tensor.tensor.
@@ -88,7 +87,7 @@ def apply_op(op: Op, *inputs: "Tensor") -> "Tensor":
     result records the op and its parents; otherwise a bare tensor is
     returned and the op saves no context (graph-free inference).
     """
-    be = _backend._active
+    be = get_backend()
     if _grad_mode.enabled and any(t.requires_grad for t in inputs):
         op.needs = tuple(t.requires_grad for t in inputs)
         data = op.forward(be, *[t.data for t in inputs])
@@ -182,7 +181,7 @@ class Tensor:
         return apply_op(_ops.CloneOp(), self)
 
     def zero_grad(self) -> None:
-        _backend._active.release_grad(self)
+        get_backend().release_grad(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
@@ -220,7 +219,7 @@ class Tensor:
                 if id(child) not in visited:
                     stack.append((child, False))
 
-        be = _backend._active
+        be = get_backend()
         release = not be.retain_intermediate_grads
         pooled = be.pool_buffers
         self.grad = grad.astype(DEFAULT_DTYPE, copy=True).reshape(self.data.shape)

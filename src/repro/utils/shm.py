@@ -27,6 +27,7 @@ Design rules (they exist because of real footguns):
 from __future__ import annotations
 
 import atexit
+import logging
 import os
 import secrets
 import threading
@@ -62,14 +63,27 @@ def _cleanup_owned() -> None:
     pid = os.getpid()
     with _registry_lock:
         entries = list(_owned.items())
+    leaked = []
     for name, (segment, owner_pid) in entries:
         if owner_pid != pid:
             continue
-        logger.warning("shm segment %s leaked past its owner; unlinking at exit", name)
+        leaked.append(name)
         try:
             segment.unlink()
         except Exception:  # noqa: BLE001 — best-effort teardown
             pass
+    # Report only after every unlink, and quietly: by the time atexit runs a
+    # handler's stream may be closed already (pytest closes its capture
+    # streams first), and logging would print a "--- Logging error ---"
+    # traceback for every record.
+    raise_exceptions, logging.raiseExceptions = logging.raiseExceptions, False
+    try:
+        for name in leaked:
+            logger.warning("shm segment %s leaked past its owner; unlinked at exit", name)
+    except Exception:  # noqa: BLE001 — the report is best effort
+        pass
+    finally:
+        logging.raiseExceptions = raise_exceptions
 
 
 def _register(segment: "SharedSegment") -> None:

@@ -1,17 +1,22 @@
 """Tests for the execution-backend layer.
 
-Covers the registry surface, exact numerical equivalence between the
-``numpy`` and ``numpy-fast`` backends on a real training run, bit-exact
-fused-vs-unfused kernel parity, per-op counters, the arena allocator, the
-graph-free inference mode, and the small Tensor API fixes that rode along
-(``item()`` errors, numpy scalar exponents, deterministic dropout fallback).
+Covers the registry surface and per-thread backend selection, exact
+numerical equivalence between the ``numpy`` and ``numpy-fast`` backends on a
+real training run, bit-exact fused-vs-unfused kernel parity, the one GELU
+kernel, per-op counters, the arena allocator, the graph-free inference mode,
+and the small Tensor API fixes that rode along (``item()`` errors, numpy
+scalar exponents, deterministic dropout fallback).
 """
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.tensor import (
     Tensor,
@@ -25,6 +30,8 @@ from repro.tensor import (
     use_backend,
 )
 from repro.tensor.backend import Backend, NumpyFastBackend, register_backend
+from repro.tensor.ops import Op
+from repro.tensor.tensor import apply_op
 from repro.utils import seed_everything
 
 
@@ -74,6 +81,106 @@ class TestRegistry:
             with use_backend("numpy-fast"):
                 raise RuntimeError("boom")
         assert get_backend().name == "numpy"
+
+    def test_use_backend_is_per_thread(self):
+        # A enters, B enters, A exits, B exits: with one process-wide slot A's
+        # exit would put B back on "numpy" and B's exit would leave the main
+        # thread on "numpy-fast".
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {"a": [], "b": []}
+
+        def thread_a():
+            with use_backend("numpy-fast"):
+                seen["a"].append(_dispatched_backends())
+                a_in.set()
+                b_in.wait(30.0)
+                seen["a"].append(_dispatched_backends())
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(30.0)
+            with use_backend("numpy-compiled"):
+                seen["b"].append(_dispatched_backends())
+                b_in.set()
+                a_out.wait(30.0)
+                seen["b"].append(_dispatched_backends())
+
+        main = get_backend()
+        workers = [threading.Thread(target=thread_a, name="backend-a"),
+                   threading.Thread(target=thread_b, name="backend-b")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen["a"] == [("numpy-fast", "numpy-fast")] * 2
+        assert seen["b"] == [("numpy-compiled", "numpy-compiled")] * 2
+        assert get_backend() is main
+
+    def test_set_backend_is_every_threads_default(self):
+        seen = []
+        try:
+            with use_backend("numpy-compiled"):
+                set_backend("numpy-fast")
+                # This thread's block still overrides the new default ...
+                assert get_backend().name == "numpy-compiled"
+                # ... which a thread without a block of its own picks up.
+                worker = threading.Thread(target=lambda: seen.append(get_backend().name))
+                worker.start()
+                worker.join(timeout=30.0)
+            assert get_backend().name == "numpy-fast"
+        finally:
+            set_backend("numpy")
+        assert seen == ["numpy-fast"]
+
+    def test_forked_child_keeps_the_forking_threads_backend(self):
+        read_fd, write_fd = os.pipe()
+
+        def fork_inside_block():
+            with use_backend("numpy-fast"):
+                pid = os.fork()
+                if pid == 0:  # the child: one thread, a copy of this one
+                    os.write(write_fd, get_backend().name.encode())
+                    os._exit(0)
+            os.waitpid(pid, 0)
+
+        try:
+            worker = threading.Thread(target=fork_inside_block, name="forker")
+            worker.start()
+            worker.join(timeout=30.0)
+            os.close(write_fd)
+            write_fd = None
+            with os.fdopen(read_fd, "rb") as reader:
+                read_fd = None
+                assert reader.read() == b"numpy-fast"
+        finally:
+            for fd in (read_fd, write_fd):
+                if fd is not None:
+                    os.close(fd)
+        assert get_backend().name == "numpy"
+
+
+class _DispatchProbe(Op):
+    """Identity op that records the backend its forward and backward get."""
+
+    __slots__ = ("seen",)
+    name = "dispatch_probe"
+
+    def forward(self, be, a):
+        self.seen = [be.name]
+        return a.copy()
+
+    def backward(self, be, grad):
+        self.seen.append(be.name)
+        return (grad,)
+
+
+def _dispatched_backends():
+    """(forward, backward) backend names one op sees on the calling thread."""
+    probe = _DispatchProbe()
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    apply_op(probe, x).sum().backward()
+    return tuple(probe.seen)
 
 
 # --------------------------------------------------------------------------- #
@@ -199,32 +306,111 @@ class TestFusedKernelParity:
         self._assert_bit_equal(fn, [x, w, b])
 
     def test_linear_act_matches_manual_chain(self):
-        # Explicit fused call vs the composed matmul+bias+activation graph.
+        # Explicit fused call vs the composed matmul+bias+activation graph,
+        # on a tiny batch and on a mixed-sign (64, 32) one whose
+        # pre-activations reach far enough left of zero for GELU's cube to
+        # matter.
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((5, 4)).astype(np.float32)
-        w = rng.standard_normal((3, 4)).astype(np.float32)
-        b = rng.standard_normal(3).astype(np.float32)
-        for activation in [None, "relu", "gelu"]:
-            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-            fused = F.linear_act(xt, wt, bt, activation=activation)
-            fused.sum().backward()
+        for n, d_in, d_out in [(5, 4, 3), (64, 32, 48)]:
+            x = rng.standard_normal((n, d_in)).astype(np.float32)
+            w = rng.standard_normal((d_out, d_in)).astype(np.float32)
+            b = rng.standard_normal(d_out).astype(np.float32)
+            for activation in [None, "relu", "gelu"]:
+                xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                fused = F.linear_act(xt, wt, bt, activation=activation)
+                fused.sum().backward()
 
-            xc, wc, bc = (Tensor(a, requires_grad=True) for a in (x, w, b))
-            chain = xc.matmul(wc.transpose()) + bc
-            if activation == "relu":
-                chain = chain.relu()
-            elif activation == "gelu":
-                chain = chain.gelu()
-            chain.sum().backward()
+                xc, wc, bc = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                chain = xc.matmul(wc.transpose()) + bc
+                if activation == "relu":
+                    chain = chain.relu()
+                elif activation == "gelu":
+                    chain = chain.gelu()
+                chain.sum().backward()
 
-            assert np.array_equal(fused.data, chain.data)
-            assert np.array_equal(xt.grad, xc.grad)
-            assert np.array_equal(wt.grad, wc.grad)
-            assert np.array_equal(bt.grad, bc.grad)
+                assert np.array_equal(fused.data, chain.data)
+                assert np.array_equal(xt.grad, xc.grad)
+                assert np.array_equal(wt.grad, wc.grad)
+                assert np.array_equal(bt.grad, bc.grad)
 
     def test_linear_act_rejects_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
             F.linear_act(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), activation="swish")
+
+
+# --------------------------------------------------------------------------- #
+# The one GELU kernel
+# --------------------------------------------------------------------------- #
+_GELU_C = np.float32(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_by_formula(x):
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+
+
+def _gelu_inputs():
+    """(1024, 64) float32: signed magnitudes from 1e-20 to 1e13, a dense band
+    around zero, and both zeros."""
+    rng = np.random.default_rng(18)
+    wide = np.logspace(-20, 13, 64 * 64) * rng.choice([-1.0, 1.0], size=64 * 64)
+    band = rng.standard_normal(64 * 960 - 2) * 4.0
+    x = np.concatenate([wide, band, [0.0, -0.0]]).astype(np.float32)
+    rng.shuffle(x)
+    return x.reshape(1024, 64)
+
+
+def _dispatched_avx512_targets():
+    """The AVX-512 targets numpy dispatches kernels to on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [target for target in __cpu_dispatch__
+            if (target.startswith("AVX512") or target == "X86_V4")
+            and __cpu_features__.get(target)]
+
+
+class TestGeluKernel:
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-fast", "numpy-compiled"])
+    def test_gelu_is_the_explicit_formula(self, backend):
+        x = _gelu_inputs()
+        eye = np.eye(64, dtype=np.float32)
+        with np.errstate(over="ignore"), use_backend(backend):  # (1e13)**3 is inf
+            expected = _gelu_by_formula(x)
+            out = Tensor(x).gelu().data
+            fused = F.linear_act(Tensor(x), Tensor(eye), activation="gelu").data
+        assert out.tobytes() == expected.tobytes()
+        # x @ I is exact up to the sign of zero (-0*1 + 0*... sums to +0).
+        assert np.array_equal(fused, expected)
+
+    def test_gelu_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
+        targets = _dispatched_avx512_targets()
+        if not targets:
+            pytest.skip("numpy dispatches no AVX-512 kernels on this host")
+        x = _gelu_inputs()
+        np.save(tmp_path / "x.npy", x)
+        with np.errstate(over="ignore"):
+            here = Tensor(x).gelu().data
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), env.get("PYTHONPATH", "")])
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.tensor import Tensor\n"
+            "try:\n"
+            "    from numpy._core._multiarray_umath import __cpu_features__\n"
+            "except ImportError:\n"
+            "    from numpy.core._multiarray_umath import __cpu_features__\n"
+            "assert not any(__cpu_features__[t] for t in sys.argv[3:]), 'still dispatched'\n"
+            "with np.errstate(over='ignore'):\n"
+            "    np.save(sys.argv[2], Tensor(np.load(sys.argv[1])).gelu().data)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "x.npy"), str(tmp_path / "out.npy"),
+             *targets],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert np.load(tmp_path / "out.npy").tobytes() == here.tobytes()
 
 
 # --------------------------------------------------------------------------- #

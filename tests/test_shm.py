@@ -115,6 +115,25 @@ class TestGuaranteedCleanup:
         name = proc.stdout.strip().splitlines()[-1]
         assert name.startswith(SEGMENT_PREFIX)
         assert not os.path.exists(shm_path(name))
+        assert f"shm segment {name} leaked past its owner" in proc.stderr
+
+    def test_atexit_sweep_is_quiet_when_the_log_stream_is_closed(self):
+        # pytest closes its capture streams before atexit handlers run.  The
+        # sweep must still unlink, and its report must not make logging print
+        # a "--- Logging error ---" traceback.
+        proc = run_py(
+            "import io, logging\n"
+            "from repro.utils.shm import SharedSegment\n"
+            "seg = SharedSegment(64)\n"
+            "print(seg.name, flush=True)\n"
+            "closed = io.StringIO()\n"
+            "closed.close()\n"
+            "logging.getLogger('repro').handlers[0].setStream(closed)\n")
+        assert proc.returncode == 0, proc.stderr
+        name = proc.stdout.strip().splitlines()[-1]
+        assert not os.path.exists(shm_path(name))
+        assert "Logging error" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_atexit_sweep_runs_on_crash(self):
         # Abnormal exit (uncaught exception past any finally) still unlinks.

@@ -72,9 +72,16 @@ class TestBasicArithmetic:
 
 
 class TestElementwiseFunctions:
-    @pytest.mark.parametrize("name", ["exp", "log", "tanh", "sigmoid", "relu", "gelu", "abs", "sqrt"])
-    def test_unary_gradients_match_numeric(self, name, rng, gradcheck):
-        x = (rng.random((4, 3)) + 0.5).astype(np.float64)   # positive for log/sqrt
+    @pytest.mark.parametrize("name, positive", [
+        *(pytest.param(n, True, id=n)
+          for n in ["exp", "log", "tanh", "sigmoid", "relu", "gelu", "abs", "sqrt"]),
+        pytest.param("gelu", False, id="gelu-mixed-sign"),
+    ])
+    def test_unary_gradients_match_numeric(self, name, positive, rng, gradcheck):
+        if positive:   # for log/sqrt
+            x = (rng.random((4, 3)) + 0.5).astype(np.float64)
+        else:
+            x = (rng.random((4, 3)) * 6.0 - 3.0).astype(np.float64)
         xt = Tensor(x, requires_grad=True)
         getattr(xt, name)().sum().backward()
         numeric = gradcheck(lambda: float(getattr(Tensor(x), name)().sum().data), x)
