@@ -38,7 +38,7 @@ def training_step_rate(
 ) -> Dict[str, float]:
     """Steps/sec of the full train step (forward, backward, optimizer).
 
-    Runs under :func:`repro.tensor.use_backend` so the caller's global
+    Runs under :func:`repro.tensor.use_backend` so the calling thread's
     backend is restored; ``benchmarks/bench_throughput.py`` wraps this in a
     subprocess per measurement when full allocator isolation (or the
     historical seed engine) is wanted.

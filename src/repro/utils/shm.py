@@ -74,14 +74,13 @@ def _cleanup_owned() -> None:
             pass
     # Report only after every unlink, and quietly: by the time atexit runs a
     # handler's stream may be closed already (pytest closes its capture
-    # streams first), and logging would print a "--- Logging error ---"
-    # traceback for every record.
+    # streams first).  With raiseExceptions off, a handler that fails to
+    # write drops the record instead of printing a "--- Logging error ---"
+    # traceback.
     raise_exceptions, logging.raiseExceptions = logging.raiseExceptions, False
     try:
         for name in leaked:
             logger.warning("shm segment %s leaked past its owner; unlinked at exit", name)
-    except Exception:  # noqa: BLE001 — the report is best effort
-        pass
     finally:
         logging.raiseExceptions = raise_exceptions
 

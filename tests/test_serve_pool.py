@@ -58,13 +58,21 @@ def _mlp_predictor():
     return Predictor(model)
 
 
-def _resnet_predictor():
+def _resnet_predictor(backend=None):
     """The ResNet cell (resnet18 x0.125): convs, BatchNorm and pooling down
     to 2x2 maps on 16x16 inputs."""
     seed_everything(7)
     model = build_model("resnet18", num_classes=10, width_mult=0.125)
     model.eval()
-    return Predictor(model)
+    return Predictor(model, backend=backend)
+
+
+def _conv_calls(backend):
+    """conv2d calls the named backend has counted so far.  Counters belong to
+    the backend instance, so they count every thread's forwards."""
+    with use_backend(backend) as be:
+        count = be.counters().get("conv2d")
+    return count.calls if count is not None else 0
 
 
 def _echo_predict(batch):
@@ -145,31 +153,36 @@ class TestPoolBitInvariance:
         """Thread-mode workers run predictor clones concurrently; numpy drops
         the GIL inside every copy and GEMM, so any buffer two forwards share
         gets overwritten mid-use.  Every concurrent output must equal the
-        serial one."""
+        serial one.  The predictor names its backend, as a served artifact's
+        does: a worker thread runs on that backend, not on whatever the
+        thread that started it had entered with ``use_backend``."""
         calls = 40
-        predictor = _resnet_predictor()
+        predictor = _resnet_predictor(backend)
         batch = _images(8)
-        with use_backend(backend):
-            expected = predictor(batch)
-            clones = [predictor.clone() for _ in range(2)]
-            outputs = [[] for _ in clones]
+        expected = predictor(batch)
+        clones = [predictor.clone() for _ in range(2)]
+        outputs = [[] for _ in clones]
 
-            def serve(index):
-                for _ in range(calls):
-                    outputs[index].append(clones[index](batch))
+        def serve(index):
+            for _ in range(calls):
+                outputs[index].append(clones[index](batch))
 
-            threads = [threading.Thread(target=serve, args=(i,), name=f"race-{i}")
-                       for i in range(len(clones))]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60.0)
-            finally:
-                sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=serve, args=(i,), name=f"race-{i}")
+                   for i in range(len(clones))]
+        convs_before = _conv_calls(backend)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        # The workers ran on the backend under test: each forward is many
+        # convs, so even a lost counter update leaves one per forward.
+        assert _conv_calls(backend) - convs_before >= calls * len(clones)
         for results in outputs:
             assert len(results) == calls
             wrong = sum(not np.array_equal(out, expected) for out in results)
