@@ -80,10 +80,6 @@ class CompiledPlan:
     # Introspection (tests, docs)
     # ------------------------------------------------------------------ #
     @property
-    def num_forward_steps(self) -> int:
-        return len(self._fwd_steps)
-
-    @property
     def num_chain_steps(self) -> int:
         return sum(1 for st in self._fwd_steps if st[0] == 1)
 

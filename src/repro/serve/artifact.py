@@ -9,6 +9,10 @@ An artifact is one ``.npz`` file holding
   Cuttlefish/Pufferfish low-rank layers, the extra-BatchNorm flag, and the
   fused Linear→activation map.
 
+The loader reads nothing else.  Artifacts from older builds also carry an
+``inference_plan`` manifest key and ``plan/const/*`` arrays; both are
+ignored, so those files keep loading and predict the same bits.
+
 Low-rank layers are exported **factorized**: the U/Vᵀ factor pair stays
 separate so the served model keeps the compressed FLOP path the paper trains
 for — loading never re-composes (and never re-SVDs) the dense weight.  The
@@ -52,41 +56,9 @@ ARTIFACT_FORMAT_VERSION = 1
 
 _MANIFEST_KEY = "__artifact_manifest__"
 _STATE_PREFIX = "state/"
-_PLAN_CONST_PREFIX = "plan/const/"
-
-
-def _capture_inference_payload(model: nn.Module, input_shape: Sequence[int],
-                               rows: int) -> Tuple[Dict[str, Any], list]:
-    """Capture one canonical no-grad forward and lower it to a manifest payload.
-
-    Raises :class:`repro.compile.CaptureError` when the model's forward falls
-    outside the serializable fragment — callers treat that as "this artifact
-    ships without a plan".
-    """
-    from repro.compile import CaptureError, serialize_inference_plan
-    from repro.compile.graph import CaptureContext
-    from repro.compile.step import _COMPILE_LOCK
-    from repro.tensor import tensor as _tensor_core
-
-    x = np.zeros((rows, *input_shape), dtype=np.float32)
-    with _COMPILE_LOCK:
-        if _tensor_core._capture is not None:
-            raise CaptureError("another capture is already in progress")
-        cap = CaptureContext([x])
-        _tensor_core._capture = cap
-        try:
-            with no_grad():
-                out = model(x)
-        finally:
-            _tensor_core._capture = None
-    err = cap.validate()
-    if err is not None:
-        raise CaptureError(err)
-    if not isinstance(out, Tensor):
-        raise CaptureError("model output is not a tensor")
-    payload, consts = serialize_inference_plan(cap, out, model, [])
-    json.dumps(payload)  # the manifest must stay JSON-serialisable
-    return payload, consts
+#: Every batch is padded to a multiple of this many rows (see the module
+#: docstring), so a single sample runs as a 4-row forward.
+PAD_ROWS = 4
 
 
 class ArtifactError(RuntimeError):
@@ -173,26 +145,7 @@ def export_artifact(
         manifest["batch_invariant"] = check_batch_invariance(Predictor(model), example_batch)
         manifest["batch_invariance_checked_up_to"] = int(min(32, np.asarray(example_batch).shape[0]))
         model.train(was_training)
-    plan_consts: list = []
-    if input_shape is not None:
-        # Best effort: a model whose forward is outside the serializable
-        # fragment simply ships without a plan (the server falls back to the
-        # eager no-grad path, which is bit-identical anyway).
-        from repro.compile import CaptureError
-
-        was_training = model.training
-        model.eval()
-        try:
-            payload, plan_consts = _capture_inference_payload(
-                model, tuple(input_shape), rows=4)
-            manifest["inference_plan"] = payload
-        except (CaptureError, TypeError):
-            plan_consts = []
-        finally:
-            model.train(was_training)
     arrays = {_STATE_PREFIX + key: value for key, value in state.items()}
-    for i, const in enumerate(plan_consts):
-        arrays[_PLAN_CONST_PREFIX + str(i)] = const
     arrays[_MANIFEST_KEY] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -275,9 +228,6 @@ def load_artifact(
     with np.load(path) as archive:
         state = {key[len(_STATE_PREFIX):]: archive[key]
                  for key in archive.files if key.startswith(_STATE_PREFIX)}
-        plan_consts = [archive[_PLAN_CONST_PREFIX + str(i)]
-                       for i in range(sum(1 for key in archive.files
-                                          if key.startswith(_PLAN_CONST_PREFIX)))]
 
     expected = set(manifest.get("state_keys", state))
     if set(state) != expected:
@@ -293,65 +243,33 @@ def load_artifact(
             f"(Was the skeleton factorized/fused the same way as the export?)"
         )
     model.eval()
-    return Predictor(model, manifest=manifest, backend=backend,
-                     plan_consts=plan_consts)
+    return Predictor(model, manifest=manifest, backend=backend)
 
 
 class Predictor:
     """Graph-free inference wrapper with batch-composition-independent output.
 
-    Calls run under ``no_grad`` on the configured backend.  With
-    ``canonicalize=True`` (the default) every batch is padded up to the next
-    multiple of ``pad_multiple`` rows (floor ``min_batch``) before the
+    Calls run under ``no_grad`` on the configured backend.  Every batch is
+    padded up to the next multiple of :data:`PAD_ROWS` rows before the
     forward pass and the pad rows are discarded afterwards, so
     ``predictor(x)[i]`` is bit-identical for every way of batching the same
-    samples — see the module docstring.  ``canonicalize=False`` gives the raw
-    forward (used by the serving benchmark to price the determinism
-    guarantee).
+    samples — see the module docstring.  A predictor holds no per-call
+    state: grad mode and the backend override are per thread, and every
+    forward takes its buffers per call, so any number of threads may call
+    one predictor at once.
     """
 
     def __init__(self, model: nn.Module, manifest: Optional[Dict[str, Any]] = None,
-                 backend: Optional[str] = None, canonicalize: bool = True,
-                 pad_multiple: int = 4, min_batch: int = 4,
-                 plan_consts: Optional[list] = None):
+                 backend: Optional[str] = None):
         self.model = model
         self.manifest = manifest or {}
         self.backend = backend
-        self.canonicalize = canonicalize
-        self.pad_multiple = int(pad_multiple)
-        self.min_batch = int(min_batch)
         self.model.eval()
-        # Embedded inference plan (if the artifact carries one): deserialized
-        # lazily on first use, keyed by the canonical batch shape it covers.
-        self._plan_consts = plan_consts or []
-        self._plan: Optional[object] = None
-        self._plan_shape: Optional[Tuple[int, ...]] = None
-        self._plan_failed = False
-        payload = self.manifest.get("inference_plan")
-        if payload and payload.get("input_shapes"):
-            self._plan_shape = tuple(payload["input_shapes"][0])
 
     @property
     def input_shape(self) -> Optional[Tuple[int, ...]]:
         shape = self.manifest.get("input_shape")
         return tuple(shape) if shape else None
-
-    def clone(self) -> "Predictor":
-        """A sibling predictor sharing the model/weights but no replay state.
-
-        The embedded inference plan's value table is mutated during every
-        replay, so a plan must never be shared across threads.  Thread-mode
-        predictor pools give each worker a clone: same model object, same
-        manifest and plan constants (read-only), private lazily-built plan.
-        """
-        return Predictor(self.model, manifest=self.manifest,
-                         backend=self.backend, canonicalize=self.canonicalize,
-                         pad_multiple=self.pad_multiple, min_batch=self.min_batch,
-                         plan_consts=self._plan_consts)
-
-    def _canonical_rows(self, n: int) -> int:
-        multiple = self.pad_multiple
-        return max(self.min_batch, ((n + multiple - 1) // multiple) * multiple)
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         """Predict a batch of shape ``(n, *input_shape)``; returns ``(n, ...)``."""
@@ -362,7 +280,10 @@ class Predictor:
                 f"artifact expects {self.input_shape}"
             )
         n = batch.shape[0]
-        target = self._canonical_rows(n) if self.canonicalize else n
+        if n == 0:
+            raise ValueError(f"expected a batch of at least one sample, got an "
+                             f"array of shape {batch.shape}")
+        target = -(-n // PAD_ROWS) * PAD_ROWS
         if target != n:
             pad = np.broadcast_to(batch[:1], (target - n,) + batch.shape[1:])
             # ascontiguousarray matters: concatenating a broadcast view can
@@ -371,43 +292,12 @@ class Predictor:
             batch = np.ascontiguousarray(np.concatenate([batch, pad], axis=0))
         with no_grad():
             if self.backend is not None:
-                with use_backend(self.backend) as be:
-                    out = self._forward(batch, be)
+                with use_backend(self.backend):
+                    out = self.model(batch)
             else:
-                from repro.tensor.backend import get_backend
-
-                out = self._forward(batch, get_backend())
+                out = self.model(batch)
         data = out.data if isinstance(out, Tensor) else np.asarray(out)
         return data[:n].copy() if target != n else data
-
-    def _forward(self, batch: np.ndarray, be):
-        """One no-grad forward: replay the embedded plan when it fits.
-
-        A replayed forward performs no Python graph construction (no Tensor
-        wrapping, no autograd bookkeeping) — it is the serve-side p99 win the
-        plan was exported for.  Batches outside the plan's canonical shape
-        take the ordinary eager path, which computes bit-identical results.
-        """
-        plan = self._plan_for(tuple(batch.shape), be)
-        if plan is not None:
-            vals = plan.run_forward([batch], be)
-            return vals[plan.loss_slot]
-        return self.model(batch)
-
-    def _plan_for(self, shape: Tuple[int, ...], be):
-        if shape != self._plan_shape or self._plan_failed:
-            return None
-        if self._plan is None:
-            from repro.compile import CaptureError, deserialize_inference_plan
-
-            try:
-                self._plan = deserialize_inference_plan(
-                    self.manifest["inference_plan"], self._plan_consts,
-                    self.model, be)
-            except CaptureError:
-                self._plan_failed = True
-                return None
-        return self._plan
 
 
 def check_batch_invariance(
@@ -453,6 +343,7 @@ def artifact_size_bytes(path: str) -> int:
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactError",
+    "PAD_ROWS",
     "Predictor",
     "artifact_size_bytes",
     "check_batch_invariance",

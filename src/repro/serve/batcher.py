@@ -201,16 +201,9 @@ class DynamicBatcher:
     # ------------------------------------------------------------------ #
     def _build_engine_factory(self, input_shape, batch_ceiling: int):
         if self.mode == "thread":
-            def thread_factory(index: int) -> InlineEngine:
-                # Worker 0 runs the caller's predictor untouched (pool size 1
-                # must be byte-identical to the single-worker engine);
-                # siblings get clones so the lazily-built inference plan —
-                # single-threaded replay state — is never shared.
-                if index == 0 or not isinstance(self.predict, Predictor):
-                    return InlineEngine(self.predict)
-                return InlineEngine(self.predict.clone())
-
-            return thread_factory
+            # Every worker runs the caller's predictor: it is stateless, so
+            # threads share it (DESIGN.md §16.1).
+            return lambda index: InlineEngine(self.predict)
 
         from repro.distributed.process import fork_available
 
@@ -228,12 +221,8 @@ class DynamicBatcher:
                 f"with input_shape=..., or pass input_shape= explicitly")
         if isinstance(self.predict, Predictor):
             # Map the weights into one read-only segment *before* forking so
-            # every child addresses the same physical pages, then drop any
-            # already-built plan: the probe below rebuilds it against the
-            # shared views, and children inherit it pre-built via fork.
+            # every child addresses the same physical pages.
             self._shared_weights = SharedModelWeights(self.predict.model)
-            self.predict._plan = None
-            self.predict._plan_failed = False
         output_shape = probe_output_shape(self.predict, shape)
         # Each child gets its share of the cores for BLAS, so N engines do
         # not each run a pool sized for the whole host.

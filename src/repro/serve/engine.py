@@ -6,10 +6,8 @@ batch it assembles through :meth:`InferenceEngine.predict`:
 
 * :class:`InlineEngine` — the forward pass runs on the worker thread itself.
   Pool size 1 with an inline engine is byte-for-byte the pre-pool
-  ``DynamicBatcher`` behaviour; larger thread pools give each worker its own
-  :meth:`Predictor.clone() <repro.serve.artifact.Predictor.clone>` so the
-  lazily-built inference plan (whose replay value table is single-threaded
-  state) is never shared across threads.
+  ``DynamicBatcher`` behaviour; in larger thread pools every worker calls
+  the same stateless :class:`~repro.serve.artifact.Predictor`.
 * :class:`ProcessEngine` — the forward pass runs in a forked child process,
   which sidesteps the GIL for the numpy-released BLAS *and* the Python glue
   around it.  The parent and child exchange batches through a per-engine
@@ -320,10 +318,6 @@ class SharedModelWeights:
             self.nbytes += original.nbytes
         self._restored = False
 
-    @property
-    def segment_name(self) -> str:
-        return self._arena.segment.name
-
     def restore(self) -> None:
         """Rebind the original arrays and unlink the segment (idempotent)."""
         if self._restored:
@@ -340,10 +334,7 @@ def probe_output_shape(predict_fn: Callable[[np.ndarray], np.ndarray],
                        rows: int = 4) -> Tuple[int, ...]:
     """Per-sample output shape of ``predict_fn``, measured with one forward.
 
-    Process engines must size their output slab before forking; the probe
-    also warms any lazily-built inference plan in the parent so children
-    inherit it pre-deserialized (copy-on-write) instead of each paying the
-    build cost.
+    Process engines must size their output slab before forking.
     """
     out = predict_fn(np.zeros((rows, *input_shape), dtype=np.float32))
     out = np.asarray(out)

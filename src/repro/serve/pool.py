@@ -5,6 +5,7 @@ batching policy and the metrics instruments are shared; each
 :class:`PoolWorker` runs the coalescing loop (collect → execute → respond)
 on its own thread against its own :mod:`~repro.serve.engine` — an inline
 engine for thread mode, a forked shared-memory engine for process mode.
+Thread-mode engines all call the one stateless predictor they were given.
 Pool size 1 with an inline engine reproduces the single-worker engine
 byte-for-byte, and because the :class:`~repro.serve.artifact.Predictor`
 canonicalizes batch geometry, predictions are bit-invariant across pool

@@ -30,8 +30,9 @@
 * ``POST /respawn``  — replace dead pool workers.
 
 Overload (full request queue) returns ``503`` so closed-loop clients back
-off; malformed bodies, and a ``Content-Length`` that is not a non-negative
-integer, return ``400``; unknown routes ``404``.
+off; malformed bodies, a ``Content-Length`` that is not a non-negative
+integer, and a body that ends before its ``Content-Length`` return ``400``;
+unknown routes ``404``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ from repro.utils import get_logger
 logger = get_logger("serve.server")
 
 _PREDICT_TIMEOUT_S = 60.0
+
+#: Request bodies are read in pieces of at most this many bytes, so memory
+#: grows with the bytes a client sends, not with the length it declares.
+_BODY_CHUNK_BYTES = 64 * 1024
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -348,7 +353,9 @@ def _make_handler(server: ModelServer):
             A length that is not a non-negative integer gets a 400 before
             anything is read (``rfile.read(-1)`` would block until the client
             hangs up) and returns None; the request's framing is lost with
-            it, so the connection closes.
+            it, so the connection closes.  The body is read in chunks of at
+            most ``_BODY_CHUNK_BYTES``, so a huge declared length allocates
+            nothing up front; a body that ends short of it gets the same 400.
             """
             length = self.headers.get("Content-Length")
             if length is None:
@@ -359,7 +366,19 @@ def _make_handler(server: ModelServer):
                 self._respond(400, {"error": "Content-Length must be a non-negative "
                                              f"integer, got {length!r}"})
                 return None
-            return self.rfile.read(int(length))
+            declared = remaining = int(length)
+            chunks = []
+            while remaining:
+                chunk = self.rfile.read(min(remaining, _BODY_CHUNK_BYTES))
+                if not chunk:
+                    self.close_connection = True
+                    self._respond(400, {"error": f"body ended after {declared - remaining} "
+                                                 f"of the {declared} bytes its "
+                                                 f"Content-Length declares"})
+                    return None
+                chunks.append(chunk)
+                remaining -= len(chunk)
+            return b"".join(chunks)
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             parts = urlsplit(self.path)

@@ -67,10 +67,6 @@ class TraceSession:
         with self._meta_lock:
             self._threads.setdefault((pid, tid), name)
 
-    def register_process(self, pid: int, label: str) -> None:
-        with self._meta_lock:
-            self._processes.setdefault(pid, label)
-
     def record(self, name: str, cat: str, ts_ns: int, dur_ns: int,
                depth: int, parent: Optional[str],
                args: Optional[Dict[str, Any]]) -> None:

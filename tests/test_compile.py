@@ -4,17 +4,14 @@ Covers bit-identity of replayed training steps against the ``numpy``
 reference (including dropout mask streams and batch-norm running
 statistics), capture invalidation on every guard the plan key encodes
 (shape, dtype, grad mode, Cuttlefish-style parameter restructure), chain
-fusion, the derived-input eager fallback, the plan-in-manifest round trip,
-and the CLI's loud unknown-backend error.
+fusion, the derived-input eager fallback, and the CLI's loud unknown-backend
+error.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
 
-from repro import models, nn
+from repro import nn
 from repro.compile import StepCompiler, backend_compiles
 from repro.optim import SGD
 from repro.tensor import Tensor, functional as F, no_grad, use_backend
@@ -301,70 +298,6 @@ class TestPlanInternals:
             assert backend_compiles()
         with use_backend("numpy-fast"):
             assert not backend_compiles()
-
-
-# --------------------------------------------------------------------------- #
-# Plan-in-manifest round trip (satellite)
-# --------------------------------------------------------------------------- #
-class TestPlanInManifest:
-    def _export(self, tmp_path, build, spec, input_shape):
-        from repro.serve import export_artifact
-
-        seed_everything(0)
-        model = build()
-        model.eval()
-        path = os.path.join(str(tmp_path), "model.npz")
-        manifest = export_artifact(path, model, model_spec=spec,
-                                   input_shape=input_shape)
-        return path, manifest
-
-    def test_resnet_plan_roundtrip_bit_equal_to_planless_load(self, tmp_path):
-        from repro.serve import load_artifact
-
-        path, manifest = self._export(
-            tmp_path, lambda: models.resnet18(num_classes=10),
-            {"name": "resnet18", "kwargs": {"num_classes": 10}}, (3, 32, 32))
-        assert "inference_plan" in manifest
-        planned = load_artifact(path)
-        planless = load_artifact(path)
-        planless._plan_failed = True  # force the eager path
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
-        out_planned = planned(x)     # canonicalizes to 4 rows -> plan shape
-        out_planless = planless(x)
-        assert planned._plan is not None, "embedded plan was never used"
-        assert np.array_equal(out_planned, out_planless)
-        # Off-plan batch geometry still works (eager fallback inside planned).
-        x8 = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-        assert np.array_equal(planned(x8), planless(x8))
-
-    def test_deit_plan_roundtrip(self, tmp_path):
-        from repro.serve import load_artifact
-
-        path, manifest = self._export(
-            tmp_path,
-            lambda: models.deit_micro(num_classes=10, image_size=16),
-            {"name": "deit_micro",
-             "kwargs": {"num_classes": 10, "image_size": 16}}, (3, 16, 16))
-        assert "inference_plan" in manifest
-        planned = load_artifact(path)
-        planless = load_artifact(path)
-        planless._plan_failed = True
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
-        a, b = planned(x), planless(x)
-        assert planned._plan is not None
-        assert np.array_equal(a, b)
-
-    def test_plan_payload_is_json_clean(self, tmp_path):
-        _, manifest = self._export(
-            tmp_path, lambda: models.resnet18(num_classes=10),
-            {"name": "resnet18", "kwargs": {"num_classes": 10}}, (3, 32, 32))
-        payload = manifest["inference_plan"]
-        json.dumps(payload)  # stored inside the JSON manifest; must be clean
-        assert payload["version"] == 1
-        assert payload["input_shapes"] == [[4, 3, 32, 32]]
-        assert payload["steps"]
 
 
 # --------------------------------------------------------------------------- #

@@ -265,13 +265,33 @@ class TestBatchCanonicalization:
         assert manifest["batch_invariant"] in (True, False)
         assert manifest["batch_invariance_checked_up_to"] == 8
 
-    def test_canonicalize_false_gives_raw_forward(self):
-        model = _mlp()
-        raw = Predictor(model, canonicalize=False)
-        x = get_rng(offset=8).standard_normal((3, 24)).astype(np.float32)
-        with no_grad():
-            direct = model(x).data
-        np.testing.assert_array_equal(raw(x), direct)
+    def test_empty_batch_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            Predictor(_mlp())(np.zeros((0, 24), dtype=np.float32))
+
+
+class TestLegacyArtifacts:
+    def test_plan_keys_from_older_exports_are_ignored(self, tmp_path):
+        """Older exports also stored an ``inference_plan`` manifest key and
+        ``plan/const/*`` arrays.  Such a file loads and predicts the bits of
+        the same artifact without them."""
+        plain_path, legacy_path = str(tmp_path / "plain.npz"), str(tmp_path / "legacy.npz")
+        export_artifact(plain_path, _resnet(factorize_prefixes=["layer3."]),
+                        model_spec=RESNET_SPEC, input_shape=(3, 32, 32))
+        with np.load(plain_path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        manifest = read_manifest(plain_path)
+        manifest["inference_plan"] = {"version": 1, "input_shapes": [[4, 3, 32, 32]],
+                                      "steps": []}
+        arrays["__artifact_manifest__"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        arrays["plan/const/0"] = np.arange(4, dtype=np.int64)
+        np.savez(legacy_path, **arrays)
+        plain, legacy = load_artifact(plain_path), load_artifact(legacy_path)
+        assert legacy.manifest["inference_plan"]["version"] == 1
+        x = get_rng(offset=9).standard_normal((16, 3, 32, 32)).astype(np.float32)
+        for rows in (1, 4, 16):
+            np.testing.assert_array_equal(legacy(x[:rows]), plain(x[:rows]))
 
 
 class TestCuttlefishExportHook:

@@ -148,27 +148,36 @@ class TestPoolBitInvariance:
         with pytest.raises(ValueError, match="input_shape"):
             DynamicBatcher(_echo_predict, workers=2, mode="process")
 
+    def test_thread_pool_shares_one_predictor(self):
+        predictor = _mlp_predictor()
+        batcher = DynamicBatcher(predictor, workers=3, name="shared")
+        try:
+            engines = [worker.engine for worker in batcher.pool.workers]
+            assert len(engines) == 3
+            assert all(engine._predict is predictor for engine in engines)
+        finally:
+            batcher.close(drain=True)
+
     @pytest.mark.parametrize("backend", ["numpy", "numpy-fast"])
-    def test_concurrent_conv_clones_match_the_serial_forward(self, backend):
-        """Thread-mode workers run predictor clones concurrently; numpy drops
+    def test_two_threads_share_one_predictor(self, backend):
+        """Thread-mode workers call one predictor concurrently; numpy drops
         the GIL inside every copy and GEMM, so any buffer two forwards share
         gets overwritten mid-use.  Every concurrent output must equal the
         serial one.  The predictor names its backend, as a served artifact's
         does: a worker thread runs on that backend, not on whatever the
         thread that started it had entered with ``use_backend``."""
-        calls = 40
+        calls, workers = 40, 2
         predictor = _resnet_predictor(backend)
         batch = _images(8)
         expected = predictor(batch)
-        clones = [predictor.clone() for _ in range(2)]
-        outputs = [[] for _ in clones]
+        outputs = [[] for _ in range(workers)]
 
         def serve(index):
             for _ in range(calls):
-                outputs[index].append(clones[index](batch))
+                outputs[index].append(predictor(batch))
 
         threads = [threading.Thread(target=serve, args=(i,), name=f"race-{i}")
-                   for i in range(len(clones))]
+                   for i in range(workers)]
         convs_before = _conv_calls(backend)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -182,7 +191,7 @@ class TestPoolBitInvariance:
         assert not any(thread.is_alive() for thread in threads)
         # The workers ran on the backend under test: each forward is many
         # convs, so even a lost counter update leaves one per forward.
-        assert _conv_calls(backend) - convs_before >= calls * len(clones)
+        assert _conv_calls(backend) - convs_before >= calls * workers
         for results in outputs:
             assert len(results) == calls
             wrong = sum(not np.array_equal(out, expected) for out in results)

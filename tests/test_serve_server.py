@@ -447,26 +447,48 @@ class TestPoolServing:
             instance.stop()
 
 
+def raw_post(address, path, length, body=b""):
+    """Send one POST over a raw socket, half-close it when ``body`` is given,
+    and return the reply's ``(head, body)`` once the server hangs up."""
+    host, port = address
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Type: application/json\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode("ascii") + body)
+        if body:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return head, payload
+
+
 class TestRequestFraming:
     @pytest.mark.parametrize("path, length", [("/predict", "-1"), ("/respawn", "abc")])
     def test_bad_content_length_400_before_any_read(self, server, path, length):
         """Answered at once, and the connection closes: the framing is lost."""
         instance, _ = server
-        host, port = instance.address
-        with socket.create_connection((host, port), timeout=10.0) as sock:
-            sock.sendall(f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
-                         f"Content-Type: application/json\r\n"
-                         f"Content-Length: {length}\r\n\r\n".encode("ascii"))
-            reply = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
+        head, body = raw_post(instance.address, path, length)
         assert head.startswith(b"HTTP/1.1 400")
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
+
+    def test_body_shorter_than_a_huge_content_length_is_a_400(self, server):
+        """The body is read in bounded chunks, so a declared petabyte costs
+        nothing up front; the client's half-close ends it early."""
+        instance, _ = server
+        errors = instance.http_errors_total
+        body = b'{"input": [0.0, 1.0]}  '
+        head, reply = raw_post(instance.address, "/predict", 10 ** 15, body)
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert f"after {len(body)} of the {10 ** 15} bytes" in json.loads(reply)["error"]
+        assert instance.http_errors_total == errors + 1
+        assert ServeClient(instance.url).healthz()["status"] == "ok"
 
 
 class TestNpyWire:
