@@ -12,10 +12,8 @@ The serving analogue of ``bench_throughput.py``.  For the ResNet serving cell
    ratio;
 3. sweeps the predictor pool across sizes 1/2/4 (same policy, same execution
    mode) for the replication-scaling curve — asserting bit-invariance of
-   predictions across pool sizes — and runs a burst-shaped open-loop load
-   with the SLO controller live, reporting p99 attainment against target.
-   On >= 4-core hosts at full budget, process-mode pool-4 must beat pool-1
-   by > 1.5x and the burst p99 must land within 1.5x of the SLO target.
+   predictions across pool sizes.  On >= 4-core hosts at full budget,
+   process-mode pool-4 must beat pool-1 by > 1.5x.
 
 Both policies run the identical predictor (same batch canonicalization, same
 backend), so the ratio isolates what request coalescing buys on one host.
@@ -124,19 +122,13 @@ def export_cell_artifacts(directory: str) -> dict:
 
 def run_pool_section(dense_path: str, args, *, duration: float,
                      concurrency: int, warmup: float) -> dict:
-    """Pool-scaling curve at sizes 1/2/4 plus a burst-shape SLO run.
+    """Pool-scaling curve at sizes 1/2/4.
 
-    Acceptance gates (full budget only, skipped under ``--tiny``):
-
-    * on a >= 4-core host in process mode, pool-4 throughput must exceed
-      1.5x pool-1 under the same policy;
-    * under the ``burst`` traffic shape the SLO controller must land p99
-      within 1.5x of its target.
+    Acceptance gate (full budget only, skipped under ``--tiny``): on a
+    >= 4-core host in process mode, pool-4 throughput must exceed 1.5x
+    pool-1 under the same policy.
     """
     from repro.bench.workloads import serving_pool_throughput
-    from repro.serve import (BatchingPolicy, DynamicBatcher, TrafficShape,
-                             arrival_times, load_artifact, run_open_loop)
-    from repro.utils import get_rng
 
     pool_sizes = sorted(set(args.pool_sizes))
     print(f"[bench_serving] pool-scaling curve (sizes {pool_sizes}, "
@@ -164,58 +156,7 @@ def run_pool_section(dense_path: str, args, *, duration: float,
         assert scaling > 1.5, (
             f"process-mode pool {top} reached only {scaling:.2f}x pool-1 "
             f"throughput on a {cores}-core host (acceptance floor: 1.5x)")
-
-    # Burst-shape SLO attainment: open-loop load at ~80% of pool-1 capacity
-    # mean rate with 4x bursts, SLO controller live-tuning the policy.
-    pool1_raw = curve["raw"][str(pool_sizes[0])]
-    target_ms = args.slo_p99_ms
-    if target_ms is None:
-        target_ms = max(20.0, 3.0 * float(pool1_raw["latency_ms"]["p99"]))
-    mean_rps = max(10.0, 0.8 * float(pool1_raw["throughput_rps"]))
-    shape = TrafficShape(kind="burst", mean_rps=mean_rps,
-                         duration_s=max(2.0, 2 * duration), seed=0,
-                         period_s=1.0, burst_factor=4.0, burst_duty=0.2)
-    print(f"[bench_serving] burst SLO run: target p99 {target_ms:.0f} ms, "
-          f"mean {mean_rps:.0f} rps (4x bursts), workers={top}, mode={mode} ...")
-    predictor = load_artifact(dense_path, backend=args.backend)
-    samples = get_rng(offset=7).standard_normal(
-        (max(64, 2 * concurrency),) + predictor.input_shape).astype(np.float32)
-    batcher = DynamicBatcher(
-        predictor,
-        policy=BatchingPolicy(max_batch_size=args.max_batch_size,
-                              max_wait_ms=args.max_wait_ms),
-        name="slo-burst", workers=top, mode=mode, slo=target_ms)
-    try:
-        result = run_open_loop(
-            lambda s: batcher.submit(s, timeout=None).result(timeout=60.0),
-            samples, arrival_times(shape),
-            max_inflight=max(16, 2 * concurrency), transport="engine")
-        slo_stats = batcher.stats().get("slo", {})
-    finally:
-        batcher.close(drain=True)
-    achieved = float(result.latency_ms["p99"])
-    adjustments = int(slo_stats.get("adjustments_total", 0))
-    print(f"[bench_serving] burst p99 {achieved:.1f} ms vs target {target_ms:.0f} ms "
-          f"({adjustments} controller adjustments, "
-          f"{result.requests} reqs @ {result.throughput_rps:.1f} rps)")
-    if not args.tiny and cores >= 4:
-        # On fewer cores the 4x burst peak exceeds host capacity outright —
-        # no controller can hold p99 when offered load > service capacity.
-        assert achieved <= 1.5 * target_ms, (
-            f"SLO controller missed: burst p99 {achieved:.1f} ms vs "
-            f"target {target_ms:.0f} ms (allowed 1.5x)")
-
-    return {
-        "curve": curve,
-        "slo": {
-            "target_p99_ms": target_ms,
-            "achieved_p99_ms": achieved,
-            "adjustments_total": adjustments,
-            "shape": {"kind": "burst", "mean_rps": mean_rps,
-                      "burst_factor": 4.0, "burst_duty": 0.2},
-            "open_loop": result.as_dict(),
-        },
-    }
+    return {"curve": curve}
 
 
 def main(argv=None) -> int:
@@ -236,14 +177,11 @@ def main(argv=None) -> int:
                         choices=["dense", "factorized", "merged_dense"])
     parser.add_argument("--pool-sizes", type=int, nargs="+", default=[1, 2, 4],
                         help="predictor-pool sizes for the scaling curve")
-    parser.add_argument("--pool-mode", default="auto",
-                        choices=["thread", "process", "auto"],
-                        help="pool execution mode ('auto': process when fork works)")
+    parser.add_argument("--pool-mode", default="process",
+                        choices=["thread", "process"],
+                        help="pool execution mode for the scaling curve")
     parser.add_argument("--skip-pool", action="store_true",
-                        help="skip the pool-scaling curve and the burst SLO run")
-    parser.add_argument("--slo-p99-ms", type=float, default=None,
-                        help="p99 target for the burst-shape SLO-attainment run "
-                             "(default: 3x the pool-1 p99 from the scaling curve)")
+                        help="skip the pool-scaling curve")
     args = parser.parse_args(argv)
 
     duration = args.duration if args.duration is not None else (1.0 if args.tiny else 4.0)

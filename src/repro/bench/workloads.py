@@ -434,24 +434,20 @@ def serving_pool_throughput(
     max_wait_ms: float = 1.0,
     backend: Optional[str] = "numpy-fast",
     warmup_s: float = 0.25,
-    mode: str = "auto",
+    mode: str = "process",
     artifact_path: Optional[str] = None,
 ) -> Dict[str, object]:
     """Closed-loop engine-transport scaling curve across predictor-pool sizes.
 
     Every pool size runs the *same* batching policy and the *same* execution
-    mode (``auto`` resolves to ``process`` when fork is available), so the
-    pool-N over pool-1 ratio isolates what worker replication buys on top of
-    micro-batching.  Bit-invariance across pool sizes is asserted per run:
-    one probe batch must come back byte-identical from every configuration.
+    mode, so the pool-N over pool-1 ratio isolates what worker replication
+    buys on top of micro-batching.  Bit-invariance across pool sizes is
+    asserted per run: one probe batch must come back byte-identical from
+    every configuration.
     """
-    from repro.distributed.process import fork_available
     from repro.serve import BatchingPolicy, DynamicBatcher, load_artifact
     from repro.serve.loadgen import bench_engine
     from repro.utils import get_rng
-
-    if mode == "auto":
-        mode = "process" if fork_available() else "thread"
 
     def run(path: str) -> Dict[str, object]:
         per_size: Dict[int, Dict[str, object]] = {}

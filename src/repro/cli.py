@@ -187,17 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=256)
     serve.add_argument("--workers", type=int, default=1,
                        help="predictor-pool size (replicated inference workers)")
-    serve.add_argument("--mode", default="thread", choices=["thread", "process", "auto"],
-                       help="pool execution mode; 'auto' picks process when "
-                            "fork is available, thread otherwise")
+    serve.add_argument("--mode", default="thread", choices=["thread", "process"],
+                       help="pool execution mode: worker threads, or forked "
+                            "children over shared memory")
     serve.add_argument("--admission", default="reject",
-                       choices=["reject", "block", "priority"],
+                       choices=["reject", "priority"],
                        help="admission policy when the request queue is full")
-    serve.add_argument("--cache-size", type=int, default=0,
-                       help="response-cache capacity in batches (0 disables)")
-    serve.add_argument("--slo-p99-ms", type=float, default=None,
-                       help="enable the SLO controller with this p99 latency "
-                            "target; it tunes max_batch_size/max_wait_ms live")
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="record request/batch/inference spans; the trace "
                             "is written when the server shuts down")
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--workers", type=int, default=1,
                              help="predictor-pool size for the batched policy")
     bench_serve.add_argument("--mode", default="thread",
-                             choices=["thread", "process", "auto"],
+                             choices=["thread", "process"],
                              help="pool execution mode for the batched policy")
     bench_serve.add_argument("--backend", default=None, choices=available_backends())
     bench_serve.add_argument("--trace", default=None, metavar="PATH",
@@ -549,32 +544,20 @@ def cmd_export(args: argparse.Namespace, stream=sys.stdout) -> int:
     return 0
 
 
-def _resolve_pool_mode(mode: str) -> str:
-    """Map the CLI's thread|process|auto to a concrete pool mode."""
-    if mode != "auto":
-        return mode
-    from repro.distributed.process import fork_available
-
-    return "process" if fork_available() else "thread"
-
-
 def cmd_serve(args: argparse.Namespace, stream=sys.stdout) -> int:
     from repro.serve import AdmissionPolicy, BatchingPolicy, ModelServer
 
     policy = BatchingPolicy(max_batch_size=args.max_batch_size,
                             max_wait_ms=args.max_wait_ms, max_queue=args.max_queue)
-    mode = _resolve_pool_mode(args.mode)
     traced = _start_trace(args, "server")
     server = ModelServer(args.artifact, policy=policy, host=args.host, port=args.port,
                          backend=args.backend,
-                         workers=args.workers, mode=mode,
-                         admission=AdmissionPolicy(kind=args.admission),
-                         cache_size=args.cache_size, slo=args.slo_p99_ms)
-    slo_note = f", slo_p99_ms={args.slo_p99_ms}" if args.slo_p99_ms else ""
+                         workers=args.workers, mode=args.mode,
+                         admission=AdmissionPolicy(kind=args.admission))
     stream.write(f"serving {server.model_name} on {server.url} "
                  f"(max_batch_size={args.max_batch_size}, max_wait_ms={args.max_wait_ms}, "
-                 f"workers={args.workers}, mode={mode}, "
-                 f"admission={args.admission}{slo_note})\n")
+                 f"workers={args.workers}, mode={args.mode}, "
+                 f"admission={args.admission})\n")
     stream.flush()
     try:
         server.serve_forever()
@@ -598,7 +581,7 @@ def cmd_bench_serve(args: argparse.Namespace, stream=sys.stdout) -> int:
             transports=args.transports,
             backend=args.backend,
             workers=args.workers,
-            mode=_resolve_pool_mode(args.mode),
+            mode=args.mode,
         )
     finally:
         if traced:

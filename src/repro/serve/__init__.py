@@ -1,4 +1,4 @@
-"""Model serving: artifact export/load, predictor pool, HTTP frontend.
+"""Model serving: artifact export/load, a micro-batching engine, HTTP frontend.
 
 The deployment path for trained (and factorized) models:
 
@@ -7,12 +7,11 @@ The deployment path for trained (and factorized) models:
 2. :func:`load_artifact` rebuilds the model without the training stack and
    returns a :class:`Predictor` (graph-free ``no_grad`` inference).
 3. :class:`DynamicBatcher` coalesces single-sample requests into micro
-   batches under a max-batch-size / max-wait-ms policy and feeds them to a
-   replicated predictor pool: N workers, each owning an execution engine
-   (same-thread :class:`InlineEngine` or forked :class:`ProcessEngine` with
-   shared-memory weights).  Admission control (:class:`AdmissionPolicy`),
-   a response cache, and an SLO controller (:class:`SLOPolicy`) layer on
-   top.
+   batches under a max-batch-size / max-wait-ms policy and runs them on N
+   workers, each owning an execution engine (same-thread
+   :class:`InlineEngine` or forked :class:`ProcessEngine` with
+   shared-memory weights), behind an admission policy
+   (:class:`AdmissionPolicy`: reject when full, or shed low priority).
 4. :class:`ModelServer` exposes ``/predict``, ``/healthz``, ``/metrics``
    and ``/respawn`` over a stdlib ``ThreadingHTTPServer``.  ``/predict``
    speaks JSON to any HTTP client and, when the headers ask for it, binary
@@ -20,12 +19,12 @@ The deployment path for trained (and factorized) models:
    to the binary wire once the server answers in it, and retries with
    jittered backoff.
 5. :mod:`repro.serve.loadgen` drives closed-loop load for benchmarking and
-   open-loop load (:class:`TrafficShape` / :func:`run_open_loop`) for
-   SLO-attainment studies.
+   open-loop load (:class:`TrafficShape` / :func:`run_open_loop`), whose
+   latency counts from each request's scheduled arrival.
 
 See DESIGN.md §9 for the artifact format, the determinism guarantee
 (predictions independent of batch composition) and the HTTP wire, and §16
-for the pool architecture, admission policy, and SLO control loop.
+for the workers, their lifecycle and the admission policy.
 """
 
 from repro.serve.admission import (
@@ -49,7 +48,6 @@ from repro.serve.batcher import (
     BatchingPolicy,
     DynamicBatcher,
 )
-from repro.serve.cache import ResponseCache, batch_cache_key
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.engine import (
     InlineEngine,
@@ -67,9 +65,7 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.serve.pool import PredictorPool
 from repro.serve.server import ModelServer
-from repro.serve.slo import SLOController, SLOPolicy
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -88,16 +84,11 @@ __all__ = [
     "InlineEngine",
     "LoadShedError",
     "ProcessEngine",
-    "PredictorPool",
     "QueueFullError",
-    "ResponseCache",
-    "SLOController",
-    "SLOPolicy",
     "ServeClient",
     "ServeClientError",
     "SharedModelWeights",
     "WorkerDiedError",
-    "batch_cache_key",
     "LoadgenResult",
     "TrafficShape",
     "arrival_times",

@@ -2,13 +2,11 @@
 
 PR 3's backpressure was one hardcoded behaviour — ``put_nowait`` and raise
 :class:`QueueFullError` when the bounded queue is at capacity.  This module
-turns that into a policy object with three kinds:
+turns that into a policy object with two kinds:
 
 * ``reject``   — the classic behaviour (and the default): fail fast when the
   queue is full so callers shed load at the edge.  Bit-for-bit compatible
   with the pre-pool engine.
-* ``block``    — producers wait for queue space instead of failing; useful
-  for offline batch scoring where throughput matters and latency does not.
 * ``priority`` — requests carry an integer ``priority`` (higher = more
   important, default 0).  Above the ``shed_watermark`` fill fraction the
   controller sheds requests whose priority is below
@@ -17,9 +15,11 @@ turns that into a policy object with three kinds:
   :class:`LoadShedError` — a :class:`QueueFullError` subclass, so every
   existing retry/503 path treats shedding exactly like a full queue.
 
-The controller owns no threads and takes one lock-free decision per request;
-its counters (admitted / rejected / shed) land in the shared serve metrics
-registry and surface through ``/metrics``.
+A producer that would rather wait for queue space than fail submits with
+``timeout=None``, under either kind.  The controller owns no threads and
+takes one lock-free decision per request; its counters (admitted /
+rejected / shed) land in the shared serve metrics registry and surface
+through ``/metrics``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional
 from repro.telemetry import MetricsRegistry
 from repro.utils.concurrency import ClosableQueue
 
-_KINDS = ("reject", "block", "priority")
+_KINDS = ("reject", "priority")
 
 
 class QueueFullError(RuntimeError):
@@ -46,7 +46,7 @@ class LoadShedError(QueueFullError):
 class AdmissionPolicy:
     """How requests are admitted to the batching queue.
 
-    ``kind``                — ``reject`` | ``block`` | ``priority``.
+    ``kind``                — ``reject`` | ``priority``.
     ``shed_watermark``      — queue fill fraction (of ``max_queue``) above
                               which the ``priority`` kind starts shedding.
     ``shed_below_priority`` — requests with ``priority`` strictly below this
@@ -93,9 +93,8 @@ class AdmissionController:
     def admit(self, request: Any, timeout: Optional[float]) -> None:
         """Enqueue ``request`` or raise.
 
-        ``timeout`` keeps the pre-pool submit semantics for the ``reject``
-        and ``priority`` kinds: ``0`` fails immediately when full, ``None``
-        blocks.  The ``block`` kind always waits for space.
+        ``timeout`` keeps the pre-pool submit semantics: ``0`` fails
+        immediately when full, ``None`` blocks until there is space.
         """
         policy = self.policy
         if (policy.kind == "priority"
@@ -105,8 +104,6 @@ class AdmissionController:
             raise LoadShedError(
                 f"{self.name}: shed priority<{policy.shed_below_priority} request "
                 f"at queue depth >= {self._watermark_depth}/{self.max_queue}")
-        if policy.kind == "block":
-            timeout = None
         try:
             if timeout == 0.0:
                 self.queue.put_nowait(request)

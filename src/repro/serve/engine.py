@@ -1,25 +1,25 @@
 """Execution engines: where a coalesced batch actually runs.
 
-The predictor pool (:mod:`repro.serve.pool`) separates *batching* from
-*execution*.  A pool worker thread owns exactly one engine and funnels every
-batch it assembles through :meth:`InferenceEngine.predict`:
+The batcher (:mod:`repro.serve.batcher`) separates *batching* from
+*execution*.  Each of its worker threads owns exactly one engine and funnels
+every batch it assembles through the engine's ``predict``:
 
 * :class:`InlineEngine` — the forward pass runs on the worker thread itself.
-  Pool size 1 with an inline engine is byte-for-byte the pre-pool
-  ``DynamicBatcher`` behaviour; in larger thread pools every worker calls
-  the same stateless :class:`~repro.serve.artifact.Predictor`.
+  One worker with an inline engine is byte-for-byte the single-worker
+  ``DynamicBatcher``; with more thread-mode workers every worker calls the
+  same stateless :class:`~repro.serve.artifact.Predictor`.
 * :class:`ProcessEngine` — the forward pass runs in a forked child process,
   which sidesteps the GIL for the numpy-released BLAS *and* the Python glue
   around it.  The parent and child exchange batches through a per-engine
   shared-memory segment (input slab, output slab, a tiny int64 control
   block) guarded by a work/done semaphore pair; model weights live in a
-  pool-wide read-only segment (:class:`SharedModelWeights`) carved *before*
+  batcher-wide read-only segment (:class:`SharedModelWeights`) carved *before*
   the fork, so N workers map one copy of the artifact instead of holding N.
 
 Failure semantics are deliberately loud.  A child that disappears
 mid-request (SIGKILL, OOM, crash) surfaces as :class:`WorkerDiedError` from
-``predict`` — the pool retires that worker, fails its in-flight futures, and
-``/healthz`` degrades until :meth:`respawn` forks a replacement.  A child
+``predict`` — the batcher retires that worker, fails its in-flight futures,
+and ``/healthz`` degrades until :meth:`respawn` forks a replacement.  A child
 that merely *raises* (bad input, numerical error) ships the traceback back
 over a pipe and keeps serving: model bugs are recoverable, dead processes
 are not.
@@ -62,7 +62,7 @@ class WorkerDiedError(RuntimeError):
 
 
 class InlineEngine:
-    """Run the predictor on the calling (pool-worker) thread."""
+    """Run the predictor on the calling (batcher worker) thread."""
 
     mode = "thread"
 
@@ -94,7 +94,7 @@ def _engine_child_main(predict_fn, inp, out, ctrl, work_sem, done_sem,
 
     Runs in a forked process — ``inp``/``out``/``ctrl`` are inherited
     shared-memory views, ``predict_fn`` (and the model behind it) arrived
-    via fork with its weights rebound onto the pool's read-only segment.
+    via fork with its weights rebound onto the batcher's read-only segment.
     The child first shrinks the OpenBLAS pools it inherited (sized for the
     whole host) to its ``blas_threads`` budget.  Exceptions are
     recoverable: the traceback travels back over the pipe and the loop keeps
@@ -131,12 +131,12 @@ class ProcessEngine:
     """Run the predictor in a forked worker process over shared memory.
 
     One engine ↔ one child.  The parent-side :meth:`predict` is only ever
-    called from the single pool-worker thread that owns this engine, so the
-    slabs need no locking.  ``max_rows`` bounds the largest batch the slabs
-    can carry — the pool sizes it to the batching policy's ceiling
-    (including any SLO-controller headroom).  ``blas_threads`` caps each
-    OpenBLAS pool in the child (the pool passes ``cores // workers``);
-    ``None`` leaves the inherited pools as they are.
+    called from the single batcher worker thread that owns this engine, so
+    the slabs need no locking.  ``max_rows`` bounds the largest batch the
+    slabs can carry — the batcher passes its policy's ``max_batch_size``.
+    ``blas_threads`` caps each OpenBLAS pool in the child (the batcher
+    passes ``cores // workers``); ``None`` leaves the inherited pools as
+    they are.
     """
 
     mode = "process"

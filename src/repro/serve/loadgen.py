@@ -153,8 +153,7 @@ class TrafficShape:
       a compressed day/night cycle.
     * ``burst`` — square wave: ``burst_factor * mean_rps`` for the first
       ``burst_duty`` fraction of each ``period_s``, and whatever lower rate
-      keeps the long-run mean at ``mean_rps`` for the rest.  This is the
-      shape the SLO controller is graded against.
+      keeps the long-run mean at ``mean_rps`` for the rest.
     * ``heavy_tail`` — Lomax (Pareto-II) inter-arrival gaps with tail index
       ``pareto_alpha``: long silences punctuated by arrival clumps, mean
       rate still ``mean_rps`` (requires ``pareto_alpha > 1``).

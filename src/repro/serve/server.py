@@ -8,10 +8,11 @@
   either of two wires that standard headers pick (:mod:`repro.serve.wire`):
 
   - **JSON** (any ``Content-Type`` but npy): body ``{"inputs": [<sample>,
-    ...]}`` (or a single ``"input"``) with an optional ``"priority"``;
+    ...]}`` (or a single ``"input"``) with an optional integer
+    ``"priority"``;
   - **npy** (``Content-Type: application/x-npy``): the body is one ``.npy``
     float32 array of shape ``(n, *input_shape)``, validated header-first,
-    and the priority travels as ``POST /predict?priority=N``.
+    and the priority travels as ``POST /predict?priority=N`` (digits).
 
   A 200 is one ``.npy`` of the float32 outputs, shape
   ``(n, *output_shape)``, when the request's ``Accept`` lists
@@ -27,7 +28,8 @@
   statistics, plus the unified versioned telemetry snapshot
   (:mod:`repro.telemetry`).  ``GET /metrics?format=prometheus`` returns the
   Prometheus text exposition instead.
-* ``POST /respawn``  — replace dead pool workers.
+* ``POST /respawn``  — replace dead inference workers; a respawn that
+  fails (the fork was refused) answers ``500``.
 
 Overload (full request queue) returns ``503`` so closed-loop clients back
 off; malformed bodies, a ``Content-Length`` that is not a non-negative
@@ -52,7 +54,6 @@ from repro.serve.admission import AdmissionPolicy
 from repro.serve.artifact import Predictor, load_artifact
 from repro.serve.batcher import BatcherClosedError, BatchingPolicy, DynamicBatcher, QueueFullError
 from repro.serve.engine import WorkerDiedError
-from repro.serve.slo import SLOPolicy
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import tracing as _tracing
 from repro.utils import get_logger
@@ -89,8 +90,6 @@ class ModelServer:
         workers: int = 1,
         mode: str = "thread",
         admission: Optional[AdmissionPolicy] = None,
-        cache_size: int = 0,
-        slo: Optional[Union[SLOPolicy, float]] = None,
     ):
         if isinstance(model, str):
             predictor = load_artifact(model, backend=backend)
@@ -110,8 +109,7 @@ class ModelServer:
                                       name=f"{self.model_name}-engine",
                                       registry=self.metrics,
                                       workers=workers, mode=mode,
-                                      admission=admission,
-                                      cache_size=cache_size, slo=slo)
+                                      admission=admission)
         self.e2e_latency = self.metrics.latency("e2e_latency")
         self.started_at = time.time()
         self._http_requests = self.metrics.counter("http_requests_total")
@@ -221,9 +219,8 @@ class ModelServer:
         if expected is not None and tuple(batch.shape[1:]) != expected:
             return 400, {"error": f"each sample must have shape {list(expected)}, "
                                   f"got {list(batch.shape[1:])}"}
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
+        priority = payload.get("priority", 0)
+        if not isinstance(priority, int) or isinstance(priority, bool):
             return 400, {"error": "priority must be an integer"}
         try:
             future = self.batcher.submit_batch(batch, priority=priority)
@@ -269,8 +266,12 @@ class ModelServer:
         }
 
     def handle_respawn(self) -> Tuple[int, Dict[str, Any]]:
-        """Replace dead pool workers; the recovery half of the kill smoke."""
-        respawned = self.batcher.respawn_workers()
+        """Replace dead workers; the recovery half of the kill smoke."""
+        try:
+            respawned = self.batcher.respawn_workers()
+        except Exception as error:  # noqa: BLE001 — a failed fork is reported, not fatal
+            logger.error("respawn failed: %r", error)
+            return 500, {"error": f"respawn failed: {error!r}"}
         return 200, {
             "respawned": respawned,
             "workers": self.batcher.workers,
@@ -318,7 +319,10 @@ def _decode_npy(body: bytes, query: Dict[str, List[str]],
                 sample_shape: Optional[Tuple[int, ...]]) -> Dict[str, Any]:
     payload: Dict[str, Any] = {"inputs": wire.decode(body, sample_shape)}
     if "priority" in query:
-        payload["priority"] = query["priority"][-1]
+        # Digits become the integer handle_predict requires; anything else
+        # passes through as text for it to reject.
+        text = query["priority"][-1]
+        payload["priority"] = int(text) if text.isascii() and text.isdigit() else text
     return payload
 
 

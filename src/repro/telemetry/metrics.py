@@ -197,11 +197,6 @@ class LatencyTracker:
                 out[f"p{q:g}"] = scale * float(np.percentile(values, q))
         return out
 
-    def reset(self) -> None:
-        with self._lock:
-            self._next = self._filled = self._count = 0
-            self._total = self._max = 0.0
-
 
 class BatchSizeHistogram:
     """Power-of-two histogram of executed micro-batch sizes."""

@@ -43,13 +43,6 @@ class TestLatencyTracker:
         assert tracker.count == 110
         assert tracker.percentile(50) == pytest.approx(5.0)
 
-    def test_reset(self):
-        tracker = LatencyTracker()
-        tracker.observe(1.0)
-        tracker.reset()
-        assert tracker.count == 0
-        assert tracker.summary()["max"] == 0.0
-
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             LatencyTracker(window=0)

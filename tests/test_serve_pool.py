@@ -1,6 +1,7 @@
-"""Predictor pool (repro.serve.{engine,pool,admission,cache,slo}): replication
-bit-invariance, admission control, response cache, SLO adaptation, and
-fault injection (dead workers must fail loudly and respawn cleanly)."""
+"""Replicated workers (repro.serve.{batcher,engine,admission}): bit-invariance
+across worker counts and modes, admission control, the stats surface, and
+fault injection (dead workers must fail loudly and respawn cleanly, and
+every fault path releases what it acquired)."""
 
 import json
 import multiprocessing
@@ -20,20 +21,16 @@ from repro.serve import (
     BatchingPolicy,
     DynamicBatcher,
     LoadShedError,
+    ModelServer,
     Predictor,
     QueueFullError,
-    ResponseCache,
-    SLOController,
-    SLOPolicy,
     WorkerDiedError,
-    batch_cache_key,
 )
+from repro.serve import batcher as batcher_module
 from repro.serve.engine import InlineEngine, ProcessEngine, probe_output_shape
-from repro.serve.pool import PredictorPool, WorkerContext
-from repro.telemetry.metrics import MetricsRegistry
 from repro.tensor import use_backend
 from repro.utils import seed_everything
-from repro.utils.concurrency import ClosableQueue, blas_thread_counts, usable_cores
+from repro.utils.concurrency import blas_thread_counts, usable_cores
 from repro.utils.shm import active_owned_segments
 
 fork_only = pytest.mark.skipif(not fork_available(),
@@ -152,7 +149,7 @@ class TestPoolBitInvariance:
         predictor = _mlp_predictor()
         batcher = DynamicBatcher(predictor, workers=3, name="shared")
         try:
-            engines = [worker.engine for worker in batcher.pool.workers]
+            engines = [worker.engine for worker in batcher.pool_workers]
             assert len(engines) == 3
             assert all(engine._predict is predictor for engine in engines)
         finally:
@@ -288,9 +285,9 @@ class TestBlasBudget:
         try:
             # The queue is empty, so each worker's engine is idle: drive
             # every child once.
-            for worker in batcher.pool.workers:
+            for worker in batcher.pool_workers:
                 worker.engine.predict(_samples(2))
-            pids = set(batcher.pool.worker_pids())
+            pids = set(batcher.worker_pids())
         finally:
             batcher.close(drain=True)
         budget = max(1, usable_cores() // 2)
@@ -310,6 +307,20 @@ class _SlowPredict:
     def __call__(self, batch):
         time.sleep(self.delay_s)
         return np.asarray(batch, dtype=np.float32)
+
+
+class _SlowOnThreeRows(Predictor):
+    """A predictor whose 3-row forwards take ``delay_s``; the 4-row probe
+    that sizes the output slab stays fast."""
+
+    def __init__(self, model, delay_s):
+        super().__init__(model)
+        self.delay_s = delay_s
+
+    def __call__(self, batch):
+        if len(batch) == 3:
+            time.sleep(self.delay_s)
+        return super().__call__(batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,6 +384,137 @@ class TestFaultInjection:
             batcher.close(drain=True)
         assert active_owned_segments() == []
 
+    def test_requests_queued_behind_the_last_dying_worker_fail(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def dying(batch):
+            entered.set()
+            release.wait(timeout=10.0)
+            raise KeyboardInterrupt("simulated worker death")
+
+        batcher = DynamicBatcher(dying, name="lastdeath",
+                                 policy=BatchingPolicy(max_batch_size=1,
+                                                       max_wait_ms=0.0))
+        try:
+            sample = _samples(1)[0]
+            inflight = batcher.submit(sample, timeout=None)
+            assert entered.wait(timeout=5.0)
+            queued = [batcher.submit(sample, timeout=None) for _ in range(3)]
+            release.set()
+            with pytest.raises(WorkerDiedError):
+                inflight.result(timeout=5.0)
+            # The exiting worker sweeps the queue: it is the last one.
+            for future in queued:
+                with pytest.raises(WorkerDiedError):
+                    future.result(timeout=5.0)
+            assert batcher.metrics.gauge("pool_workers_alive").value == 0
+        finally:
+            batcher.close(drain=False)
+
+    @fork_only
+    def test_failed_respawn_leaves_the_counters_alone(self):
+        batcher = DynamicBatcher(_echo_predict, workers=1, mode="process",
+                                 input_shape=(16,), name="refork")
+        try:
+            sample = _samples(1)[0]
+            batcher.submit(sample, timeout=None).result(timeout=10.0)
+            (pid,) = batcher.worker_pids()
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(WorkerDiedError):
+                batcher.submit(sample, timeout=None).result(timeout=10.0)
+            assert _wait_until(lambda: batcher.alive_workers == 0)
+            before = batcher.stats()["worker"]
+            build = batcher._engine_factory
+
+            def refuse(index):
+                raise OSError("fork refused")
+
+            batcher._engine_factory = refuse
+            for _ in range(2):
+                with pytest.raises(OSError, match="fork refused"):
+                    batcher.respawn_workers()
+                assert batcher.stats()["worker"] == before
+            batcher._engine_factory = build
+            assert batcher.respawn_workers() == 1
+            assert batcher.stats()["worker"] == before
+            assert batcher.submit(sample, timeout=None).result(
+                timeout=10.0).shape == (1, 16)
+        finally:
+            batcher.close(drain=True)
+        assert active_owned_segments() == []
+
+    @fork_only
+    def test_sigkill_during_respawn_retires_only_that_worker(self):
+        # Batches of one on a slow forward: two requests sent together land
+        # on two different workers.
+        batcher = DynamicBatcher(_SlowPredict(0.3), workers=2, mode="process",
+                                 input_shape=(16,), name="midrespawn",
+                                 policy=BatchingPolicy(max_batch_size=1,
+                                                       max_wait_ms=0.0))
+        try:
+            sample = _samples(1)[0]
+            for pid in batcher.worker_pids():
+                os.kill(pid, signal.SIGKILL)
+            # Two requests retire the two workers; the last one to go fails
+            # whatever is still queued.
+            futures = [batcher.submit(sample, timeout=None) for _ in range(4)]
+            for future in futures:
+                with pytest.raises(WorkerDiedError):
+                    future.result(timeout=10.0)
+            assert _wait_until(lambda: batcher.alive_workers == 0)
+
+            build, forked = batcher._engine_factory, []
+
+            def factory(index):
+                if forked:  # kill the first new child before the second fork
+                    os.kill(forked[0].pid, signal.SIGKILL)
+                    assert _wait_until(lambda: not forked[0].alive)
+                forked.append(build(index))
+                return forked[-1]
+
+            batcher._engine_factory = factory
+            assert batcher.respawn_workers() == 2
+            assert len(forked) == 2 and forked[1].alive
+            outcomes = [batcher.submit(sample, timeout=None) for _ in range(2)]
+            errors = [f.exception(timeout=10.0) for f in outcomes]
+            assert sum(isinstance(e, WorkerDiedError) for e in errors) == 1
+            assert errors.count(None) == 1
+            assert _wait_until(lambda: batcher.alive_workers == 1)
+            assert batcher.submit(sample, timeout=None).result(
+                timeout=10.0).shape == (1, 16)
+
+            batcher._engine_factory = build
+            assert batcher.respawn_workers() == 1
+            assert batcher.alive_workers == 2
+            assert all(pid is not None for pid in batcher.worker_pids())
+            results = [batcher.submit(sample, timeout=None) for _ in range(4)]
+            assert all(f.result(timeout=10.0).shape == (1, 16) for f in results)
+        finally:
+            batcher.close(drain=True)
+        assert active_owned_segments() == []
+
+    @fork_only
+    def test_timed_out_close_still_releases_the_weights(self, leak_ledger):
+        predictor = _SlowOnThreeRows(_mlp_predictor().model, delay_s=1.5)
+        tensors = list(predictor.model.parameters())
+        originals = [t.data for t in tensors]
+        batcher = DynamicBatcher(predictor, workers=1, mode="process",
+                                 input_shape=(16,), name="slowclose")
+        (worker,) = batcher.pool_workers
+        future = batcher.submit_batch(_samples(3), timeout=None)
+        time.sleep(0.3)              # the worker is inside the slow forward
+        with pytest.raises(RuntimeError, match="did not stop"):
+            batcher.close(timeout=0.2)
+        # The weights are back on the heap and their segment is gone; only
+        # the busy engine's slab remains, until its forward returns.
+        assert all(t.data is original for t, original in zip(tensors, originals))
+        assert active_owned_segments() == [worker.engine._arena.segment.name]
+        assert future.result(timeout=10.0).shape == (3, 5)
+        worker.join(timeout=10.0)
+        assert not worker.alive
+        assert active_owned_segments() == []
+        assert leak_ledger.leaks() == []
+
 
 # --------------------------------------------------------------------------- #
 # Failed constructors release what they acquired
@@ -390,20 +532,22 @@ class TestConstructorCleanup:
         assert all(t.data is original for t, original in zip(tensors, originals))
         assert leak_ledger.leaks() == []
 
-    def test_failed_engine_factory_closes_the_engines_built_before_it(self, leak_ledger):
-        def factory(index):
-            if index == 1:
-                raise RuntimeError("no second engine")
-            return ProcessEngine(_echo_predict, input_shape=(16,),
-                                 output_shape=(16,), max_rows=8)
+    def test_failed_engine_factory_closes_the_engines_built_before_it(
+            self, monkeypatch, leak_ledger):
+        built = []
 
-        ctx = WorkerContext(name="cleanup", queue=ClosableQueue(8),
-                            policy=BatchingPolicy(), queue_latency=None,
-                            compute_latency=None, request_latency=None,
-                            batch_sizes=None, errors=None)
-        pool = PredictorPool(factory, 2, ctx)
+        def engine(*args, name, **kwargs):
+            if name.endswith("engine1"):
+                raise RuntimeError("no second engine")
+            built.append(ProcessEngine(*args, name=name, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(batcher_module, "ProcessEngine", engine)
+        predictor = _mlp_predictor()
         with pytest.raises(RuntimeError, match="no second engine"):
-            pool.start()
+            DynamicBatcher(predictor, workers=2, mode="process",
+                           input_shape=(16,), name="cleanup")
+        assert len(built) == 1 and not built[0].alive
         assert active_owned_segments() == []
         assert leak_ledger.leaks() == []
 
@@ -424,8 +568,10 @@ class TestConstructorCleanup:
 # --------------------------------------------------------------------------- #
 class TestAdmission:
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(kind="nope")
+        # Waiting for space is submit(..., timeout=None), not a kind.
+        for kind in ("nope", "block"):
+            with pytest.raises(ValueError):
+                AdmissionPolicy(kind=kind)
         with pytest.raises(ValueError):
             AdmissionPolicy(shed_watermark=1.5)
 
@@ -483,115 +629,11 @@ class TestAdmission:
 
 
 # --------------------------------------------------------------------------- #
-# Response cache
-# --------------------------------------------------------------------------- #
-class TestResponseCache:
-    def test_cache_key_distinguishes_contents_and_shape(self):
-        a = _samples(4)
-        assert batch_cache_key(a) == batch_cache_key(a.copy())
-        b = a.copy()
-        b[0, 0] += 1.0
-        assert batch_cache_key(a) != batch_cache_key(b)
-        assert batch_cache_key(a) != batch_cache_key(a[:2])
-
-    def test_lru_eviction_and_stats(self):
-        cache = ResponseCache(capacity=2)
-        batches = [_samples(2, seed=i) for i in range(3)]
-        for i, batch in enumerate(batches):
-            cache.put(batch, np.full((2, 5), float(i), dtype=np.float32))
-        assert cache.get(batches[0]) is None        # evicted
-        assert cache.get(batches[2])[0, 0] == 2.0
-        stats = cache.stats()
-        assert stats["entries"] == 2
-        assert stats["hits_total"] == 1 and stats["misses_total"] == 1
-
-    def test_cached_batcher_hits_are_bit_equal_and_skip_inference(self):
-        calls = {"n": 0}
-
-        def counting(batch):
-            calls["n"] += 1
-            return np.asarray(batch, dtype=np.float32) * 2.0
-
-        batcher = DynamicBatcher(counting, name="cached", cache_size=8)
-        try:
-            batch = _samples(4)
-            first = batcher.submit_batch(batch, timeout=None).result(timeout=10.0)
-            after_first = calls["n"]
-            second = batcher.submit_batch(batch, timeout=None).result(timeout=10.0)
-            assert np.array_equal(first, second)
-            assert calls["n"] == after_first     # served from cache
-            assert batcher.stats()["cache"]["hits_total"] == 1
-        finally:
-            batcher.close(drain=True)
-
-
-# --------------------------------------------------------------------------- #
-# SLO controller
-# --------------------------------------------------------------------------- #
-class TestSLO:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(target_p99_ms=0.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(target_p99_ms=10.0, headroom=1.5)
-
-    def _controller(self, target_ms=10.0):
-        policy = BatchingPolicy(max_batch_size=8, max_wait_ms=2.0)
-        slo = SLOPolicy(target_p99_ms=target_ms, min_samples=4)
-        return policy, SLOController(policy, slo, MetricsRegistry())
-
-    def test_step_tightens_on_violated_target(self):
-        policy, controller = self._controller(target_ms=10.0)
-        for _ in range(8):
-            controller.observe(0.050)          # 50 ms >> 10 ms target
-        assert controller.step() == "tighten"
-        assert policy.max_wait_ms < 2.0
-        assert policy.max_batch_size < 8
-
-    def test_step_relaxes_with_headroom(self):
-        policy, controller = self._controller(target_ms=100.0)
-        policy.max_wait_ms = 0.5
-        policy.max_batch_size = 2
-        for _ in range(8):
-            controller.observe(0.001)          # 1 ms << 70 ms relax threshold
-        assert controller.step() == "relax"
-        assert policy.max_wait_ms > 0.5
-        assert policy.max_batch_size > 2
-
-    def test_step_holds_in_deadband_and_below_min_samples(self):
-        policy, controller = self._controller(target_ms=10.0)
-        controller.observe(0.009)
-        assert controller.step() is None        # not enough samples
-        for _ in range(8):
-            controller.observe(0.0085)          # between 7 ms and 10 ms
-        assert controller.step() is None
-
-    def test_knobs_respect_floors_and_ceilings(self):
-        policy, controller = self._controller(target_ms=1.0)
-        for _ in range(100):
-            for _ in range(8):
-                controller.observe(1.0)
-            controller.step()
-        assert policy.max_batch_size >= 1
-        assert policy.max_wait_ms >= 0.0
-
-    def test_batcher_wires_slo_from_float_target(self):
-        batcher = DynamicBatcher(_echo_predict, name="slo", slo=25.0)
-        try:
-            batcher.submit_batch(_samples(4), timeout=None).result(timeout=10.0)
-            stats = batcher.stats()["slo"]
-            assert stats["target_p99_ms"] == 25.0
-        finally:
-            batcher.close(drain=True)
-
-
-# --------------------------------------------------------------------------- #
 # Stats surface
 # --------------------------------------------------------------------------- #
 class TestStats:
     def test_pool_sections_present(self):
-        batcher = DynamicBatcher(_echo_predict, workers=2, name="statsy",
-                                 cache_size=4, slo=50.0)
+        batcher = DynamicBatcher(_echo_predict, workers=2, name="statsy")
         try:
             batcher.submit_batch(_samples(4), timeout=None).result(timeout=10.0)
             stats = batcher.stats()
@@ -602,8 +644,23 @@ class TestStats:
         assert len(stats["workers"]) == 2
         assert {"admitted_total", "rejected_total",
                 "shed_total"} <= set(stats["admission"])
-        assert "cache" in stats and "slo" in stats
         # Legacy keys survive the refactor.
         for key in ("requests_total", "batches_total", "queue_wait_ms",
                     "compute_ms", "worker"):
             assert key in stats
+
+    def test_metrics_carry_every_key_the_benchmark_reads(self):
+        """The keys ``perfbench/serve_http.py`` reads from ``GET /metrics``."""
+        with ModelServer(_mlp_predictor(), port=0, workers=2) as server:
+            status, _ = server.handle_predict({"inputs": _samples(4).tolist()})
+            assert status == 200
+            status, metrics = server.handle_metrics()
+        assert status == 200
+        engine = metrics["engine"]
+        for key in ("batches_total", "samples_total"):
+            assert engine[key] >= 1
+        for summary in (engine["queue_wait_ms"], engine["compute_ms"],
+                        metrics["e2e_latency_ms"]):
+            assert summary["count"] >= 1 and summary["mean"] >= 0.0
+        assert {"compute_seconds", "stall_seconds"} <= set(engine["worker"])
+        assert {"rejected_total", "shed_total"} <= set(engine["admission"])

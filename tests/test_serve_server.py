@@ -401,14 +401,35 @@ class TestPoolServing:
             second = sent_requests[1]
             assert second.get_header("Content-type") == NPY
             assert second.full_url == f"{instance.url}/predict?priority=3"
-            status, body = instance.handle_predict(
-                {"input": [0.0] * 20, "priority": "urgent"})
-            assert status == 400
-            assert "priority" in body["error"]
-            status, media, reply = post(f"{instance.url}/predict?priority=urgent",
-                                        npy_body(np.zeros((1, 20), np.float32)), NPY)
+            # Only a JSON integer (not a bool) or the digits of ?priority=N.
+            for bad in ("urgent", "3", float("inf"), 2.9, True):
+                status, body = instance.handle_predict(
+                    {"input": [0.0] * 20, "priority": bad})
+                assert status == 400, bad
+                assert "priority" in body["error"]
+            for bad in ("urgent", "-1", "2.9"):
+                status, media, reply = post(f"{instance.url}/predict?priority={bad}",
+                                            npy_body(np.zeros((1, 20), np.float32)), NPY)
+                assert (status, media) == (400, JSON), bad
+                assert "priority" in json.loads(reply)["error"]
+            # 1e999 decodes to inf, and int(inf) raises OverflowError.
+            body = b'{"input": [' + b", ".join([b"0.0"] * 20) + b'], "priority": 1e999}'
+            status, media, reply = post(f"{instance.url}/predict", body, JSON)
             assert (status, media) == (400, JSON)
             assert "priority" in json.loads(reply)["error"]
+            assert admitted == [3, 3]
+
+    def test_failed_respawn_is_a_json_500(self, mlp_artifact, monkeypatch):
+        path, _ = mlp_artifact
+        with ModelServer(path, port=0) as instance:
+            def refuse():
+                raise OSError("fork refused")
+
+            monkeypatch.setattr(instance.batcher, "respawn_workers", refuse)
+            status, media, reply = post(f"{instance.url}/respawn", b"", JSON)
+            assert (status, media) == (500, JSON)
+            assert "fork refused" in json.loads(reply)["error"]
+            assert ServeClient(instance.url).healthz()["status"] == "ok"
 
     def test_dead_pool_returns_retryable_503_and_respawn_recovers(self, mlp_artifact):
         path, _ = mlp_artifact
@@ -420,7 +441,7 @@ class TestPoolServing:
             # engine so the next batch raises WorkerDiedError in the worker.
             from repro.serve import WorkerDiedError
 
-            worker = instance.batcher.pool.workers[0]
+            (worker,) = instance.batcher.pool_workers
             original = worker.engine._predict
 
             def poisoned(batch):
