@@ -10,7 +10,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": [
         "repro-cuttlefish=repro.cli:main",
         "repro=repro.cli:main",

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from repro import nn
 
@@ -57,11 +56,18 @@ def full_rank_of(module_or_matrix) -> int:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values in descending order (no singular vectors — cheap)."""
+    """Singular values in descending order (no singular vectors — cheap).
+
+    A NaN or infinite entry raises ``ValueError`` before the SVD runs: LAPACK
+    fails on NaN, and on inf returns NaN singular values that
+    :func:`stable_rank` would turn into a silent rank of 0.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    return linalg.svdvals(matrix)
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix contains NaN or infinite entries")
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 def stable_rank(sigma: np.ndarray) -> float:
@@ -97,13 +103,19 @@ def initial_scale_factor(sigma0: np.ndarray, full_rank: int) -> float:
 
 
 def accumulative_rank(sigma: np.ndarray, p: float = 0.8) -> int:
-    """Smallest r such that the top-r singular values hold a fraction ``p`` of the mass."""
+    """Smallest r such that the top-r singular values hold a fraction ``p`` of the mass.
+
+    ``p`` must lie in (0, 1].  The result never exceeds ``len(sigma)``: at
+    ``p = 1`` the rounded cumulative sum may end just below 1.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"accumulative_rank needs 0 < p <= 1, got p={p}")
     sigma = np.sort(np.asarray(sigma, dtype=np.float64))[::-1]
     total = sigma.sum()
     if total <= 0:
         return 0
     cumulative = np.cumsum(sigma) / total
-    return int(np.searchsorted(cumulative, p) + 1)
+    return int(min(np.searchsorted(cumulative, p) + 1, sigma.size))
 
 
 def module_stable_rank(module: nn.Module) -> float:

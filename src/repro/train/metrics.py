@@ -68,24 +68,33 @@ def matthews_corrcoef(predictions: np.ndarray, targets: np.ndarray) -> float:
     return (tp * tn - fp * fn) / denom
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2.0)[group]
+
+
 def spearman_correlation(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Spearman rank correlation, used for STS-B.
+    """Spearman rank correlation, used for STS-B: Pearson on tie-averaged ranks.
 
     Constant (zero-variance) arrays and empty batches have no defined rank
-    correlation (0/0 inside the formula) — both return 0.0 instead of NaN.
+    correlation (0/0 inside the formula) — both return 0.0 instead of NaN,
+    as does a NaN anywhere in either input.  Arrays of different lengths
+    raise ``ValueError``.
     """
     predictions = np.asarray(predictions).reshape(-1)
     targets = np.asarray(targets).reshape(-1)
     if predictions.size == 0 or targets.size == 0:
         return 0.0
+    if predictions.size != targets.size:
+        raise ValueError(f"spearman_correlation needs inputs of equal length, got "
+                         f"{predictions.size} predictions and {targets.size} targets")
+    if np.isnan(predictions).any() or np.isnan(targets).any():
+        return 0.0
     if np.allclose(predictions, predictions[0]) or np.allclose(targets, targets[0]):
         return 0.0
-    # Imported here: scipy.stats takes ~0.4 s to import, and nothing else in
-    # the package needs it.
-    from scipy import stats
-
-    rho, _ = stats.spearmanr(predictions, targets)
-    return float(rho) if np.isfinite(rho) else 0.0
+    return float(np.corrcoef(_average_ranks(predictions), _average_ranks(targets))[0, 1])
 
 
 def classification_metric(name: str, logits: np.ndarray, targets: np.ndarray) -> float:

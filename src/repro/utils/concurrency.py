@@ -112,8 +112,9 @@ def run_worker_threads(target: Callable[[int], None], count: int,
 # --------------------------------------------------------------------------- #
 # BLAS thread budget
 # --------------------------------------------------------------------------- #
-#: (get, set) thread-count entry points of the OpenBLAS builds numpy (64-bit
-#: integer interface) and scipy bundle.
+#: (get, set) thread-count entry points of the OpenBLAS build numpy bundles
+#: (64-bit integer interface; the package's only BLAS) and of the 32-bit one
+#: scipy bundles, which a caller's process may load alongside.
 _OPENBLAS_ENTRY_POINTS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),

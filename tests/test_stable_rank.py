@@ -16,6 +16,7 @@ from repro.core import (
     stable_rank,
     weight_to_matrix,
 )
+from repro.models import build_model
 
 
 def low_rank_matrix(m, n, r, rng, noise=0.0):
@@ -59,6 +60,26 @@ class TestStableRank:
         with pytest.raises(ValueError):
             singular_values(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_singular_values_rejects_non_finite(self, bad):
+        """A bare LAPACK SVD fails on NaN and returns NaN singular values on
+        inf (a silent stable rank of 0); both must raise ValueError first."""
+        matrix = np.eye(4)
+        matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN"):
+            singular_values(matrix)
+
+    def test_bit_identical_to_scipy_svdvals_on_resnet_cell_shapes(self, rng):
+        """Swapping scipy's ``svdvals`` for numpy's SVD moves no stable rank:
+        same bits on every candidate layer of the ResNet-18 x0.125 cell, at
+        init and on Gaussian matrices of the same shapes."""
+        linalg = pytest.importorskip("scipy.linalg", exc_type=ImportError)
+        model = build_model("resnet18", num_classes=10, width_mult=0.125, small_input=True)
+        for path in model.factorization_candidates():
+            weight = np.asarray(weight_to_matrix(model.get_submodule(path)), dtype=np.float64)
+            for matrix in (weight, rng.standard_normal(weight.shape)):
+                np.testing.assert_array_equal(singular_values(matrix), linalg.svdvals(matrix))
+
 
 class TestScaledStableRank:
     def test_scaling_recovers_full_rank_at_init(self, rng):
@@ -100,6 +121,18 @@ class TestAccumulativeRank:
         sigma = np.sort(rng.random(20))[::-1]
         assert accumulative_rank(sigma, 0.5) <= accumulative_rank(sigma, 0.9)
 
+    def test_p_one_is_full_rank(self, rng):
+        """The normalised cumsum of ten 0.1s ends just below 1.0."""
+        assert accumulative_rank(np.full(10, 0.1), p=1.0) == 10
+        for _ in range(50):
+            sigma = rng.random(int(rng.integers(1, 64)))
+            assert accumulative_rank(sigma, p=1.0) == sigma.size
+
+    @pytest.mark.parametrize("p", [0.0, -0.2, 1.5, float("nan")])
+    def test_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="0 < p <= 1"):
+            accumulative_rank(np.array([3.0, 2.0, 1.0]), p=p)
+
 
 class TestModuleRankEstimation:
     def test_weight_to_matrix_linear(self):
@@ -128,6 +161,12 @@ class TestModuleRankEstimation:
         layer = nn.Linear(24, 24)
         estimate = module_rank_estimate(layer, xi=1.3, mode=mode)
         assert 0 < estimate <= 24
+
+    def test_accumulative_estimate_capped_at_full_rank(self, rng):
+        layer = nn.Linear(12, 8)
+        for _ in range(20):
+            layer.weight.data = rng.standard_normal((8, 12)).astype(np.float32)
+            assert module_rank_estimate(layer, mode="accumulative", accumulative_p=1.0) == 8.0
 
     def test_unknown_mode_raises(self):
         with pytest.raises(KeyError):

@@ -75,6 +75,30 @@ class TestMetrics:
     def test_spearman_constant_input(self):
         assert spearman_correlation(np.ones(5), np.arange(5)) == 0.0
 
+    def test_spearman_ties_share_average_rank(self):
+        # Ranks [1, 2.5, 2.5, 4] against [1, 3, 2, 4]: 4.5 / sqrt(4.5 * 5).
+        assert spearman_correlation([1, 2, 2, 3], [1, 3, 2, 4]) == pytest.approx(3 / np.sqrt(10))
+
+    def test_spearman_nan_input(self):
+        assert spearman_correlation(np.array([1.0, np.nan, 3.0]), np.arange(3.0)) == 0.0
+        assert spearman_correlation(np.arange(3.0), np.array([np.nan, 1.0, 2.0])) == 0.0
+
+    def test_spearman_mismatched_lengths_raise(self):
+        with pytest.raises(ValueError, match="3 predictions and 2 targets"):
+            spearman_correlation(np.arange(3.0), np.arange(2.0))
+
+    def test_spearman_matches_scipy_on_tied_inputs(self):
+        stats = pytest.importorskip("scipy.stats", exc_type=ImportError)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            size = int(rng.integers(3, 40))
+            predictions = rng.integers(0, 5, size).astype(np.float32)
+            targets = rng.integers(0, 4, size) / 2.0
+            if np.ptp(predictions) == 0 or np.ptp(targets) == 0:
+                continue
+            expected = stats.spearmanr(predictions, targets)[0]
+            assert spearman_correlation(predictions, targets) == pytest.approx(expected, abs=1e-12)
+
     def test_classification_metric_dispatch(self):
         logits = np.array([[2.0, 0.0], [0.0, 2.0]])
         targets = np.array([0, 1])
