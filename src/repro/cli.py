@@ -57,11 +57,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import nn
 from repro.core import CuttlefishConfig, RankTracker, profile_layer_stacks
 from repro.data import PipelineLoader, make_vision_task
 from repro.models import available_models, build_model
 from repro.optim import SGD, build_paper_cifar_schedule
-from repro.profiling import get_device
+from repro.profiling import DEVICES, get_device
 from repro.tensor import available_backends, set_backend
 from repro.train.experiments import (
     ExperimentRow,
@@ -88,6 +89,31 @@ def _check_backend_name(name) -> None:
             f"unknown backend {name!r}; registered backends: "
             f"{', '.join(available_backends())}"
         )
+
+
+def _checked(convert, accept, requirement: str):
+    """An argparse ``type`` that converts with ``convert`` and rejects values
+    ``accept`` refuses, so a bad flag is a usage error (exit 2) naming it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+
+#: Models ``profile`` can build and trace on one image batch.  The patch
+#: models fix their token grid at construction, so they are built at
+#: ``--image-size``.  ``bert_*`` (token input) and ``mlp`` (constructor
+#: arguments) are not offered.
+_PATCH_MODELS = ("deit_base", "deit_micro", "deit_small", "deit_tiny",
+                 "resmlp_micro", "resmlp_s24", "resmlp_s36")
+_PROFILE_MODELS = sorted(_PATCH_MODELS + ("resnet18", "resnet50", "vgg19", "wide_resnet50_2"))
 
 
 # --------------------------------------------------------------------------- #
@@ -150,14 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
     list_methods.add_argument("--json", action="store_true")
 
     profile = sub.add_parser("profile", help="Algorithm 2: per-stack speedup table (Figure 4)")
-    profile.add_argument("--model", default="resnet18", choices=available_models())
-    profile.add_argument("--num-classes", type=int, default=10)
-    profile.add_argument("--device", default="v100", help="v100 | t4 | a100 | cpu")
-    profile.add_argument("--batch-size", type=int, default=1024,
+    profile.add_argument("--model", default="resnet18", choices=_PROFILE_MODELS)
+    profile.add_argument("--num-classes", type=_positive_int, default=10)
+    profile.add_argument("--device", default="v100", type=str.lower, choices=sorted(DEVICES))
+    profile.add_argument("--batch-size", type=_positive_int, default=1024,
                          help="batch size at which the roofline is evaluated")
-    profile.add_argument("--rank-ratio", type=float, default=0.25, help="probe rank ratio ρ̄")
-    profile.add_argument("--speedup-threshold", type=float, default=1.5, help="υ")
-    profile.add_argument("--image-size", type=int, default=32)
+    profile.add_argument("--rank-ratio", default=0.25, help="probe rank ratio ρ̄, in (0, 1]",
+                         type=_checked(float, lambda value: 0 < value <= 1, "in (0, 1]"))
+    profile.add_argument("--speedup-threshold", default=1.5, help="υ, > 0",
+                         type=_checked(float, lambda value: value > 0, "> 0"))
+    profile.add_argument("--image-size", type=_positive_int, default=32)
     profile.add_argument("--json", action="store_true")
 
     export = sub.add_parser("export", help="convert a checkpoint into a serving artifact")
@@ -444,10 +472,16 @@ def cmd_list_methods(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, stream=sys.stdout) -> int:
-    model = build_model(args.model, num_classes=args.num_classes, rng=get_rng(offset=1))
-    if not hasattr(model, "layer_stack_paths"):
-        stream.write(f"model {args.model!r} does not define layer stacks; nothing to profile\n")
-        return 1
+    kwargs = {"num_classes": args.num_classes}
+    if args.model in _PATCH_MODELS:
+        kwargs["image_size"] = args.image_size
+    try:
+        # Weight-free: the roofline prices layer shapes and reads no weight.
+        with nn.init.shapes_only():
+            model = build_model(args.model, **kwargs)
+    except ValueError as error:      # an image size the patch size does not divide
+        stream.write(f"error: {error}\n")
+        return 2
     probe = get_rng(offset=2).standard_normal((2, 3, args.image_size, args.image_size)).astype(np.float32)
     labels = np.zeros(len(probe), dtype=np.int64)
     result = profile_layer_stacks(
@@ -506,7 +540,6 @@ def cmd_rank_trace(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_export(args: argparse.Namespace, stream=sys.stdout) -> int:
-    from repro import nn
     from repro.serve import export_artifact
     from repro.utils import load_checkpoint, read_checkpoint_meta
 

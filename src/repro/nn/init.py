@@ -4,16 +4,54 @@ Includes the standard Kaiming/Xavier initialisers used by the full-rank
 architectures and the *spectral initialisation* of Khodak et al. (2020) used
 by the SI&FD baseline, where a factorized pair (U, Vᵀ) is initialised from the
 truncated SVD of a conventionally-initialised full-rank weight.
+
+Inside :func:`shapes_only` every random initialiser returns zeros and draws
+nothing: a model built there has the right shapes and no weight values, which
+is all the shape-only roofline pricing reads.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import contextlib
+import threading
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.tensor.tensor import DEFAULT_DTYPE
 from repro.utils import get_rng
+
+
+class _ShapesOnly(threading.local):
+    """Whether the calling thread is inside :func:`shapes_only`.
+
+    Per thread for the reason :func:`repro.tensor.use_backend` is: a model
+    another thread builds at the same time keeps its real draws.
+    """
+
+    enabled: bool = False
+
+
+_shapes_only = _ShapesOnly()
+
+
+@contextlib.contextmanager
+def shapes_only() -> Iterator[None]:
+    """Build weight-free models on the calling thread for the block.
+
+    Every random initialiser (``kaiming_*``, ``xavier_*``, ``truncated_normal``,
+    ``spectral_init``) returns float32 zeros of the requested shape and leaves
+    its generator untouched.  ``np.zeros`` pages that nothing writes are never
+    made resident, so a paper-scale model built here costs neither the draws
+    nor the memory of its weights.  Use it only for models whose weight values
+    nothing reads.
+    """
+    previous = _shapes_only.enabled
+    _shapes_only.enabled = True
+    try:
+        yield
+    finally:
+        _shapes_only.enabled = previous
 
 
 def _fan_in_fan_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -31,6 +69,8 @@ def _fan_in_fan_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
 
 def kaiming_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """He-normal initialisation appropriate for ReLU networks."""
+    if _shapes_only.enabled:
+        return zeros(shape)
     rng = rng or get_rng()
     fan_in, _ = _fan_in_fan_out(shape)
     std = np.sqrt(2.0 / max(fan_in, 1))
@@ -38,6 +78,8 @@ def kaiming_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = 
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    if _shapes_only.enabled:
+        return zeros(shape)
     rng = rng or get_rng()
     fan_in, _ = _fan_in_fan_out(shape)
     bound = np.sqrt(6.0 / max(fan_in, 1))
@@ -45,6 +87,8 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] =
 
 
 def xavier_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    if _shapes_only.enabled:
+        return zeros(shape)
     rng = rng or get_rng()
     fan_in, fan_out = _fan_in_fan_out(shape)
     std = np.sqrt(2.0 / max(fan_in + fan_out, 1))
@@ -52,6 +96,8 @@ def xavier_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = N
 
 
 def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    if _shapes_only.enabled:
+        return zeros(shape)
     rng = rng or get_rng()
     fan_in, fan_out = _fan_in_fan_out(shape)
     bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
@@ -70,6 +116,8 @@ def truncated_normal(
     shape: Tuple[int, ...], std: float = 0.02, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """Normal samples clipped to ±2 std, as used for transformer embeddings."""
+    if _shapes_only.enabled:
+        return zeros(shape)
     rng = rng or get_rng()
     samples = rng.standard_normal(shape) * std
     return np.clip(samples, -2 * std, 2 * std).astype(DEFAULT_DTYPE)
@@ -91,6 +139,8 @@ def spectral_init(
     """
     m, n = full_shape
     rank = int(min(rank, m, n))
+    if _shapes_only.enabled:
+        return zeros((m, rank)), zeros((rank, n))
     full = base_init((m, n), rng=rng).astype(np.float64)
     u, s, vt = np.linalg.svd(full, full_matrices=False)
     root = np.sqrt(s[:rank])

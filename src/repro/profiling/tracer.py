@@ -76,16 +76,16 @@ def trace_shapes(model: nn.Module, example_input, forward_fn=None) -> Dict[str, 
         originals[name] = (module, module.forward)
         object.__setattr__(module, "forward", make_wrapper(module, name, module.forward))
 
+    was_training = model.training
     try:
         with no_grad():
-            was_training = model.training
             model.eval()
             if forward_fn is not None:
                 forward_fn(model, example_input)
             else:
                 model(example_input)
-            model.train(was_training)
     finally:
+        model.train(was_training)
         for module, original in originals.values():
             object.__setattr__(module, "forward", original)
             # Remove the instance attribute so the class method is used again.

@@ -218,8 +218,8 @@ def _reference_shape_key(config: VisionExperimentConfig, num_classes: int) -> Tu
             config.reference_batch, num_classes, config.small_input)
 
 
-# The traced reference model: one entry, because a paper-scale model holds
-# tens of MB of weights.
+# The traced reference model: one entry, so a process that prices several
+# architectures in turn holds only the last module tree and trace.
 _REFERENCE_TRACE: Dict[Tuple, Tuple[nn.Module, Dict[str, ModuleTrace]]] = {}
 
 
@@ -227,13 +227,15 @@ def _traced_reference(config: VisionExperimentConfig,
                       num_classes: int) -> Tuple[nn.Module, Dict[str, ModuleTrace]]:
     """The paper-scale reference model and its layer-shape trace.
 
-    Built and traced once per shape key, then shared by
+    Built weight-free (every weight is zero and nothing is drawn: the roofline
+    reads only shapes) and traced once per shape key, then shared by
     :func:`reference_profiling` and :func:`projected_training_hours`, which
     only read it: nothing may modify the shared model.
     """
     key = _reference_shape_key(config, num_classes)
     if key not in _REFERENCE_TRACE:
-        reference = _build_model(config, num_classes, width_mult=config.reference_width_mult)
+        with nn.init.shapes_only():
+            reference = _build_model(config, num_classes, width_mult=config.reference_width_mult)
         traces = trace_shapes(reference, _reference_input(config))
         _REFERENCE_TRACE.clear()
         _REFERENCE_TRACE[key] = (reference, traces)

@@ -1,5 +1,6 @@
 """Command-line interface (repro.cli)."""
 
+import argparse
 import io
 import json
 import os
@@ -7,10 +8,15 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import profile_layer_stacks
+from repro.models import build_model
+from repro.profiling import get_device
 from repro.train.methods import available_methods
+from repro.utils import get_rng
 
 
 def _run(argv):
@@ -127,7 +133,59 @@ class TestListMethodsCommand:
         assert all(isinstance(text, str) and text for text in payload.values())
 
 
+def _profile_model_choices():
+    """The ``--model`` choices ``repro profile`` offers."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    profile = commands.choices["profile"]
+    return next(action.choices for action in profile._actions if action.dest == "model")
+
+
 class TestProfileCommand:
+    @pytest.mark.parametrize("model", _profile_model_choices())
+    def test_every_offered_model_profiles(self, model):
+        code, out = _run(["profile", "--model", model, "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k_hat"] >= 1 and payload["speedups"]
+        assert sorted(payload["factorize_stacks"] + payload["skip_stacks"]) == \
+            sorted(payload["speedups"])
+
+    @pytest.mark.parametrize("model, kwargs", [
+        ("resnet18", {}), ("vgg19", {}), ("deit_tiny", {"image_size": 32}),
+    ], ids=["resnet18", "vgg19", "deit_tiny"])
+    def test_json_equals_profiling_a_model_with_real_weights(self, model, kwargs):
+        """The command builds weight-free; the roofline reads only shapes, so
+        its answer equals Algorithm 2 on the model with drawn weights."""
+        code, out = _run(["profile", "--model", model, "--json"])
+        assert code == 0
+        real = build_model(model, num_classes=10, rng=get_rng(offset=1), **kwargs)
+        probe = get_rng(offset=2).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        result = profile_layer_stacks(
+            real, real.layer_stack_paths(), (probe, np.zeros(2, dtype=np.int64)),
+            rank_ratio=0.25, speedup_threshold=1.5, mode="roofline",
+            device=get_device("v100"), batch_scale=1024 / 2)
+        expected = {"k_hat": result.k_hat, "factorize_stacks": result.factorize_stacks,
+                    "skip_stacks": result.skip_stacks, "speedups": result.speedup_table()}
+        assert json.loads(out) == json.loads(json.dumps(expected, default=float))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--batch-size", "-4"), ("--image-size", "0"),
+        ("--num-classes", "0"), ("--rank-ratio", "0"), ("--rank-ratio", "1.5"),
+        ("--rank-ratio", "nan"), ("--speedup-threshold", "0"),
+        ("--speedup-threshold", "-1"), ("--device", "h100"),
+    ])
+    def test_bad_flag_value_is_an_argparse_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", flag, value, "--json"], stream=io.StringIO())
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_image_size_the_patch_does_not_divide_is_an_error(self):
+        code, out = _run(["profile", "--model", "deit_tiny", "--image-size", "30"])
+        assert code == 2
+        assert out == "error: image_size 30 not divisible by patch_size 16\n"
+
     def test_table_output_contains_stacks_and_khat(self):
         code, out = _run(["profile", "--model", "resnet18", "--batch-size", "256"])
         assert code == 0

@@ -1,9 +1,12 @@
 """The shared experiment harness behind the benchmark tables
 (repro.train.experiments), exercised at smoke-test scale."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import factorize_model, full_rank_of
 from repro.profiling import predict_iteration_time
 from repro.train import experiments
@@ -127,6 +130,52 @@ class TestProjectedTime:
         reference_profiling(_tiny_config(seed=3, profile_rank_ratio=0.5), num_classes=10)
         assert len(builds) == 1
         assert svd_calls == []
+
+
+class TestWeightFreeReference:
+    """The reference is built inside ``nn.init.shapes_only``: no weight is
+    drawn, and every price equals one taken from a reference with real
+    weights."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_REFERENCE_TRACE", {})
+        monkeypatch.setattr(experiments, "_REFERENCE_PROFILE_CACHE", {})
+
+    @staticmethod
+    def _price(config, ratios):
+        experiments._REFERENCE_TRACE.clear()
+        experiments._REFERENCE_PROFILE_CACHE.clear()
+        decision = reference_profiling(config, num_classes=10)
+        hours = projected_training_hours(config, 10, ratios, 2.0, 3.0)
+        (reference, _), = experiments._REFERENCE_TRACE.values()
+        return decision, hours, reference
+
+    @staticmethod
+    def _layer_weights(model):
+        return [module.weight.data for module in model.modules()
+                if isinstance(module, (nn.Conv2d, nn.Linear))]
+
+    def test_cached_reference_holds_no_drawn_weight(self):
+        *_, reference = self._price(_tiny_config(), None)
+        for name, param in reference.named_parameters():
+            owner = reference.get_submodule(name.rpartition(".")[0])
+            # BatchNorm scales start at one without a draw; everything else is zero.
+            drawn = not (isinstance(owner, nn.BatchNorm2d) and name.endswith(".weight"))
+            assert np.all(param.data == (0.0 if drawn else 1.0)), name
+
+    @pytest.mark.parametrize("model", ["resnet18", "vgg19"])
+    def test_prices_equal_a_reference_with_real_weights(self, monkeypatch, model):
+        config = _tiny_config(model=model, reference_width_mult=0.25)
+        candidates = experiments._build_model(config, 10).factorization_candidates()
+        ratios = {path: (0.1, 0.25, 0.5)[i % 3] for i, path in enumerate(candidates)}
+        decision, hours, weight_free = self._price(config, ratios)
+        monkeypatch.setattr(nn.init, "shapes_only", contextlib.nullcontext)
+        real_decision, real_hours, real = self._price(config, ratios)
+        assert not any(weight.any() for weight in self._layer_weights(weight_free))
+        assert all(weight.any() for weight in self._layer_weights(real))
+        assert decision == real_decision
+        assert hours == real_hours
 
 
 class TestReferenceProfiling:

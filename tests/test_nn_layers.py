@@ -1,5 +1,7 @@
 """Tests for concrete layers: Linear, Conv2d, norms, pooling, embedding, attention."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,62 @@ class TestInitializers:
         w = nn.init.kaiming_normal((32, 16, 3, 3), rng=np.random.default_rng(0))
         expected = np.sqrt(2.0 / (16 * 9))
         assert abs(w.std() - expected) / expected < 0.15
+
+
+_RANDOM_INITIALIZERS = ["kaiming_normal", "kaiming_uniform", "xavier_normal",
+                        "xavier_uniform", "truncated_normal"]
+
+
+class TestShapesOnly:
+    @pytest.mark.parametrize("name", _RANDOM_INITIALIZERS)
+    @pytest.mark.parametrize("shape", [(6, 4), (8, 3, 3, 3)], ids=["linear", "conv"])
+    def test_initializer_returns_zeros_and_draws_nothing(self, name, shape):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with nn.init.shapes_only():
+            weight = getattr(nn.init, name)(shape, rng=rng)
+        assert weight.shape == shape and weight.dtype == np.float32
+        assert not weight.any()
+        assert rng.bit_generator.state == before
+
+    def test_spectral_init_returns_zero_factors_and_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with nn.init.shapes_only():
+            u, v = nn.init.spectral_init((12, 8), rank=100, rng=rng)
+        assert u.shape == (12, 8) and v.shape == (8, 8)
+        assert u.dtype == v.dtype == np.float32
+        assert not u.any() and not v.any()
+        assert rng.bit_generator.state == before
+
+    def test_restores_on_exit_and_after_an_exception(self):
+        with nn.init.shapes_only():
+            with nn.init.shapes_only():
+                pass
+            assert not nn.init.kaiming_normal((4, 4), rng=np.random.default_rng(0)).any()
+        assert nn.init.kaiming_normal((4, 4), rng=np.random.default_rng(0)).all()
+        with pytest.raises(RuntimeError):
+            with nn.init.shapes_only():
+                raise RuntimeError("build failed")
+        assert nn.init.kaiming_normal((4, 4), rng=np.random.default_rng(0)).all()
+
+    def test_is_per_thread(self):
+        entered, leave = threading.Event(), threading.Event()
+        inside = []
+
+        def hold_shapes_only():
+            with nn.init.shapes_only():
+                inside.append(nn.init.xavier_normal((4, 4), rng=np.random.default_rng(0)))
+                entered.set()
+                leave.wait(30.0)
+
+        worker = threading.Thread(target=hold_shapes_only, name="shapes-only-holder")
+        worker.start()
+        try:
+            assert entered.wait(30.0)
+            assert nn.Linear(4, 4, rng=np.random.default_rng(0)).weight.data.all()
+        finally:
+            leave.set()
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert len(inside) == 1 and not inside[0].any()

@@ -48,6 +48,23 @@ class TestTracer:
         trace_shapes(model, rng.random((2, 4)).astype(np.float32))
         assert model.training
 
+    def test_restores_training_mode_when_the_forward_raises(self, rng):
+        class Exploding(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc = nn.Linear(4, 4)
+
+            def forward(self, x):
+                self.fc(x)
+                raise RuntimeError("forward failed")
+
+        model = Exploding()
+        model.train()
+        with pytest.raises(RuntimeError, match="forward failed"):
+            trace_shapes(model, rng.random((2, 4)).astype(np.float32))
+        assert model.training and model.fc.training
+        assert "forward" not in model.fc.__dict__
+
     def test_conv_model_traced(self, rng):
         model = resnet18(num_classes=4, width_mult=0.125)
         traces = trace_shapes(model, rng.random((2, 3, 16, 16)).astype(np.float32))
