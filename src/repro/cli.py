@@ -130,19 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", default="cifar10_small",
                        help="synthetic task name (see repro.data.VISION_TASKS)")
         p.add_argument("--model", default="resnet18", choices=available_models())
-        p.add_argument("--epochs", type=int, default=10)
-        p.add_argument("--batch-size", type=int, default=32)
+        p.add_argument("--epochs", type=_positive_int, default=10)
+        p.add_argument("--batch-size", type=_positive_int, default=32)
         p.add_argument("--width-mult", type=float, default=0.125,
                        help="channel-width multiplier for the reduced-scale model")
         p.add_argument("--lr", type=float, default=0.3)
         p.add_argument("--weight-decay", type=float, default=5e-3)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-batches", type=int, default=None,
+        p.add_argument("--max-batches", type=_positive_int, default=None,
                        help="cap the number of batches per epoch (smoke tests)")
         p.add_argument("--backend", default="numpy", choices=available_backends(),
                        help="tensor execution backend (numpy-fast pools buffers "
                             "and fuses hot-path kernels; identical results)")
-        p.add_argument("--world-size", type=int, default=1, metavar="N",
+        p.add_argument("--world-size", type=_positive_int, default=1, metavar="N",
                        help="data-parallel replicas: N forked workers train "
                             "on ShardedSampler shards with a deterministic "
                             "gradient all-reduce and Goyal lr scaling "
@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("rank-trace", help="per-layer stable-rank trajectories (Figure 2/3)")
     trace.add_argument("--task", default="cifar10_small")
     trace.add_argument("--model", default="resnet18", choices=available_models())
-    trace.add_argument("--epochs", type=int, default=6)
-    trace.add_argument("--batch-size", type=int, default=32)
+    trace.add_argument("--epochs", type=_positive_int, default=6)
+    trace.add_argument("--batch-size", type=_positive_int, default=32)
     trace.add_argument("--width-mult", type=float, default=0.125)
     trace.add_argument("--lr", type=float, default=0.3)
     trace.add_argument("--weight-decay", type=float, default=5e-3)

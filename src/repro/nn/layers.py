@@ -193,6 +193,10 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 4 or x.shape[1] != self.num_features:
+            raise ValueError(
+                f"BatchNorm2d({self.num_features}) expects (N, {self.num_features}, H, W) "
+                f"input, got shape {tuple(x.shape)}")
         if self.training:
             out, batch_mean, batch_var = F.batch_norm2d_train(x, self.weight, self.bias, self.eps)
             cap = F._active_capture()
@@ -200,12 +204,8 @@ class BatchNorm2d(Module):
                 cap.register_stat_hook(self._update_running_stats, batch_mean, batch_var)
             self._update_running_stats(batch_mean, batch_var)
             return out
-        mean = Tensor(self.running_mean.data.reshape(1, -1, 1, 1))
-        var = Tensor(self.running_var.data.reshape(1, -1, 1, 1))
-        x_hat = (x - mean) / ((var + self.eps) ** 0.5)
-        gamma = self.weight.reshape((1, -1, 1, 1))
-        beta = self.bias.reshape((1, -1, 1, 1))
-        return x_hat * gamma + beta
+        return F.batch_norm2d_eval(x, self.running_mean.data, self.running_var.data,
+                                   self.weight, self.bias, self.eps)
 
     def _update_running_stats(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         momentum = self.momentum

@@ -7,12 +7,14 @@ dispatched through the active execution backend.
 
 Hot-path fusion
 ---------------
-Three kernels exist in both an unfused (seed-faithful op chain) and a fused
+These kernels exist in both an unfused (seed-faithful op chain) and a fused
 (single graph node) form:
 
 * :func:`linear` / :func:`linear_act` — matmul + bias + optional relu/gelu;
 * :func:`softmax_cross_entropy` — the softmax → log → nll chain as one node;
-* :func:`attention_weights` — ``softmax(q @ kᵀ · scale + bias)`` as one node.
+* :func:`attention_weights` — ``softmax(q @ kᵀ · scale + bias)`` as one node;
+* :func:`batch_norm2d_train` — training-mode batch norm as one node, and
+  :func:`batch_norm2d_eval` — eval-mode batch norm as one op under ``no_grad``.
 
 The fused forms replicate the exact float-op sequence of the unfused chains,
 so both produce bit-identical values; which form runs is decided by the
@@ -691,20 +693,72 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# Fused training-mode batch norm (NCHW)
+# Fused batch norm (NCHW-shaped, channels-last in memory)
 # --------------------------------------------------------------------------- #
+def _channel_rows(a: np.ndarray) -> Optional[np.ndarray]:
+    """``a`` as a (N, H·W·C) rows view if its memory is compact channels-last.
+
+    Conv outputs are stored this way (NCHW-shaped, NHWC in memory), and so is
+    every elementwise result over them.  Any other layout gives ``None``.
+    """
+    n, c, h, w = a.shape
+    nhwc = a.transpose(0, 2, 3, 1)
+    if not nhwc.flags.c_contiguous:
+        return None
+    return nhwc.reshape(n, h * w * c)
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=(0, 2, 3), keepdims=True)``, bit for bit.
+
+    On compact channels-last memory with C > 1, numpy's reduce and
+    ``einsum("mc->c")`` over the (N·H·W, C) rows both add the pixel rows in
+    order, channel by channel, and einsum's loop costs several times less
+    per row.  With C == 1 the reduced axis is contiguous: the reduce sums it
+    pairwise and einsum with its own unrolled loop, so that case, like every
+    other layout, keeps the reduce.
+    """
+    n, c, h, w = a.shape
+    rows = _channel_rows(a)
+    if c == 1 or rows is None:
+        return a.sum(axis=(0, 2, 3), keepdims=True)
+    return np.einsum("mc->c", rows.reshape(n * h * w, c)).reshape(1, c, 1, 1)
+
+
+def _per_channel(ufunc, a: np.ndarray, vec: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``ufunc(a, vec)`` for a (1, C, 1, 1) ``vec``, into ``out``.
+
+    ``out`` defaults to a new array in ``a``'s layout.  When ``a`` and
+    ``out`` are compact channels-last the broadcast runs on (N, H·W·C) rows
+    against ``vec`` tiled H·W times: N inner loops of H·W·C elements instead
+    of N·H·W loops of C.  Each element meets the same operands either way.
+    """
+    if out is None:
+        out = np.empty_like(a)
+    rows = _channel_rows(a)
+    out_rows = rows if out is a else _channel_rows(out)
+    if rows is None or out_rows is None:
+        return ufunc(a, vec, out=out)
+    _, c, h, w = a.shape
+    ufunc(rows, vec.reshape(1, c).repeat(h * w, 0).ravel(), out=out_rows)
+    return out
+
+
 class BatchNorm2dOp(Op):
     """Training-mode batch normalisation over NCHW as one graph node.
 
     Replicates the ~18-node op chain the layer otherwise records (two mean
     passes, centering, variance, normalisation, affine) with the exact same
     float-op sequence *and* the same gradient-accumulation order into ``x``,
-    so results are bit-identical to the unfused chain.
+    so results are bit-identical to the unfused chain.  Channel sums and
+    per-channel broadcasts go through :func:`_channel_sum` and
+    :func:`_per_channel`; scratch comes from the backend and goes back in
+    :meth:`release` (at the end of the forward on the graph-free path).
     """
 
     __slots__ = ("eps", "mu", "var", "cnt", "centered", "root", "veps",
-                 "x_hat", "gamma_r", "x_shape", "p_shape", "w_shape", "b_shape",
-                 "_scratch")
+                 "x_hat", "gamma_r", "w_shape", "b_shape", "_scratch")
     name = "batch_norm2d"
 
     def __init__(self, eps: float):
@@ -712,100 +766,105 @@ class BatchNorm2dOp(Op):
         self._scratch = ()
 
     def forward(self, be, x, weight, bias):
-        n, c, h, w = x.shape
-        axes = (0, 2, 3)
-        pooled = be.pool_buffers and self.needs is not None
+        n, _, h, w = x.shape
         cnt = np.asarray(1.0 / (n * h * w), dtype=DEFAULT_DTYPE)
-        mu = x.sum(axis=axes, keepdims=True) * cnt
-        if pooled:
-            centered = np.subtract(x, mu, out=be.take_like(x))
-            sq = np.multiply(centered, centered, out=be.take_like(centered))
-            var = sq.sum(axis=axes, keepdims=True) * cnt
-            be.give(sq)
-        else:
-            centered = x - mu
-            var = (centered * centered).sum(axis=axes, keepdims=True) * cnt
+        mu = _channel_sum(x) * cnt
+        centered = _per_channel(np.subtract, x, mu, out=be.take_like(x))
+        sq = np.multiply(centered, centered, out=be.take_like(centered))
+        var = _channel_sum(sq) * cnt
+        be.give(sq)
         veps = var + np.asarray(self.eps, dtype=DEFAULT_DTYPE)
         root = veps ** 0.5
-        if pooled:
-            x_hat = np.divide(centered, root, out=be.take_like(centered))
-            self._scratch = (centered, x_hat)
-        else:
-            x_hat = centered / root
+        x_hat = _per_channel(np.divide, centered, root, out=be.take_like(centered))
         gamma_r = weight.reshape(1, -1, 1, 1)
-        out = x_hat * gamma_r + bias.reshape(1, -1, 1, 1)
+        out = _per_channel(np.multiply, x_hat, gamma_r)
+        _per_channel(np.add, out, bias.reshape(1, -1, 1, 1), out=out)
         # Batch statistics are exposed for the layer's running-average update
         # even on the graph-free path.
         self.mu = mu
         self.var = var
-        if self.needs is not None:
-            self.cnt = cnt
-            self.centered = centered
-            self.root = root
-            self.veps = veps
-            self.x_hat = x_hat
-            self.gamma_r = gamma_r
-            self.x_shape = x.shape
-            self.p_shape = (1, c, 1, 1)
-            self.w_shape = weight.shape
-            self.b_shape = bias.shape
+        if self.needs is None:
+            be.give(centered)
+            be.give(x_hat)
+            return out
+        self._scratch = (centered, x_hat)
+        self.cnt = cnt
+        self.centered = centered
+        self.root = root
+        self.veps = veps
+        self.x_hat = x_hat
+        self.gamma_r = gamma_r
+        self.w_shape = weight.shape
+        self.b_shape = bias.shape
         return out
 
     def backward(self, be, grad):
-        pshape = self.p_shape
-        pooled = be.pool_buffers
         grad_b = grad_w = grad_x = None
         if self.needs[2]:
-            grad_b = _unbroadcast(grad, pshape).reshape(self.b_shape)
-        if pooled:
-            g_xhat = np.multiply(grad, self.gamma_r, out=be.take_like(grad))
-        else:
-            g_xhat = grad * self.gamma_r
+            grad_b = _channel_sum(grad).reshape(self.b_shape)
+        g_xhat = _per_channel(np.multiply, grad, self.gamma_r, out=be.take_like(grad))
         if self.needs[1]:
-            if pooled:
-                tmp = np.multiply(grad, self.x_hat, out=be.take_like(grad))
-                grad_w = _unbroadcast(tmp, pshape).reshape(self.w_shape)
-                be.give(tmp)
-            else:
-                grad_w = _unbroadcast(grad * self.x_hat, pshape).reshape(self.w_shape)
-        if self.needs[0]:
-            centered, root, veps, cnt = self.centered, self.root, self.veps, self.cnt
-            # Contributions into x in the chain's reverse-topological order:
-            # normalisation numerator, its mean path, the variance centering,
-            # and the variance's mean path.  In-place adds below mirror the
-            # chain's sequential accumulation exactly.
-            if pooled:
-                g_d = np.divide(g_xhat, root, out=be.take_like(g_xhat))
-                t = np.multiply(np.negative(g_xhat, out=g_xhat), centered, out=g_xhat)
-                np.divide(t, root ** 2, out=t)
-                g_root = _unbroadcast(t, pshape)
-            else:
-                g_d = g_xhat / root
-                g_root = _unbroadcast(-g_xhat * centered / (root ** 2), pshape)
-            g_sm = (-_unbroadcast(g_d, pshape)) * cnt
-            grad_x = g_d
-            grad_x += np.broadcast_to(g_sm, self.x_shape)
-            g_veps = g_root * 0.5 * veps ** (0.5 - 1)
-            g_sq = np.broadcast_to(g_veps * cnt, self.x_shape)
-            if pooled:
-                gc = np.multiply(g_sq, centered, out=be.take_like(centered))
-                c_grad = np.add(gc, gc, out=gc)
-            else:
-                gc = g_sq * centered
-                c_grad = gc + gc
-            grad_x += c_grad
-            g_sv = (-_unbroadcast(c_grad, pshape)) * cnt
-            grad_x += np.broadcast_to(g_sv, self.x_shape)
-            if pooled:
-                self._scratch = self._scratch + (g_xhat, g_d, gc)
-        elif pooled:
+            tmp = np.multiply(grad, self.x_hat, out=be.take_like(grad))
+            grad_w = _channel_sum(tmp).reshape(self.w_shape)
+            be.give(tmp)
+        if not self.needs[0]:
             be.give(g_xhat)
+            return (grad_x, grad_w, grad_b)
+        centered, root, veps, cnt = self.centered, self.root, self.veps, self.cnt
+        # Contributions into x in the chain's reverse-topological order:
+        # normalisation numerator, its mean path, the variance centering, and
+        # the variance's mean path.  In-place adds below mirror the chain's
+        # sequential accumulation exactly.
+        g_d = _per_channel(np.divide, g_xhat, root, out=be.take_like(g_xhat))
+        t = np.multiply(np.negative(g_xhat, out=g_xhat), centered, out=g_xhat)
+        g_root = _channel_sum(_per_channel(np.divide, t, root ** 2, out=t))
+        g_sm = (-_channel_sum(g_d)) * cnt
+        grad_x = _per_channel(np.add, g_d, g_sm, out=g_d)
+        g_veps = g_root * 0.5 * veps ** (0.5 - 1)
+        gc = _per_channel(np.multiply, centered, g_veps * cnt, out=be.take_like(centered))
+        c_grad = np.add(gc, gc, out=gc)
+        grad_x += c_grad
+        g_sv = (-_channel_sum(c_grad)) * cnt
+        _per_channel(np.add, grad_x, g_sv, out=grad_x)
+        self._scratch = self._scratch + (g_xhat, g_d, gc)
         return (grad_x, grad_w, grad_b)
 
     def release(self, be):
         for buf in self._scratch:
             be.give(buf)
         self._scratch = ()
+
+
+class BatchNorm2dEvalOp(Op):
+    """Eval-mode batch norm over running statistics as one graph-free op.
+
+    Runs the layer's chain ``(x − mean) / (var + eps) ** 0.5 · γ + β`` with
+    the same four elementwise steps in the same order, on (N, H·W·C) rows
+    into one output buffer (:func:`_per_channel`).  Inference only: it is
+    dispatched under ``no_grad`` and saves no backward context.
+    """
+
+    __slots__ = ("eps",)
+    name = "batch_norm2d_eval"
+
+    def __init__(self, eps: float):
+        self.eps = eps
+
+    def forward(self, be, x, mean, var, weight, bias):
+        root = (var + np.asarray(self.eps, dtype=DEFAULT_DTYPE)) ** 0.5
+        out = _per_channel(np.subtract, x, mean)
+        _per_channel(np.divide, out, root, out=out)
+        _per_channel(np.multiply, out, weight.reshape(1, -1, 1, 1), out=out)
+        return _per_channel(np.add, out, bias.reshape(1, -1, 1, 1), out=out)
+
+
+def _normalize_chain(x: Tensor, mean: Tensor, var: Tensor, weight: Tensor,
+                     bias: Tensor, eps: float) -> Tensor:
+    """The unfused op chain ``(x − mean) / (var + eps) ** 0.5 · γ + β``."""
+    x_hat = (x - mean) / ((var + eps) ** 0.5)
+    gamma = weight.reshape((1, -1, 1, 1))
+    beta = bias.reshape((1, -1, 1, 1))
+    return x_hat * gamma + beta
 
 
 def batch_norm2d_train(x: Tensor, weight: Tensor, bias: Tensor, eps: float):
@@ -830,10 +889,22 @@ def batch_norm2d_train(x: Tensor, weight: Tensor, bias: Tensor, eps: float):
     axes = (0, 2, 3)
     mean = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
-    x_hat = (x - mean) / ((var + eps) ** 0.5)
-    gamma = weight.reshape((1, -1, 1, 1))
-    beta = bias.reshape((1, -1, 1, 1))
-    return x_hat * gamma + beta, mean.data, var.data
+    return _normalize_chain(x, mean, var, weight, bias, eps), mean.data, var.data
+
+
+def batch_norm2d_eval(x: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
+                      weight: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Eval-mode batch norm of NCHW ``x`` over per-channel running statistics.
+
+    Under ``no_grad`` on fusing backends this is one graph-free
+    :class:`BatchNorm2dEvalOp`; otherwise the op chain, which records a
+    graph when gradients are enabled.  Identical values either way.
+    """
+    mean = Tensor(running_mean.reshape(1, -1, 1, 1))
+    var = Tensor(running_var.reshape(1, -1, 1, 1))
+    if get_backend().fuse_kernels and not _tensor_core.is_grad_enabled():
+        return apply_op(BatchNorm2dEvalOp(eps), x, mean, var, weight, bias)
+    return _normalize_chain(x, mean, var, weight, bias, eps)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro import nn
+from repro.profiling import count_ops
 from repro.tensor import (
     Tensor,
     available_backends,
@@ -305,6 +306,33 @@ class TestFusedKernelParity:
 
         self._assert_bit_equal(fn, [x, w, b])
 
+        # Channels-last memory, the layout every conv output has: the fused
+        # op's rows path against the numpy chain, statistics and all three
+        # gradients included.
+        def run(backend, x, w, b, probe):
+            with use_backend(backend):
+                xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                out, mean, var = F.batch_norm2d_train(xt, wt, bt, eps=1e-5)
+                (out * Tensor(probe)).sum().backward()
+                return [a.copy() for a in (out.data, mean, var, xt.grad, wt.grad, bt.grad)]
+
+        conv_w = rng.standard_normal((8, 3, 3, 3)).astype(np.float32)
+        for c, h, w_ in [(1, 5, 4), (2, 6, 6), (8, 4, 4), (8, 1, 1)]:
+            nhwc = (rng.standard_normal((6, h, w_, c)) * 3 + 1).astype(np.float32)
+            image = rng.standard_normal((6, 3, h, w_)).astype(np.float32)
+            with no_grad():
+                conv_out = F.conv2d(Tensor(image), Tensor(conv_w[:c]), padding=1).data
+            for x_cl in (nhwc.transpose(0, 3, 1, 2), conv_out):
+                assert x_cl.transpose(0, 2, 3, 1).flags.c_contiguous
+                w_c = rng.random(c).astype(np.float32) + 0.5
+                b_c = rng.standard_normal(c).astype(np.float32)
+                probe_c = rng.random(x_cl.shape).astype(np.float32)
+                expected = run("numpy", x_cl, w_c, b_c, probe_c)
+                got = run("numpy-fast", x_cl, w_c, b_c, probe_c)
+                for want, have in zip(expected, got):
+                    assert want.shape == have.shape
+                    assert want.tobytes() == have.tobytes(), (c, h, w_)
+
     def test_linear_act_matches_manual_chain(self):
         # Explicit fused call vs the composed matmul+bias+activation graph,
         # on a tiny batch and on a mixed-sign (64, 32) one whose
@@ -336,6 +364,89 @@ class TestFusedKernelParity:
     def test_linear_act_rejects_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
             F.linear_act(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), activation="swish")
+
+
+# --------------------------------------------------------------------------- #
+# Batch norm on channels-last rows
+# --------------------------------------------------------------------------- #
+def _channels_last(rng, n, c, h, w):
+    """An NCHW-shaped array with NHWC memory and per-channel scales 1e-3..1e3."""
+    scales = np.logspace(-3, 3, c).astype(np.float32)
+    return (rng.standard_normal((n, h, w, c)).astype(np.float32) * scales).transpose(0, 3, 1, 2)
+
+
+class TestChannelsLastBatchNorm:
+    def test_channel_sum_is_the_reduce_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 3, 32):
+            for c in (2, 3, 8, 64, 129):
+                for h in (1, 2, 5, 16):
+                    for w in (1, 2, 5, 16):
+                        x = _channels_last(rng, n, c, h, w)
+                        expected = x.sum(axis=(0, 2, 3), keepdims=True)
+                        got = F._channel_sum(x)
+                        assert got.shape == expected.shape == (1, c, 1, 1)
+                        assert got.tobytes() == expected.tobytes(), (n, c, h, w)
+
+    def test_channel_sum_keeps_the_reduce_where_einsum_differs(self):
+        rng = np.random.default_rng(1)
+        # C == 1: the reduced axis is contiguous, the reduce sums it pairwise
+        # and einsum does not, so their bits differ on this input.
+        x = _channels_last(rng, 32, 1, 16, 16)
+        reduce = x.sum(axis=(0, 2, 3), keepdims=True)
+        assert np.einsum("mc->c", x.reshape(-1, 1)).tobytes() != reduce.tobytes()
+        assert F._channel_sum(x).tobytes() == reduce.tobytes()
+        # Layouts without a (N·H·W, C) rows view.
+        nchw = rng.standard_normal((4, 8, 5, 5)).astype(np.float32)
+        strided = _channels_last(rng, 4, 8, 10, 10)[:, :, ::2, 1::2]
+        for x in (nchw, strided):
+            assert F._channel_rows(x) is None
+            assert F._channel_sum(x).tobytes() == x.sum(axis=(0, 2, 3), keepdims=True).tobytes()
+
+    def _model(self):
+        seed_everything(0)
+        model = nn.Sequential(nn.BatchNorm2d(3), nn.Conv2d(3, 8, 3, padding=1),
+                              nn.BatchNorm2d(8), nn.ReLU(), nn.Flatten(),
+                              nn.Linear(8 * 6 * 6, 5))
+        rng = np.random.default_rng(2)
+        for bn, c in ((model[0], 3), (model[2], 8)):
+            bn.running_mean.data = rng.standard_normal(c).astype(np.float32)
+            bn.running_var.data = rng.random(c).astype(np.float32) + 0.1
+            bn.weight.data = rng.random(c).astype(np.float32) + 0.5
+            bn.bias.data = rng.standard_normal(c).astype(np.float32)
+        return model.eval()
+
+    def test_no_grad_eval_is_one_op_per_layer_and_bit_equal(self):
+        # The first BN sees the model input (NCHW or channels-last memory),
+        # the second a channels-last conv output.
+        model = self._model()
+        nchw = np.random.default_rng(3).standard_normal((4, 3, 6, 6)).astype(np.float32)
+        nhwc = np.ascontiguousarray(nchw.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for x in (nchw, nhwc):
+            logits = {}
+            for backend in ("numpy", "numpy-fast"):
+                with use_backend(backend), no_grad(), count_ops() as counts:
+                    logits[backend] = model(Tensor(x)).data.copy()
+                eval_ops = counts.get("batch_norm2d_eval")
+                if backend == "numpy-fast":
+                    assert eval_ops is not None and eval_ops.calls == 2
+                    assert "div" not in counts and "pow" not in counts
+                else:
+                    assert eval_ops is None
+            assert logits["numpy"].tobytes() == logits["numpy-fast"].tobytes()
+
+    def test_grad_enabled_eval_keeps_the_chain(self):
+        model = self._model()
+        x = np.random.default_rng(4).standard_normal((4, 3, 6, 6)).astype(np.float32)
+        with use_backend("numpy-fast"), count_ops() as counts:
+            xt = Tensor(x, requires_grad=True)
+            graphed = model(xt)
+            graphed.sum().backward()
+        assert "batch_norm2d_eval" not in counts and counts["pow"].calls == 2
+        assert xt.grad is not None
+        with use_backend("numpy-fast"), no_grad():
+            graph_free = model(Tensor(x)).data
+        assert graphed.data.tobytes() == graph_free.tobytes()
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.core import profile_layer_stacks
 from repro.models import build_model
 from repro.profiling import get_device
@@ -107,6 +107,26 @@ class TestParser:
         for method in available_methods():
             args = build_parser().parse_args(["train", "--method", method])
             assert args.method == method
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command in ("train", "compare")
+        for flag in ("--batch-size", "--epochs", "--max-batches", "--world-size")
+        for value in ("0", "-1")
+    ] + [
+        ("rank-trace", flag, value)
+        for flag in ("--batch-size", "--epochs") for value in ("0", "-1")
+    ] + [("train", "--batch-size", "two")])
+    def test_bad_integer_flag_exits_2_before_running(self, command, flag, value,
+                                                     monkeypatch, capsys):
+        def must_not_run(args, stream):
+            raise AssertionError(f"{command} ran with {flag} {value}")
+
+        monkeypatch.setitem(COMMANDS, command, must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, value], stream=io.StringIO())
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--prefetch", "2"], ["--loader", "legacy"], ["--loader-workers", "2"],

@@ -237,6 +237,18 @@ class TestNNOps:
         check_gradients(fn, [arr(3, 2, 4, 4, spread=2.0), arr(2, positive=True), arr(2)],
                         backend, atol=5e-2)
 
+    def test_batch_norm2d_eval_with_grad_enabled(self, arr, backend):
+        # Eval mode outside no_grad records the op chain, so it differentiates.
+        mean, var = arr(2), arr(2, positive=True)
+        probe = np.random.default_rng(1).random((3, 2, 4, 4)).astype(np.float32)
+
+        def fn(x, w, b):
+            out = F.batch_norm2d_eval(x, mean, var, w, b, eps=1e-5)
+            return (out * Tensor(probe)).sum()
+
+        check_gradients(fn, [arr(3, 2, 4, 4, spread=2.0), arr(2, positive=True), arr(2)],
+                        backend)
+
 
 # --------------------------------------------------------------------------- #
 # Whole-module smoke gradcheck (fused kernels composed end to end)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad, use_backend
 
 
 class TestLinearConv:
@@ -68,6 +68,24 @@ class TestNormalisation:
         bn.train()
         out_train = bn(x)
         np.testing.assert_allclose(out_eval.data, out_train.data, atol=0.1)
+
+    @pytest.mark.parametrize("shape", [(4, 16, 5, 5), (4, 1), (4, 1, 5)],
+                             ids=["channels", "2d", "3d"])
+    @pytest.mark.parametrize("mode", ["train", "eval", "eval-no-grad"])
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-fast"])
+    def test_batchnorm2d_rejects_input_it_cannot_normalise(self, backend, mode, shape):
+        bn = nn.BatchNorm2d(1)
+        bn.train(mode == "train")
+        x = Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+        with use_backend(backend), pytest.raises(ValueError) as error:
+            if mode == "eval-no-grad":
+                with no_grad():
+                    bn(x)
+            else:
+                bn(x)
+        assert "BatchNorm2d(1)" in str(error.value) and str(shape[1]) in str(error.value)
+        assert bn.running_mean.data.shape == bn.running_var.data.shape == (1,)
+        assert bn.running_mean.data[0] == 0.0 and bn.running_var.data[0] == 1.0
 
     def test_batchnorm1d(self, rng):
         bn = nn.BatchNorm1d(6)
