@@ -107,13 +107,16 @@ def _checked(convert, accept, requirement: str):
 
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
 
+#: Models ``train``, ``compare`` and ``rank-trace`` build: the harness passes
+#: ``width_mult``, which only these take.
+_IMAGE_MODELS = ("resnet18", "resnet50", "vgg19", "wide_resnet50_2")
 #: Models ``profile`` can build and trace on one image batch.  The patch
 #: models fix their token grid at construction, so they are built at
 #: ``--image-size``.  ``bert_*`` (token input) and ``mlp`` (constructor
 #: arguments) are not offered.
 _PATCH_MODELS = ("deit_base", "deit_micro", "deit_small", "deit_tiny",
                  "resmlp_micro", "resmlp_s24", "resmlp_s36")
-_PROFILE_MODELS = sorted(_PATCH_MODELS + ("resnet18", "resnet50", "vgg19", "wide_resnet50_2"))
+_PROFILE_MODELS = sorted(_PATCH_MODELS + _IMAGE_MODELS)
 
 
 # --------------------------------------------------------------------------- #
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--task", default="cifar10_small",
                        help="synthetic task name (see repro.data.VISION_TASKS)")
-        p.add_argument("--model", default="resnet18", choices=available_models())
+        p.add_argument("--model", default="resnet18", choices=_IMAGE_MODELS)
         p.add_argument("--epochs", type=_positive_int, default=10)
         p.add_argument("--batch-size", type=_positive_int, default=32)
         p.add_argument("--width-mult", type=float, default=0.125,
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("rank-trace", help="per-layer stable-rank trajectories (Figure 2/3)")
     trace.add_argument("--task", default="cifar10_small")
-    trace.add_argument("--model", default="resnet18", choices=available_models())
+    trace.add_argument("--model", default="resnet18", choices=_IMAGE_MODELS)
     trace.add_argument("--epochs", type=_positive_int, default=6)
     trace.add_argument("--batch-size", type=_positive_int, default=32)
     trace.add_argument("--width-mult", type=float, default=0.125)

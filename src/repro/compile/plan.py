@@ -88,6 +88,11 @@ class CompiledPlan:
         return len(self._gradbufs)
 
     @property
+    def num_stolen_grads(self) -> int:
+        """Gradient slots bound to an op's own result rather than a planned buffer."""
+        return sum(1 for buf in self._gradbufs if buf is None)
+
+    @property
     def num_backward_steps(self) -> int:
         return len(self._bwd_steps) if self._bwd_steps is not None else 0
 
@@ -153,9 +158,14 @@ class CompiledPlan:
             for op, gsrc, contribs in self._bwd_steps:
                 g = seed if gsrc < 0 else bufs[gsrc]
                 grads = op.backward(be, g)
-                for spec, gc in zip(contribs, grads):
-                    if spec is None or gc is None:
+                # One entry per recorded accumulation, in order: (input
+                # index, part index or -1 for a plain gradient, spec).
+                for idx, part, spec in contribs:
+                    gc = grads[idx]
+                    if gc is None:
                         continue
+                    if part >= 0:
+                        gc = gc[part]
                     if spec[0] == 0:
                         buf = bufs[spec[1]]
                         if spec[2]:
@@ -224,6 +234,66 @@ class CompiledPlan:
         bufs: List[Optional[np.ndarray]] = []
         leaf_bufs: Dict[int, np.ndarray] = {}   # id(leaf tensor) -> static buffer
         proto_strides: Dict[Tuple, Tuple] = {}  # child layout -> take_like strides
+
+        def contribute(child, g) -> Tuple:
+            """Accumulate ``g`` into ``child.grad``; return the replay spec."""
+            if child._op_obj is not None:
+                if child.grad is None:
+                    # Steal the gradient when the op allocated it fresh (sole
+                    # reference: the grads container, the caller's local, the
+                    # parameter and getrefcount's argument) with exactly the
+                    # layout a ``take_like`` buffer would have — then replay
+                    # binds the op's own output instead of memcpy'ing it into
+                    # a planned buffer.  Views, reused buffers and oddly
+                    # strided results keep the copying path.
+                    key = (child.data.shape, child.data.strides, child.data.dtype.str)
+                    want = proto_strides.get(key)
+                    if want is None:
+                        want = np.empty_like(child.data).strides
+                        proto_strides[key] = want
+                    if (g.base is None and g.dtype == _F32
+                            and g.shape == child.data.shape
+                            and g.strides == want
+                            and sys.getrefcount(g) == 4):
+                        bid = len(bufs)
+                        bufs.append(None)
+                        specs.append(None)
+                        child.grad = g
+                        assigned[id(child)] = bid
+                        return (2, bid)
+                    g32 = g.astype(DEFAULT_DTYPE, copy=False)
+                    spec = (child.data.shape, child.data.strides)
+                    pool = free.get(spec)
+                    if pool:
+                        bid = pool.pop()
+                    else:
+                        bid = len(bufs)
+                        # Layout-matched, exactly like the arena's take_like.
+                        bufs.append(np.empty_like(child.data))
+                        specs.append(spec)
+                    np.copyto(bufs[bid], g32)
+                    child.grad = bufs[bid]
+                    assigned[id(child)] = bid
+                    return (0, bid, True)
+                np.add(child.grad, g.astype(DEFAULT_DTYPE, copy=False), out=child.grad)
+                return (0, assigned[id(child)], False)
+            # Leaf: accumulate into a plan-static buffer rather than through
+            # the arena — same arithmetic as the backend's ``accumulate``, but
+            # replay then needs no per-parameter pool lookup (and no
+            # take-schedule entry, so record and replay stay cursor-aligned).
+            g32 = g.astype(DEFAULT_DTYPE, copy=False)
+            buf = leaf_bufs.get(id(child))
+            if buf is None:
+                buf = np.empty_like(child.data)
+                leaf_bufs[id(child)] = buf
+                self._leafbufs.append(buf)
+            if child.grad is None:
+                np.copyto(buf, g32)
+                child.grad = buf
+            else:
+                np.add(child.grad, g32, out=child.grad)
+            return (1, child, buf)
+
         steps: list = []
         for node in reversed(topo):
             op = node._op_obj
@@ -238,71 +308,14 @@ class CompiledPlan:
                 child = node._prev[idx]
                 g = input_grads[idx]
                 if g is None or not child.requires_grad:
-                    contribs.append(None)
                     continue
-                if child._op_obj is not None:
-                    if child.grad is None:
-                        # Steal the gradient when the op allocated it fresh
-                        # (sole reference: the grads container, the local and
-                        # getrefcount's argument) with exactly the layout a
-                        # ``take_like`` buffer would have — then replay binds
-                        # the op's own output instead of memcpy'ing it into a
-                        # planned buffer.  Views, reused buffers and oddly
-                        # strided results keep the copying path.
-                        key = (child.data.shape, child.data.strides,
-                               child.data.dtype.str)
-                        want = proto_strides.get(key)
-                        if want is None:
-                            want = np.empty_like(child.data).strides
-                            proto_strides[key] = want
-                        if (g.base is None and g.dtype == _F32
-                                and g.shape == child.data.shape
-                                and g.strides == want
-                                and sys.getrefcount(g) == 3):
-                            bid = len(bufs)
-                            bufs.append(None)
-                            specs.append(None)
-                            child.grad = g
-                            assigned[id(child)] = bid
-                            contribs.append((2, bid))
-                            continue
-                        g32 = g.astype(DEFAULT_DTYPE, copy=False)
-                        spec = (child.data.shape, child.data.strides)
-                        pool = free.get(spec)
-                        if pool:
-                            bid = pool.pop()
-                        else:
-                            bid = len(bufs)
-                            # Layout-matched, exactly like the arena's take_like.
-                            bufs.append(np.empty_like(child.data))
-                            specs.append(spec)
-                        np.copyto(bufs[bid], g32)
-                        child.grad = bufs[bid]
-                        assigned[id(child)] = bid
-                        contribs.append((0, bid, True))
-                    else:
-                        g32 = g.astype(DEFAULT_DTYPE, copy=False)
-                        bid = assigned[id(child)]
-                        np.add(child.grad, g32, out=child.grad)
-                        contribs.append((0, bid, False))
+                if type(g) is tuple:
+                    # Ordered parts: one accumulation each, in order.
+                    for part in range(len(g)):
+                        gp = g[part]   # no enumerate(): its tuple would hold a ref
+                        contribs.append((idx, part, contribute(child, gp)))
                 else:
-                    # Leaf: accumulate into a plan-static buffer rather than
-                    # through the arena — same arithmetic as the backend's
-                    # ``accumulate``, but replay then needs no per-parameter
-                    # pool lookup (and no take-schedule entry, so record and
-                    # replay stay cursor-aligned).
-                    g32 = g.astype(DEFAULT_DTYPE, copy=False)
-                    buf = leaf_bufs.get(id(child))
-                    if buf is None:
-                        buf = np.empty_like(child.data)
-                        leaf_bufs[id(child)] = buf
-                        self._leafbufs.append(buf)
-                    if child.grad is None:
-                        np.copyto(buf, g32)
-                        child.grad = buf
-                    else:
-                        np.add(child.grad, g32, out=child.grad)
-                    contribs.append((1, child, buf))
+                    contribs.append((idx, -1, contribute(child, g)))
             steps.append((op, gsrc, tuple(contribs)))
             if node is not loss:
                 node.grad = None

@@ -234,6 +234,10 @@ class BatchNorm1d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 2 or x.shape[1] != self.num_features:
+            raise ValueError(
+                f"BatchNorm1d({self.num_features}) expects (N, {self.num_features}) "
+                f"input, got shape {tuple(x.shape)}")
         if self.training:
             mean = x.mean(axis=0, keepdims=True)
             var = x.var(axis=0, keepdims=True)
@@ -271,10 +275,11 @@ class LayerNorm(Module):
         self.bias = Parameter(init_mod.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        x_hat = (x - mean) / ((var + self.eps) ** 0.5)
-        return x_hat * self.weight + self.bias
+        if x.ndim == 0 or x.shape[-1] != self.normalized_shape:
+            raise ValueError(
+                f"LayerNorm({self.normalized_shape}) expects input whose last dimension "
+                f"is {self.normalized_shape}, got shape {tuple(x.shape)}")
+        return F.layer_norm(x, self.weight, self.bias, self.eps)
 
     def extra_repr(self) -> str:
         return f"normalized_shape={self.normalized_shape}"

@@ -14,7 +14,8 @@ These kernels exist in both an unfused (seed-faithful op chain) and a fused
 * :func:`softmax_cross_entropy` — the softmax → log → nll chain as one node;
 * :func:`attention_weights` — ``softmax(q @ kᵀ · scale + bias)`` as one node;
 * :func:`batch_norm2d_train` — training-mode batch norm as one node, and
-  :func:`batch_norm2d_eval` — eval-mode batch norm as one op under ``no_grad``.
+  :func:`batch_norm2d_eval` — eval-mode batch norm as one op under ``no_grad``;
+* :func:`layer_norm` — layer norm over the last axis as one node.
 
 The fused forms replicate the exact float-op sequence of the unfused chains,
 so both produce bit-identical values; which form runs is decided by the
@@ -858,12 +859,13 @@ class BatchNorm2dEvalOp(Op):
         return _per_channel(np.add, out, bias.reshape(1, -1, 1, 1), out=out)
 
 
-def _normalize_chain(x: Tensor, mean: Tensor, var: Tensor, weight: Tensor,
-                     bias: Tensor, eps: float) -> Tensor:
-    """The unfused op chain ``(x − mean) / (var + eps) ** 0.5 · γ + β``."""
+def _normalize_chain(x: Tensor, mean: Tensor, var: Tensor, gamma: Tensor,
+                     beta: Tensor, eps: float) -> Tensor:
+    """The unfused op chain ``(x − mean) / (var + eps) ** 0.5 · γ + β``.
+
+    ``gamma`` and ``beta`` come shaped to broadcast against ``x``.
+    """
     x_hat = (x - mean) / ((var + eps) ** 0.5)
-    gamma = weight.reshape((1, -1, 1, 1))
-    beta = bias.reshape((1, -1, 1, 1))
     return x_hat * gamma + beta
 
 
@@ -889,7 +891,8 @@ def batch_norm2d_train(x: Tensor, weight: Tensor, bias: Tensor, eps: float):
     axes = (0, 2, 3)
     mean = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
-    return _normalize_chain(x, mean, var, weight, bias, eps), mean.data, var.data
+    gamma, beta = weight.reshape((1, -1, 1, 1)), bias.reshape((1, -1, 1, 1))
+    return _normalize_chain(x, mean, var, gamma, beta, eps), mean.data, var.data
 
 
 def batch_norm2d_eval(x: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
@@ -904,6 +907,94 @@ def batch_norm2d_eval(x: Tensor, running_mean: np.ndarray, running_var: np.ndarr
     var = Tensor(running_var.reshape(1, -1, 1, 1))
     if get_backend().fuse_kernels and not _tensor_core.is_grad_enabled():
         return apply_op(BatchNorm2dEvalOp(eps), x, mean, var, weight, bias)
+    gamma, beta = weight.reshape((1, -1, 1, 1)), bias.reshape((1, -1, 1, 1))
+    return _normalize_chain(x, mean, var, gamma, beta, eps)
+
+
+# --------------------------------------------------------------------------- #
+# Fused layer norm (last axis)
+# --------------------------------------------------------------------------- #
+class LayerNormOp(Op):
+    """Layer normalisation over the last axis as one graph node.
+
+    Replicates the 16-node chain ``nn.LayerNorm`` otherwise records (two
+    mean passes, centering, variance, normalisation, affine) with the same
+    float-op sequence; the chain centres ``x`` twice with the same bits, the
+    op once.  ``x`` is a transformer's residual stream: when this backward
+    runs, ``x``'s gradient already holds the residual add's contribution, so
+    summing the four contributions into one array would reorder the adds
+    and change bits.  The input gradient is returned as the chain's ordered
+    parts instead, which the engine adds one by one (:meth:`Op.backward`).
+    """
+
+    __slots__ = ("eps", "cnt", "centered", "root", "veps", "x_hat", "weight", "b_shape")
+    name = "layer_norm"
+
+    def __init__(self, eps: float):
+        self.eps = eps
+
+    def forward(self, be, x, weight, bias):
+        cnt = np.asarray(1.0 / x.shape[-1], dtype=DEFAULT_DTYPE)
+        mean = x.sum(axis=-1, keepdims=True) * cnt
+        centered = x + (-mean)
+        sq = np.multiply(centered, centered)
+        var = sq.sum(axis=-1, keepdims=True) * cnt
+        veps = var + np.asarray(self.eps, dtype=DEFAULT_DTYPE)
+        root = veps ** 0.5
+        x_hat = np.divide(centered, root, out=sq)
+        out = x_hat * weight
+        np.add(out, bias, out=out)
+        if self.needs is not None:
+            self.cnt = cnt
+            self.centered = centered
+            self.root = root
+            self.veps = veps
+            self.x_hat = x_hat
+            self.weight = weight
+            self.b_shape = bias.shape
+        return out
+
+    def backward(self, be, grad):
+        grad_x = grad_w = grad_b = None
+        if self.needs[2]:
+            grad_b = _unbroadcast(grad, self.b_shape)
+        scratch = None
+        if self.needs[1]:
+            scratch = grad * self.x_hat
+            grad_w = _unbroadcast(scratch, self.weight.shape)
+            if grad_w is scratch:   # 1-D input: the product is γ's gradient
+                scratch = None
+        if not self.needs[0]:
+            return (grad_x, grad_w, grad_b)
+        centered, root, cnt = self.centered, self.root, self.cnt
+        g_xhat = grad * self.weight
+        # The chain's contributions into x, in its accumulation order:
+        # normalisation numerator, its mean path, the variance's centering
+        # (t + t: both operands of centered · centered), the variance's mean
+        # path.
+        g_d = np.divide(g_xhat, root, out=scratch)
+        t = np.multiply(np.negative(g_xhat, out=g_xhat), centered, out=g_xhat)
+        g_root = _unbroadcast(np.divide(t, root ** 2, out=t), root.shape)
+        g_sm = (-_unbroadcast(g_d, root.shape)) * cnt
+        g_veps = g_root * 0.5 * self.veps ** (0.5 - 1)
+        c_grad = np.multiply(centered, g_veps * cnt, out=t)
+        np.add(c_grad, c_grad, out=c_grad)
+        g_sv = (-_unbroadcast(c_grad, root.shape)) * cnt
+        shape = centered.shape
+        grad_x = (g_d, np.broadcast_to(g_sm, shape), c_grad, np.broadcast_to(g_sv, shape))
+        return (grad_x, grad_w, grad_b)
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer norm of ``x`` over its last axis, ``(x − μ) / (σ² + eps) ** 0.5 · γ + β``.
+
+    One :class:`LayerNormOp` on fusing backends; otherwise the op chain.
+    Identical values either way.
+    """
+    if get_backend().fuse_kernels:
+        return apply_op(LayerNormOp(eps), x, weight, bias)
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     return _normalize_chain(x, mean, var, weight, bias, eps)
 
 

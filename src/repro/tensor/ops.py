@@ -3,8 +3,9 @@
 Each op is a tiny object with two methods: ``forward(backend, *arrays)``
 computes the result and stashes whatever context backward needs;
 ``backward(backend, grad)`` maps the output gradient to one gradient (or
-``None``) per input.  Ops never touch :class:`~repro.tensor.tensor.Tensor`
-objects — the engine in ``tensor.py`` owns graph bookkeeping, and the active
+``None``, or a tuple of ordered parts: :meth:`Op.backward`) per input.  Ops
+never touch :class:`~repro.tensor.tensor.Tensor` objects — the engine in
+``tensor.py`` owns graph bookkeeping, and the active
 :class:`~repro.tensor.backend.Backend` owns buffer policy.
 
 Every formula here is a verbatim port of the original per-call backward
@@ -22,11 +23,15 @@ context entirely — this is the graph-free inference path.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.tensor.backend import DEFAULT_DTYPE, Backend
+
+#: What ``Op.backward`` returns per input: a gradient, ``None`` (no gradient)
+#: or a tuple of ordered gradient parts.
+GradEntry = Union[None, np.ndarray, Tuple[np.ndarray, ...]]
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -51,7 +56,16 @@ class Op:
     def forward(self, be: Backend, *arrays: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, be: Backend, grad: np.ndarray) -> Sequence[Optional[np.ndarray]]:
+    def backward(self, be: Backend, grad: np.ndarray) -> Sequence[GradEntry]:
+        """One entry per input: its gradient, ``None``, or a tuple of parts.
+
+        A tuple holds the input's gradient as ordered parts that the engine
+        adds into the input's gradient one by one, in order, exactly as
+        separate graph nodes would have.  An op that replaces a chain whose
+        input other ops also feed returns its contributions this way: the
+        input's gradient may already hold theirs, and summing the parts
+        first would reorder the float adds.
+        """
         raise NotImplementedError
 
     def release(self, be: Backend) -> None:

@@ -237,7 +237,10 @@ class Tensor:
                 )
             input_grads = op.backward(be, node.grad)
             for child, g in zip(node._prev, input_grads):
-                if g is not None:
+                if type(g) is tuple:
+                    for part in g:  # ordered parts: added one by one
+                        be.accumulate(child, part)
+                elif g is not None:
                     be.accumulate(child, g)
             if release and node is not self:
                 be.release_grad(node)

@@ -48,6 +48,7 @@ from repro.data import build_loaders, make_vision_task
 from repro.models import build_model
 from repro.optim import SGD, build_paper_cifar_schedule
 from repro.profiling import V100, DeviceSpec, ModuleTrace, price_layer_times, trace_shapes
+from repro.tensor import get_backend, use_backend
 from repro.train.methods import ExperimentContext, build_method
 from repro.train.trainer import Trainer
 from repro.utils import get_logger, get_rng, seed_everything
@@ -230,13 +231,17 @@ def _traced_reference(config: VisionExperimentConfig,
     Built weight-free (every weight is zero and nothing is drawn: the roofline
     reads only shapes) and traced once per shape key, then shared by
     :func:`reference_profiling` and :func:`projected_training_hours`, which
-    only read it: nothing may modify the shared model.
+    only read it: nothing may modify the shared model.  The trace runs on a
+    fresh instance of the active backend's class: the same arithmetic, but
+    the buffers a pooling backend keeps die with that instance instead of
+    staying in the training arena, whose shapes never take them.
     """
     key = _reference_shape_key(config, num_classes)
     if key not in _REFERENCE_TRACE:
         with nn.init.shapes_only():
             reference = _build_model(config, num_classes, width_mult=config.reference_width_mult)
-        traces = trace_shapes(reference, _reference_input(config))
+        with use_backend(type(get_backend())()):
+            traces = trace_shapes(reference, _reference_input(config))
         _REFERENCE_TRACE.clear()
         _REFERENCE_TRACE[key] = (reference, traces)
     return _REFERENCE_TRACE[key]

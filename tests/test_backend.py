@@ -2,7 +2,8 @@
 
 Covers the registry surface and per-thread backend selection, exact
 numerical equivalence between the ``numpy`` and ``numpy-fast`` backends on a
-real training run, bit-exact fused-vs-unfused kernel parity, the one GELU
+real training run, bit-exact fused-vs-unfused kernel parity, ordered
+gradient parts and the fused layer norm on a residual stream, the one GELU
 kernel, per-op counters, the arena allocator, the graph-free inference mode,
 and the small Tensor API fixes that rode along (``item()`` errors, numpy
 scalar exponents, deterministic dropout fallback).
@@ -364,6 +365,123 @@ class TestFusedKernelParity:
     def test_linear_act_rejects_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
             F.linear_act(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), activation="swish")
+
+
+# --------------------------------------------------------------------------- #
+# Ordered gradient parts and the fused layer norm on the residual stream
+# --------------------------------------------------------------------------- #
+class _PartsProbe(Op):
+    """Identity whose input gradient comes back as three ordered parts.
+
+    Added in order onto a gradient that already holds 1, the parts
+    (1e8, -1e8, 1) give ((1 + 1e8) - 1e8) + 1 = 1 in float32; summed first
+    they give 1 + 1 = 2, and in reverse order 0.
+    """
+
+    __slots__ = ()
+    name = "parts_probe"
+
+    def forward(self, be, a):
+        return a.copy()
+
+    def backward(self, be, grad):
+        return ((grad * np.float32(1e8), grad * np.float32(-1e8), grad),)
+
+
+class _Residual(nn.Module):
+    """``h = x + pos`` feeds a residual add and ``block``, like a transformer's
+    residual stream; ``pos`` has ``h``'s shape, so its gradient is ``h``'s."""
+
+    def __init__(self, shape, block):
+        super().__init__()
+        self.pos = nn.Parameter(np.random.default_rng(7).standard_normal(shape)
+                                .astype(np.float32))
+        self.block = block
+
+    def forward(self, x):
+        h = x + self.pos
+        return h + self.block(h)
+
+
+def _residual_steps(backend, model, x, probe, steps=3):
+    """Output and every parameter gradient of ``steps`` identical steps;
+    ``numpy-compiled`` runs them through a captured and replayed plan."""
+    from repro.compile import StepCompiler
+
+    def loss():
+        return (model(Tensor(x)) * Tensor(probe)).sum()
+
+    compiler = StepCompiler() if backend == "numpy-compiled" else None
+    results = []
+    with use_backend(backend):
+        for _ in range(steps):
+            for p in model.parameters():
+                p.grad = None
+            if compiler is None:
+                out = loss()
+                out.backward()
+            else:
+                handle = compiler.forward(model, (x,), loss)
+                handle.backward()
+                out = handle.loss
+            results.append([out.data.copy()] + [p.grad.copy() for p in model.parameters()])
+    if compiler is not None:
+        assert compiler.stats["captures"] == 1 and compiler.stats["replays"] == steps - 1
+    return results
+
+
+class TestOrderedGradientParts:
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-fast", "numpy-compiled"])
+    def test_parts_are_added_one_by_one_in_order(self, backend):
+        class Probe(nn.Module):
+            def forward(self, h):
+                return apply_op(_PartsProbe(), h)
+
+        x = np.zeros((2, 3), dtype=np.float32)
+        model = _Residual(x.shape, Probe())
+        for _, pos_grad in _residual_steps(backend, model, x, np.ones_like(x)):
+            assert pos_grad.tobytes() == np.ones_like(x).tobytes(), pos_grad
+
+    @pytest.mark.parametrize("backend", ["numpy-fast", "numpy-compiled"])
+    @pytest.mark.parametrize("shape", [(16,), (6, 16), (4, 5, 16)], ids=["1d", "2d", "3d"])
+    def test_layer_norm_on_the_residual_stream_is_bit_equal(self, backend, shape):
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal(shape) * np.logspace(-2, 2, shape[-1])).astype(np.float32)
+        probe = rng.random(shape).astype(np.float32)
+        gamma = rng.random(shape[-1]).astype(np.float32) + 0.5
+        beta = rng.standard_normal(shape[-1]).astype(np.float32)
+
+        def model():
+            norm = nn.LayerNorm(shape[-1])
+            norm.weight.data, norm.bias.data = gamma.copy(), beta.copy()
+            return _Residual(shape, norm)
+
+        expected = _residual_steps("numpy", model(), x, probe)
+        got = _residual_steps(backend, model(), x, probe)
+        # Output, h's gradient (residual add plus the norm's four parts), γ, β.
+        for want_step, got_step in zip(expected, got):
+            assert len(got_step) == 4
+            for want, have in zip(want_step, got_step):
+                assert want.shape == have.shape
+                assert want.tobytes() == have.tobytes()
+
+    def test_layer_norm_is_one_op_per_call_on_fusing_backends(self):
+        from repro.models import deit_micro
+
+        seed_everything(0)
+        model = deit_micro(image_size=8, num_classes=3, depth=2, embed_dim=16, num_heads=2)
+        norms = sum(isinstance(m, nn.LayerNorm) for m in model.modules())
+        x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        with use_backend("numpy-fast"), count_ops() as counts:
+            model(Tensor(x)).sum().backward()
+        assert counts["layer_norm"].calls == norms == 5
+        assert "pow" not in counts and "div" not in counts
+        with use_backend("numpy-fast"), no_grad(), count_ops() as counts:
+            model(Tensor(x))
+        assert counts["layer_norm"].calls == norms
+        with use_backend("numpy"), count_ops() as counts:
+            model(Tensor(x))
+        assert "layer_norm" not in counts and counts["pow"].calls == norms
 
 
 # --------------------------------------------------------------------------- #

@@ -128,6 +128,24 @@ class TestParser:
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["deit_micro", "bert_micro", "mlp"])
+    @pytest.mark.parametrize("command", ["train", "compare", "rank-trace"])
+    def test_models_the_harness_cannot_build_exit_2(self, command, model,
+                                                    monkeypatch, capsys):
+        def must_not_run(args, stream):
+            raise AssertionError(f"{command} ran with --model {model}")
+
+        monkeypatch.setitem(COMMANDS, command, must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--model", model], stream=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "argument --model: invalid choice" in capsys.readouterr().err
+
+    def test_train_compare_and_rank_trace_offer_the_same_models(self):
+        offered = _model_choices("train")
+        assert sorted(offered) == ["resnet18", "resnet50", "vgg19", "wide_resnet50_2"]
+        assert _model_choices("compare") == _model_choices("rank-trace") == offered
+
     @pytest.mark.parametrize("flags", [
         ["--prefetch", "2"], ["--loader", "legacy"], ["--loader-workers", "2"],
     ], ids=["prefetch", "loader", "loader-workers"])
@@ -153,16 +171,16 @@ class TestListMethodsCommand:
         assert all(isinstance(text, str) and text for text in payload.values())
 
 
-def _profile_model_choices():
-    """The ``--model`` choices ``repro profile`` offers."""
+def _model_choices(command):
+    """The ``--model`` choices ``repro <command>`` offers."""
     commands = next(action for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
-    profile = commands.choices["profile"]
-    return next(action.choices for action in profile._actions if action.dest == "model")
+    parser = commands.choices[command]
+    return next(action.choices for action in parser._actions if action.dest == "model")
 
 
 class TestProfileCommand:
-    @pytest.mark.parametrize("model", _profile_model_choices())
+    @pytest.mark.parametrize("model", _model_choices("profile"))
     def test_every_offered_model_profiles(self, model):
         code, out = _run(["profile", "--model", model, "--json"])
         assert code == 0
@@ -255,6 +273,14 @@ class TestTrainCommand:
         assert code == 0
         assert "cuttlefish" in out
         assert "params" in out  # table header
+
+    @pytest.mark.parametrize("model", _model_choices("train"))
+    def test_every_offered_model_trains(self, model):
+        code, out = _run(["train", "--model", model, "--epochs", "1", "--max-batches", "1",
+                          "--json"])
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["method"] == "cuttlefish" and row["params"] > 0
 
     @pytest.mark.parametrize("method", sorted(set(available_methods())
                                               - {"full_rank", "cuttlefish"}))

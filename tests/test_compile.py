@@ -269,6 +269,35 @@ class TestPlanInternals:
         # Fewer static buffers than backward steps: lifetimes are reused.
         assert 0 < plan.num_grad_buffers <= plan.num_backward_steps
 
+    @pytest.mark.parametrize("cell, stolen, slots", [
+        # ResNet-18 at width 0.125: the fresh, take_like-shaped gradients.
+        ("resnet", 19, 32),
+        # Post-norm: the layer norm's first part is the first touch of the
+        # linear layer's output, so it is stolen and parts 1-3 add into it.
+        ("post_norm", 3, 3),
+    ])
+    def test_fresh_gradients_are_stolen(self, cell, stolen, slots):
+        from repro.models import resnet18
+
+        seed_everything(0)
+        rng = np.random.default_rng(0)
+        if cell == "resnet":
+            model = resnet18(num_classes=10, width_mult=0.125, small_input=True, rng=rng)
+            x = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        else:
+            model = nn.Sequential(nn.Linear(12, 16), nn.LayerNorm(16), nn.Linear(16, 6))
+            x = rng.standard_normal((8, 12)).astype(np.float32)
+        y = rng.integers(0, 6, size=len(x))
+        compiler = StepCompiler()
+        with use_backend("numpy-compiled"):
+            for _ in range(2):
+                h = compiler.forward(model, (x, y),
+                                     lambda: F.cross_entropy(model(Tensor(x)), y))
+                h.backward()
+        assert compiler.stats["captures"] == 1 and compiler.stats["replays"] == 1
+        plan = next(iter(compiler._plans.values()))
+        assert (plan.num_stolen_grads, plan.num_grad_buffers) == (stolen, slots)
+
     def test_derived_input_falls_back_to_eager(self):
         # The loss consumes x + 1 (a derived array the capture cannot see as
         # a leaf), so the strict input-match guard must blacklist the key and

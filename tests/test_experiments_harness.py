@@ -9,6 +9,8 @@ import pytest
 from repro import nn
 from repro.core import factorize_model, full_rank_of
 from repro.profiling import predict_iteration_time
+from repro.tensor import use_backend
+from repro.tensor.backend import NumpyFastBackend
 from repro.train import experiments
 from repro.train.experiments import (
     VisionExperimentConfig,
@@ -176,6 +178,27 @@ class TestWeightFreeReference:
         assert all(weight.any() for weight in self._layer_weights(real))
         assert decision == real_decision
         assert hours == real_hours
+
+    def test_trace_leaves_the_active_arena_alone(self, monkeypatch):
+        """The trace runs on a fresh instance of the active backend's class,
+        so the training arena holds the same buffers before and after, and
+        K-hat and the prices equal a trace on the active backend itself."""
+        config = _tiny_config()
+        ratios = {"layer3.0.conv1": 0.25, "layer4.1.conv2": 0.125}
+
+        def pooled(be):
+            return {key: [id(buf) for buf in bucket] for key, bucket in be._arena.items()}
+
+        with use_backend(NumpyFastBackend()) as active:
+            active.give(np.empty((8, 4), dtype=np.float32))
+            before = pooled(active)
+            decision, hours, _ = self._price(config, ratios)
+            assert pooled(active) == before
+            monkeypatch.setattr(experiments, "use_backend",
+                                lambda backend: contextlib.nullcontext())
+            on_active = self._price(config, ratios)
+            assert pooled(active) != before
+        assert (decision, hours) == on_active[:2]
 
 
 class TestReferenceProfiling:

@@ -249,6 +249,18 @@ class TestNNOps:
         check_gradients(fn, [arr(3, 2, 4, 4, spread=2.0), arr(2, positive=True), arr(2)],
                         backend)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5)], ids=["1d", "3d"])
+    def test_layer_norm(self, arr, backend, shape):
+        # x also feeds a residual add: its gradient is the add's contribution
+        # plus, on fusing backends, the fused op's four ordered parts.
+        probe = np.random.default_rng(2).random(shape).astype(np.float32)
+
+        def fn(x, w, b):
+            return ((x + F.layer_norm(x, w, b, eps=1e-5)) * Tensor(probe)).sum()
+
+        check_gradients(fn, [arr(*shape, spread=2.0), arr(5, positive=True), arr(5)],
+                        backend, atol=5e-2)
+
 
 # --------------------------------------------------------------------------- #
 # Whole-module smoke gradcheck (fused kernels composed end to end)

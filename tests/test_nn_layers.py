@@ -87,6 +87,30 @@ class TestNormalisation:
         assert bn.running_mean.data.shape == bn.running_var.data.shape == (1,)
         assert bn.running_mean.data[0] == 0.0 and bn.running_var.data[0] == 1.0
 
+    @pytest.mark.parametrize("layer, shape", [
+        ("BatchNorm1d", (4, 16)), ("BatchNorm1d", (4, 1, 5)), ("BatchNorm1d", (4,)),
+        ("LayerNorm", (4, 16)), ("LayerNorm", (4, 7, 16)),
+    ], ids=["bn1d-features", "bn1d-3d", "bn1d-1d", "ln-2d", "ln-3d"])
+    @pytest.mark.parametrize("mode", ["train", "eval", "eval-no-grad"])
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-fast"])
+    def test_norm_layers_reject_input_they_cannot_normalise(self, backend, mode, layer, shape):
+        # With one feature every bad shape broadcasts, so without the check
+        # the layer would train on it silently.
+        norm = getattr(nn, layer)(1)
+        norm.train(mode == "train")
+        x = Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+        with use_backend(backend), pytest.raises(ValueError) as error:
+            if mode == "eval-no-grad":
+                with no_grad():
+                    norm(x)
+            else:
+                norm(x)
+        assert f"{layer}(1)" in str(error.value) and str(shape) in str(error.value)
+        assert norm.weight.data.shape == norm.bias.data.shape == (1,)
+        if layer == "BatchNorm1d":
+            assert norm.running_mean.data.shape == norm.running_var.data.shape == (1,)
+            assert norm.running_mean.data[0] == 0.0 and norm.running_var.data[0] == 1.0
+
     def test_batchnorm1d(self, rng):
         bn = nn.BatchNorm1d(6)
         out = bn(Tensor(rng.random((16, 6)).astype(np.float32) * 2 + 1))
