@@ -14,8 +14,9 @@ Python:
   the GPU roofline and print the per-stack speedup table (Figure 4).
 * ``rank-trace`` — train briefly while recording per-layer stable ranks and
   print the trajectory table behind Figures 2/3.
-* ``export``   — convert a training checkpoint into a versioned serving
-  artifact (low-rank factors stay factorized; optionally fuse or densify).
+* ``export``   — convert a training checkpoint of one of the four image
+  models into a versioned serving artifact (low-rank factors stay
+  factorized; optionally densify).
 * ``serve``    — boot the micro-batching HTTP inference server on an
   exported artifact (``/predict``, ``/healthz``, ``/metrics``).
 * ``bench-serve`` — closed-loop load test of an artifact: dynamic
@@ -26,10 +27,10 @@ Python:
   noise-aware base-vs-candidate markdown verdict table (nonzero exit on
   regression), ``bench history`` views the longitudinal JSONL store, and
   ``bench list`` enumerates registered suites.
-* ``trace``    — inspect span timelines recorded with ``--trace PATH``
-  (available on ``train`` / ``compare`` / ``serve`` / ``bench-serve``):
-  ``trace summary`` prints per-phase totals and step coverage, ``trace
-  export`` converts between Chrome trace-event JSON and the JSONL event log.
+* ``trace``    — inspect span timelines recorded as Chrome trace-event JSON
+  with ``--trace PATH`` (available on ``train`` / ``compare`` / ``serve`` /
+  ``bench-serve``): ``trace summary`` prints per-phase totals and step
+  coverage.
 
 ``train`` and ``compare`` accept any method registered with
 ``repro.train.methods.register_method`` — including ones a downstream user
@@ -60,7 +61,7 @@ import numpy as np
 from repro import nn
 from repro.core import CuttlefishConfig, RankTracker, profile_layer_stacks
 from repro.data import PipelineLoader, make_vision_task
-from repro.models import available_models, build_model
+from repro.models import build_model
 from repro.optim import SGD, build_paper_cifar_schedule
 from repro.profiling import DEVICES, get_device
 from repro.tensor import available_backends, set_backend
@@ -107,8 +108,9 @@ def _checked(convert, accept, requirement: str):
 
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
 
-#: Models ``train``, ``compare`` and ``rank-trace`` build: the harness passes
-#: ``width_mult``, which only these take.
+#: Models ``train``, ``compare``, ``rank-trace`` and ``export`` build: the
+#: harness and ``export``'s fallback spec pass ``width_mult``, which only
+#: these take.
 _IMAGE_MODELS = ("resnet18", "resnet50", "vgg19", "wide_resnet50_2")
 #: Models ``profile`` can build and trace on one image batch.  The patch
 #: models fix their token grid at construction, so they are built at
@@ -154,9 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the Goyal world_size x lr scaling rule "
                             "under --world-size > 1")
         p.add_argument("--trace", default=None, metavar="PATH",
-                       help="record a span timeline of the run: Chrome "
-                            "trace-event JSON (Perfetto-loadable), or a JSONL "
-                            "structured event log when PATH ends in .jsonl")
+                       help="record a span timeline of the run as Chrome "
+                            "trace-event JSON (Perfetto-loadable)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
     methods = available_methods()
@@ -194,14 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="convert a checkpoint into a serving artifact")
     export.add_argument("--checkpoint", required=True, help="checkpoint written by save_checkpoint")
     export.add_argument("--output", required=True, help="artifact destination (.npz)")
-    export.add_argument("--model", default="resnet18", choices=available_models())
+    export.add_argument("--model", default="resnet18", choices=_IMAGE_MODELS)
     export.add_argument("--num-classes", type=int, default=10)
     export.add_argument("--width-mult", type=float, default=0.125)
     export.add_argument("--input-shape", type=int, nargs="+", default=None,
                         help="per-sample input shape recorded in the manifest "
                              "(default: the shape stored in the checkpoint, else 3 32 32)")
-    export.add_argument("--fuse", action="store_true",
-                        help="fold Linear→ReLU/GELU pairs into fused kernels before export")
     export.add_argument("--dense", action="store_true",
                         help="merge low-rank factors into dense layers before export "
                              "(the baseline the factorized artifact is compared against)")
@@ -307,19 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench_list = bench_sub.add_parser("list", help="list registered suites")
     bench_list.add_argument("--json", action="store_true")
 
-    trace_cmd = sub.add_parser("trace",
-                               help="inspect or convert recorded span timelines")
+    trace_cmd = sub.add_parser("trace", help="inspect recorded span timelines")
     trace_sub = trace_cmd.add_subparsers(dest="trace_command", required=True)
     trace_summary = trace_sub.add_parser(
         "summary", help="per-phase totals, lane census, and step coverage")
-    trace_summary.add_argument("path", help="trace written by --trace (either format)")
+    trace_summary.add_argument("path", help="trace written by --trace")
     trace_summary.add_argument("--json", action="store_true")
-    trace_export = trace_sub.add_parser(
-        "export", help="convert between Chrome JSON and the JSONL event log")
-    trace_export.add_argument("src", help="source trace (format auto-detected)")
-    trace_export.add_argument("dst",
-                              help="destination: .jsonl gets the event log, "
-                                   "anything else Chrome trace-event JSON")
 
     trace = sub.add_parser("rank-trace", help="per-layer stable-rank trajectories (Figure 2/3)")
     trace.add_argument("--task", default="cifar10_small")
@@ -559,9 +551,6 @@ def cmd_export(args: argparse.Namespace, stream=sys.stdout) -> int:
 
         merged = merge_factorized(model)
         stream.write(f"merged {merged} low-rank layers into dense weights\n")
-    if args.fuse:
-        fused = nn.fuse_linear_activations(model)
-        stream.write(f"fused {fused} Linear→activation pairs\n")
     if args.input_shape is not None:
         shape = tuple(args.input_shape)
     else:
@@ -749,15 +738,6 @@ def cmd_trace(args: argparse.Namespace, stream=sys.stdout) -> int:
                      f"(session={meta.get('session', '?')}, "
                      f"schema_version={meta.get('schema_version', '?')})\n")
         stream.write(tracing.format_summary(summary) + "\n")
-        return 0
-
-    if args.trace_command == "export":
-        try:
-            written = tracing.convert_trace(args.src, args.dst)
-        except (OSError, ValueError) as error:
-            stream.write(f"error: {error}\n")
-            return 2
-        stream.write(f"wrote {written} events to {args.dst}\n")
         return 0
 
     raise AssertionError(f"unhandled trace subcommand {args.trace_command!r}")

@@ -27,7 +27,6 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.attention import MultiHeadAttention
-from repro.nn.fuse import apply_fused_activations, fuse_linear_activations, fused_activation_map
 from repro.nn import init
 
 __all__ = [
@@ -54,8 +53,5 @@ __all__ = [
     "Sigmoid",
     "Tanh",
     "MultiHeadAttention",
-    "apply_fused_activations",
-    "fuse_linear_activations",
-    "fused_activation_map",
     "init",
 ]

@@ -19,14 +19,7 @@ IntPair = Union[int, Tuple[int, int]]
 
 
 class Linear(Module):
-    """Affine layer ``y = x @ W.T + b`` with ``W`` of shape ``(out, in)``.
-
-    ``activation`` (``None``, ``"relu"`` or ``"gelu"``) folds the following
-    nonlinearity into the same graph node via the fused
-    :func:`repro.tensor.functional.linear_act` kernel — used by
-    :func:`repro.nn.fuse_linear_activations` to collapse Linear→activation
-    pairs on the hot path.
-    """
+    """Affine layer ``y = x @ W.T + b`` with ``W`` of shape ``(out, in)``."""
 
     def __init__(
         self,
@@ -34,26 +27,19 @@ class Linear(Module):
         out_features: int,
         bias: bool = True,
         rng: Optional[np.random.Generator] = None,
-        activation: Optional[str] = None,
     ):
         super().__init__()
-        if activation not in (None, "relu", "gelu"):
-            raise ValueError(f"unsupported fused activation {activation!r}")
         self.in_features = in_features
         self.out_features = out_features
-        self.activation = activation
         rng = rng or get_rng()
         self.weight = Parameter(init_mod.kaiming_uniform((out_features, in_features), rng=rng))
         self.bias = Parameter(init_mod.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.activation is not None:
-            return F.linear_act(x, self.weight, self.bias, activation=self.activation)
         return F.linear(x, self.weight, self.bias)
 
     def extra_repr(self) -> str:
-        extra = f", activation={self.activation!r}" if self.activation else ""
-        return f"in_features={self.in_features}, out_features={self.out_features}{extra}"
+        return f"in_features={self.in_features}, out_features={self.out_features}"
 
 
 class Conv2d(Module):

@@ -18,9 +18,9 @@ The deployment path for trained (and factorized) models:
    ``.npy`` tensors (:mod:`repro.serve.wire`); :class:`ServeClient` switches
    to the binary wire once the server answers in it, and retries with
    jittered backoff.
-5. :mod:`repro.serve.loadgen` drives closed-loop load for benchmarking and
-   open-loop load (:class:`TrafficShape` / :func:`run_open_loop`), whose
-   latency counts from each request's scheduled arrival.
+5. :mod:`repro.serve.loadgen` drives closed-loop load for benchmarking
+   and builds bit-reproducible Poisson arrival schedules
+   (:class:`TrafficShape` / :func:`arrival_times`) for open-loop drivers.
 
 See DESIGN.md §9 for the artifact format, the determinism guarantee
 (predictions independent of batch composition) and the HTTP wire, and §16
@@ -63,7 +63,6 @@ from repro.serve.loadgen import (
     bench_engine,
     bench_http,
     run_closed_loop,
-    run_open_loop,
 )
 from repro.serve.server import ModelServer
 
@@ -96,6 +95,5 @@ __all__ = [
     "bench_engine",
     "bench_http",
     "run_closed_loop",
-    "run_open_loop",
     "ModelServer",
 ]

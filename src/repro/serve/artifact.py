@@ -6,12 +6,12 @@ An artifact is one ``.npz`` file holding
 * a JSON **manifest** (embedded as a uint8 array) describing how to rebuild
   the model without the training stack: the model-registry spec
   (``build_model`` name + kwargs), the per-layer factorization ranks of any
-  Cuttlefish/Pufferfish low-rank layers, the extra-BatchNorm flag, and the
-  fused Linear→activation map.
+  Cuttlefish/Pufferfish low-rank layers and the extra-BatchNorm flag.
 
 The loader reads nothing else.  Artifacts from older builds also carry an
-``inference_plan`` manifest key and ``plan/const/*`` arrays; both are
-ignored, so those files keep loading and predict the same bits.
+``inference_plan`` manifest key and ``plan/const/*`` arrays, or a
+``fused_activations`` key; all are ignored, so those files keep loading
+and predict the same bits.
 
 Low-rank layers are exported **factorized**: the U/Vᵀ factor pair stays
 separate so the served model keeps the compressed FLOP path the paper trains
@@ -49,7 +49,6 @@ import numpy as np
 from repro import nn
 from repro.core.factorize import materialize_low_rank
 from repro.core.low_rank_layers import is_low_rank
-from repro.nn.fuse import apply_fused_activations, fused_activation_map
 from repro.tensor import Tensor, no_grad, use_backend
 
 ARTIFACT_FORMAT_VERSION = 1
@@ -96,7 +95,7 @@ def export_artifact(
     path:
         Destination ``.npz`` file; parent directories are created.
     model:
-        A trained model — full-rank, factorized, fused, or any mix.
+        A trained model — full-rank, factorized, or any mix.
     model_spec:
         ``{"name": <registry name>, "kwargs": {...}}`` describing how to
         rebuild the architecture via :func:`repro.models.build_model`.  The
@@ -123,7 +122,6 @@ def export_artifact(
         "ranks": _model_ranks(model),
         "extra_bn": bool(extra_bn_paths),
         "extra_bn_paths": extra_bn_paths,
-        "fused_activations": fused_activation_map(model),
         "input_shape": list(input_shape) if input_shape is not None else None,
         "num_parameters": int(model.num_parameters()),
         "state_keys": {key: {"shape": list(value.shape), "dtype": str(value.dtype)}
@@ -204,9 +202,6 @@ def _rebuild_model(manifest: Dict[str, Any]) -> nn.Module:
             materialize_low_rank(model, plain, extra_bn=False)
         if with_bn:
             materialize_low_rank(model, with_bn, extra_bn=True)
-    fused = manifest.get("fused_activations") or {}
-    if fused:
-        apply_fused_activations(model, fused)
     return model
 
 
@@ -218,7 +213,7 @@ def load_artifact(
     """Load an artifact and return a ready-to-serve :class:`Predictor`.
 
     When ``model`` is omitted the architecture is rebuilt from the embedded
-    spec (model registry + stored ranks + fusion map); a caller-supplied
+    spec (model registry + stored ranks); a caller-supplied
     skeleton must already match the stored structure.  Weight names and
     shapes are validated against the manifest with loud errors.
     """
@@ -240,7 +235,7 @@ def load_artifact(
         raise ArtifactError(
             f"artifact {path!r} does not fit the model: missing weights "
             f"{sorted(missing)}, unexpected weights {sorted(unexpected)}. "
-            f"(Was the skeleton factorized/fused the same way as the export?)"
+            f"(Was the skeleton factorized the same way as the export?)"
         )
     model.eval()
     return Predictor(model, manifest=manifest, backend=backend)

@@ -5,7 +5,7 @@ Two halves with one goal — making "where did the wall time go" a
 machine-readable artifact instead of scattered log lines:
 
 * :mod:`repro.telemetry.tracing` — ``span()`` context managers over monotonic
-  clocks exporting Chrome trace-event JSON / JSONL, near-zero overhead when
+  clocks exporting Chrome trace-event JSON, near-zero overhead when
   disabled, one lane per thread/process/rank (forked replica workers merge
   onto the parent timeline).
 * :mod:`repro.telemetry.metrics` — named counter/gauge/latency/histogram
@@ -26,7 +26,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.tracing import (
     TRACE_SCHEMA_VERSION,
     TraceSession,
-    convert_trace,
     current_session,
     disable,
     enable,
@@ -38,7 +37,6 @@ from repro.telemetry.tracing import (
     reset_after_fork,
     span,
     summarize_trace,
-    write_events,
     write_trace,
 )
 
@@ -52,7 +50,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "TraceSession",
-    "convert_trace",
     "current_session",
     "disable",
     "enable",
@@ -65,6 +62,5 @@ __all__ = [
     "span",
     "summarize_trace",
     "validate_snapshot",
-    "write_events",
     "write_trace",
 ]

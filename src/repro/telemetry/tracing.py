@@ -15,10 +15,10 @@ of four ad-hoc log lines.  Design constraints, in order:
    buffers back over the existing error-pipe channel for the parent to
    :meth:`~TraceSession.absorb` — ``perf_counter_ns`` is CLOCK_MONOTONIC on
    Linux, so child timestamps land directly on the parent's timeline.
-3. **Standard outputs.**  :func:`write_trace` emits Chrome trace-event JSON
-   (loadable in Perfetto / ``chrome://tracing``) or a JSONL structured event
-   log; :func:`load_trace` reads either back and :func:`summarize_trace`
-   aggregates per-phase totals and step coverage.
+3. **A standard output.**  :func:`write_trace` emits Chrome trace-event
+   JSON (loadable in Perfetto / ``chrome://tracing``); :func:`load_trace`
+   reads it back and :func:`summarize_trace` aggregates per-phase totals and
+   step coverage.
 
 Nesting is tracked on a thread-local stack: ``span("fwd")`` inside
 ``span("step")`` records ``parent="step"`` and ``depth=1``, which is what
@@ -33,10 +33,10 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: Trace schema version stamped into every export (JSONL header and the
-#: Chrome JSON ``otherData`` block).  Bump when event fields change.
+#: Trace schema version stamped into every export (the Chrome JSON
+#: ``otherData`` block).  Bump when event fields change.
 TRACE_SCHEMA_VERSION = 1
 
 #: Event tuple layout (kept as tuples internally — dicts only at export).
@@ -348,20 +348,15 @@ def reset_after_fork(label: str) -> Optional[TraceSession]:
 
 
 # --------------------------------------------------------------------------- #
-# File I/O: Chrome JSON and JSONL structured event log
+# File I/O: Chrome trace-event JSON
 # --------------------------------------------------------------------------- #
 def write_trace(path: str, session: Optional[TraceSession] = None) -> int:
-    """Write ``session`` to ``path``; format picked by extension.
-
-    ``.jsonl`` gets the structured event log (header line + one JSON object
-    per event); anything else gets Chrome trace-event JSON.  Returns the
-    number of span events written.
+    """Write ``session`` to ``path`` as Chrome trace-event JSON, whatever
+    the extension.  Returns the number of span events written.
     """
     session = session or _session
     if session is None:
         raise ValueError("no trace session to write (tracing was never enabled)")
-    if path.endswith(".jsonl"):
-        return _write_jsonl(path, session)
     document = session.chrome_document()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle)
@@ -369,43 +364,22 @@ def write_trace(path: str, session: Optional[TraceSession] = None) -> int:
     return sum(1 for ev in document["traceEvents"] if ev.get("ph") == "X")
 
 
-def _write_jsonl(path: str, session: TraceSession) -> int:
-    header = {
-        "schema": "repro.telemetry.trace",
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "session": session.label,
-        "started_unix": session.started_unix,
-        "lanes": [{"pid": m["pid"], "tid": m["tid"], "kind": m["name"],
-                   "label": m["args"]["name"]} for m in session.lane_metadata()],
-    }
-    records = session.event_dicts()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header) + "\n")
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-    return len(records)
-
-
 def load_trace(path: str) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Read a trace written by :func:`write_trace` (either format).
+    """Read a trace written by :func:`write_trace`.
 
     Returns ``(events, meta)`` where each event is a normalized dict with
     ``name / cat / ts_us / dur_us / pid / tid / depth / parent`` keys and
-    ``meta`` carries the schema header plus lane labels.
+    ``meta`` carries the schema header plus lane labels.  A file that is not
+    Chrome trace-event JSON raises :class:`ValueError` naming the path.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        first = handle.read(1)
-        handle.seek(0)
-        if first == "{" and not path.endswith(".jsonl"):
-            try:
-                document = json.load(handle)
-            except json.JSONDecodeError:
-                handle.seek(0)
-                return _load_jsonl(handle)
-            if isinstance(document, dict) and "traceEvents" in document:
-                return _load_chrome(document)
-            raise ValueError(f"{path}: not a repro trace (no traceEvents key)")
-        return _load_jsonl(handle)
+        try:
+            document = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{path}: not a repro trace ({error})") from None
+    if isinstance(document, dict) and "traceEvents" in document:
+        return _load_chrome(document)
+    raise ValueError(f"{path}: not a repro trace (no traceEvents key)")
 
 
 def _load_chrome(document: Dict[str, Any]) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
@@ -432,82 +406,6 @@ def _load_chrome(document: Dict[str, Any]) -> Tuple[List[Dict[str, Any]], Dict[s
     meta["lanes"] = [{"pid": pid, "tid": tid, "kind": kind, "label": label}
                      for (pid, tid, kind), label in sorted(lanes.items(), key=str)]
     return events, meta
-
-
-def _load_jsonl(handle) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    header_line = handle.readline()
-    if not header_line.strip():
-        raise ValueError("empty trace file")
-    meta = json.loads(header_line)
-    if meta.get("schema") != "repro.telemetry.trace":
-        raise ValueError(f"not a repro trace event log (schema={meta.get('schema')!r})")
-    events = []
-    for line in handle:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        record.setdefault("depth", 0)
-        record.setdefault("parent", None)
-        events.append(record)
-    return events, meta
-
-
-def write_events(path: str, events: Sequence[Dict[str, Any]],
-                 meta: Dict[str, Any]) -> int:
-    """Write already-loaded ``(events, meta)`` back out; format by extension.
-
-    The inverse of :func:`load_trace` — what lets ``repro trace export``
-    convert a JSONL event log into Perfetto-loadable Chrome JSON (and back)
-    without re-running anything.
-    """
-    lanes = meta.get("lanes", [])
-    header_meta = {
-        "schema": "repro.telemetry.trace",
-        "schema_version": meta.get("schema_version", TRACE_SCHEMA_VERSION),
-        "session": meta.get("session", "main"),
-        "started_unix": meta.get("started_unix", 0.0),
-    }
-    if path.endswith(".jsonl"):
-        header = dict(header_meta)
-        header["lanes"] = lanes
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-            for record in events:
-                handle.write(json.dumps(record) + "\n")
-        return len(events)
-    trace_events: List[Dict[str, Any]] = [
-        {"ph": "M", "name": lane["kind"], "pid": lane["pid"],
-         "tid": lane.get("tid", 0), "args": {"name": lane["label"]}}
-        for lane in lanes
-    ]
-    for record in events:
-        event = {
-            "name": record["name"],
-            "cat": record.get("cat") or "default",
-            "ph": "X",
-            "ts": record["ts_us"],
-            "dur": record["dur_us"],
-            "pid": record["pid"],
-            "tid": record["tid"],
-            "args": dict(record.get("args") or {}),
-        }
-        event["args"]["depth"] = record.get("depth", 0)
-        if record.get("parent"):
-            event["args"]["parent"] = record["parent"]
-        trace_events.append(event)
-    document = {"traceEvents": trace_events, "displayTimeUnit": "ms",
-                "otherData": header_meta}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-        handle.write("\n")
-    return len(events)
-
-
-def convert_trace(src: str, dst: str) -> int:
-    """Load ``src`` (either format) and rewrite it as ``dst``'s format."""
-    events, meta = load_trace(src)
-    return write_events(dst, events, meta)
 
 
 # --------------------------------------------------------------------------- #
@@ -591,7 +489,6 @@ def format_summary(summary: Dict[str, Any]) -> str:
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceSession",
-    "convert_trace",
     "current_session",
     "disable",
     "enable",
@@ -603,6 +500,5 @@ __all__ = [
     "reset_after_fork",
     "span",
     "summarize_trace",
-    "write_events",
     "write_trace",
 ]

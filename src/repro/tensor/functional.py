@@ -10,7 +10,7 @@ Hot-path fusion
 These kernels exist in both an unfused (seed-faithful op chain) and a fused
 (single graph node) form:
 
-* :func:`linear` / :func:`linear_act` — matmul + bias + optional relu/gelu;
+* :func:`linear` / :func:`linear_act` — matmul + bias as one node;
 * :func:`softmax_cross_entropy` — the softmax → log → nll chain as one node;
 * :func:`attention_weights` — ``softmax(q @ kᵀ · scale + bias)`` as one node;
 * :func:`batch_norm2d_train` — training-mode batch norm as one node, and
@@ -39,7 +39,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.tensor.backend import DEFAULT_DTYPE, get_backend
-from repro.tensor.ops import Op, _unbroadcast, gelu_forward, gelu_local_grad
+from repro.tensor.ops import Op, _unbroadcast
 from repro.tensor.tensor import Tensor, apply_op
 from repro.tensor import tensor as _tensor_core
 
@@ -597,81 +597,49 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Union[Tensor, np.n
 
 
 # --------------------------------------------------------------------------- #
-# Fused linear (+ activation) kernel
+# Fused linear kernel
 # --------------------------------------------------------------------------- #
 class LinearActOp(Op):
-    """``activation(x @ W.T + b)`` as a single graph node.
+    """``x @ W.T + b`` as a single graph node (``linear_act`` in op counters).
 
-    ``activation`` is ``None``, ``"relu"`` or ``"gelu"``.  The float-op
-    sequence mirrors the unfused ``matmul → add → activation`` chain exactly.
+    The float-op sequence mirrors the unfused ``matmul → add`` chain exactly.
     """
 
-    __slots__ = ("activation", "x", "w", "b_shape", "mask", "pre", "tanh_inner")
+    __slots__ = ("x", "w", "b_shape")
     name = "linear_act"
-
-    def __init__(self, activation: Optional[str]):
-        if activation not in (None, "relu", "gelu"):
-            raise ValueError(f"unsupported fused activation {activation!r}")
-        self.activation = activation
 
     def forward(self, be, x, w, b=None):
         y = x @ w.transpose()
         be.add_flops(self.name, 2.0 * y.size * x.shape[-1])
         if b is not None:
             y = y + b
-        out = y
-        if self.activation == "relu":
-            mask = y > 0
-            out = y * mask
-            if self.needs is not None:
-                self.mask = mask
-        elif self.activation == "gelu":
-            out, tanh_inner = gelu_forward(y)
-            if self.needs is not None:
-                self.pre = y
-                self.tanh_inner = tanh_inner
         if self.needs is not None:
             self.x = x
             self.w = w
             self.b_shape = b.shape if b is not None else None
-        return out
+        return y
 
     def backward(self, be, grad):
-        g = grad
-        if self.activation == "relu":
-            g = grad * self.mask
-        elif self.activation == "gelu":
-            g = grad * gelu_local_grad(self.pre, self.tanh_inner)
-
         x, w = self.x, self.w
         grad_x = grad_w = grad_b = None
         if self.b_shape is not None and self.needs[2]:
-            grad_b = _unbroadcast(g, self.b_shape)
+            grad_b = _unbroadcast(grad, self.b_shape)
         if self.needs[0]:
-            grad_x = _unbroadcast(g @ w, x.shape)
+            grad_x = _unbroadcast(grad @ w, x.shape)
         if self.needs[1]:
             x2 = x if x.ndim > 1 else x.reshape(1, -1)
-            grad_wt = _unbroadcast(np.swapaxes(x2, -1, -2) @ g, (w.shape[1], w.shape[0]))
+            grad_wt = _unbroadcast(np.swapaxes(x2, -1, -2) @ grad, (w.shape[1], w.shape[0]))
             grad_w = grad_wt.transpose((1, 0))
         if self.b_shape is not None:
             return (grad_x, grad_w, grad_b)
         return (grad_x, grad_w)
 
 
-def linear_act(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    activation: Optional[str] = None,
-) -> Tensor:
-    """Fused affine map + optional activation, always as one graph node.
-
-    ``weight`` has shape ``(out, in)``; ``activation`` is ``None``,
-    ``"relu"`` or ``"gelu"``.
-    """
+def linear_act(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Fused affine map, always as one graph node; ``weight`` is ``(out, in)``."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    op = LinearActOp(activation)
+    op = LinearActOp()
     if bias is not None:
         return apply_op(op, x, weight, bias)
     return apply_op(op, x, weight)
@@ -686,7 +654,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if get_backend().fuse_kernels and x.ndim >= 2:
-        return linear_act(x, weight, bias, activation=None)
+        return linear_act(x, weight, bias)
     out = x.matmul(weight.transpose())
     if bias is not None:
         out = out + bias

@@ -229,12 +229,11 @@ _GELU_C = np.sqrt(2.0 / np.pi).astype(DEFAULT_DTYPE)
 def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """GELU's tanh approximation of ``x``: returns ``(out, tanh_inner)``.
 
-    The one GELU kernel: :class:`GeluOp` and the fused ``linear_act`` both
-    call it.  The cube is ``x * x * x``, not ``x ** 3``: numpy's float32
-    ``power`` can take 70-100x longer on negative inputs than on positive
-    ones, and its bits depend on which SIMD kernel numpy dispatches to.
-    Two multiplies are cheap for either sign and give the same bytes on
-    every host.
+    The one GELU kernel, called by :class:`GeluOp`.  The cube is
+    ``x * x * x``, not ``x ** 3``: numpy's float32 ``power`` can take
+    70-100x longer on negative inputs than on positive ones, and its bits
+    depend on which SIMD kernel numpy dispatches to.  Two multiplies are
+    cheap for either sign and give the same bytes on every host.
     """
     tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
     return 0.5 * x * (1.0 + tanh_inner), tanh_inner

@@ -23,7 +23,6 @@ from repro.utils.shm import (
     ShmArena,
     active_owned_segments,
     arena_bytes_for,
-    attach_view,
 )
 from repro.utils.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -53,7 +52,6 @@ __all__ = [
     "ShmArena",
     "active_owned_segments",
     "arena_bytes_for",
-    "attach_view",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
     "save_checkpoint",

@@ -114,15 +114,15 @@ class SharedSegment:
     """One owned ``/dev/shm`` segment with typed numpy views.
 
     Create in the parent, carve views, fork, and let workers write through
-    the inherited views.  ``close_and_unlink()`` (or the context manager,
-    or the atexit sweep) removes the backing file exactly once.
+    the inherited views.  :meth:`unlink` (or the context manager, or the
+    atexit sweep) removes the backing file exactly once.
     """
 
-    def __init__(self, size: int, *, name: Optional[str] = None):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError(f"segment size must be >= 1 byte, got {size}")
         self._shm = shared_memory.SharedMemory(
-            name=name or _unique_name(), create=True, size=int(size))
+            name=_unique_name(), create=True, size=int(size))
         self._owner_pid = os.getpid()
         self._unlinked = False
         _register(self)
@@ -135,10 +135,6 @@ class SharedSegment:
     def size(self) -> int:
         return self._shm.size
 
-    @property
-    def buf(self) -> memoryview:
-        return self._shm.buf
-
     def view(self, shape, dtype, *, offset: int = 0) -> np.ndarray:
         """A C-contiguous ndarray over ``[offset, offset + nbytes)``."""
         dtype = np.dtype(dtype)
@@ -150,12 +146,9 @@ class SharedSegment:
                 f"view [{offset}, {offset + nbytes}) exceeds segment size {self.size}")
         return np.ndarray(shape, dtype=dtype, buffer=self._shm.buf, offset=offset)
 
-    def close_and_unlink(self) -> None:
+    def unlink(self) -> None:
         """Remove the backing file (idempotent).  Views die with the mapping
         only when the last process unmaps; the *name* disappears now."""
-        self.unlink()
-
-    def unlink(self) -> None:
         if self._unlinked:
             return
         self._unlinked = True
@@ -180,33 +173,6 @@ class SharedSegment:
         return f"SharedSegment(name={self.name!r}, size={self.size}, {state})"
 
 
-class _AttachedArray(np.ndarray):
-    """ndarray subclass so :func:`attach_view` can pin the mapping's lifetime
-    to the view (plain ndarrays reject attribute assignment)."""
-
-
-def attach_view(name: str, shape, dtype, *, offset: int = 0) -> np.ndarray:
-    """Named-view handoff: map an existing segment and return one view.
-
-    For *unrelated* processes that cannot fork-inherit the mapping (e.g. a
-    diagnostic shell attaching to a live trainer).  The caller does **not**
-    become an owner — the segment is closed, never unlinked, when the view
-    is garbage collected.  Note the <= 3.12 caveat in the module docstring:
-    the attach itself registers with the resource tracker, so prefer fork
-    inheritance inside the training process tree.
-    """
-    shm = shared_memory.SharedMemory(name=name, create=False)
-    dtype = np.dtype(dtype)
-    shape = tuple(int(s) for s in np.atleast_1d(shape)) if not np.isscalar(shape) \
-        else (int(shape),)
-    array = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                       offset=offset).view(_AttachedArray)
-    # Keep the mapping alive as long as the view is; SharedMemory.__del__
-    # closes (not unlinks) it afterwards.
-    array._repro_shm_keepalive = shm
-    return array
-
-
 def align_up(offset: int, align: int = DEFAULT_ALIGN) -> int:
     return (offset + align - 1) & ~(align - 1)
 
@@ -220,22 +186,13 @@ class ShmArena:
     callers can fall back to private heap memory.
     """
 
-    def __init__(self, segment_or_size, *, align: int = DEFAULT_ALIGN):
+    def __init__(self, size: int, *, align: int = DEFAULT_ALIGN):
         # Validate before creating a segment, which a failed constructor would leak.
         if align < 1 or align & (align - 1):
             raise ValueError(f"align must be a positive power of two, got {align}")
-        if isinstance(segment_or_size, SharedSegment):
-            self.segment = segment_or_size
-            self._owns_segment = False
-        else:
-            self.segment = SharedSegment(int(segment_or_size))
-            self._owns_segment = True
+        self.segment = SharedSegment(int(size))
         self.align = align
         self._offset = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.segment.size - self._offset
 
     def alloc(self, shape, dtype) -> Optional[np.ndarray]:
         """An aligned view, or ``None`` if the segment cannot hold it."""
@@ -263,14 +220,9 @@ class ShmArena:
         np.copyto(view, array)
         return view
 
-    def reset(self) -> None:
-        """Forget every allocation (views stay valid; reuse responsibly)."""
-        self._offset = 0
-
     def close(self) -> None:
-        """Unlink the segment if this arena created it."""
-        if self._owns_segment:
-            self.segment.unlink()
+        """Unlink the arena's segment."""
+        self.segment.unlink()
 
     def __enter__(self) -> "ShmArena":
         return self
@@ -299,5 +251,4 @@ __all__ = [
     "active_owned_segments",
     "align_up",
     "arena_bytes_for",
-    "attach_view",
 ]

@@ -129,7 +129,7 @@ class TestParser:
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["deit_micro", "bert_micro", "mlp"])
-    @pytest.mark.parametrize("command", ["train", "compare", "rank-trace"])
+    @pytest.mark.parametrize("command", ["train", "compare", "rank-trace", "export"])
     def test_models_the_harness_cannot_build_exit_2(self, command, model,
                                                     monkeypatch, capsys):
         def must_not_run(args, stream):
@@ -141,10 +141,26 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "argument --model: invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        (["trace", "export", "run.json", "run.jsonl"], "invalid choice: 'export'"),
+        (["export", "--checkpoint", "c.npz", "--output", "a.npz", "--fuse"],
+         "unrecognized arguments: --fuse"),
+    ], ids=["trace-export", "export-fuse"])
+    def test_removed_verb_and_flag_exit_2(self, argv, error, monkeypatch, capsys):
+        def must_not_run(args, stream):
+            raise AssertionError(f"{argv[0]} ran")
+
+        monkeypatch.setitem(COMMANDS, argv[0], must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, stream=io.StringIO())
+        assert exit_info.value.code == 2
+        assert error in capsys.readouterr().err
+
     def test_train_compare_and_rank_trace_offer_the_same_models(self):
         offered = _model_choices("train")
         assert sorted(offered) == ["resnet18", "resnet50", "vgg19", "wide_resnet50_2"]
         assert _model_choices("compare") == _model_choices("rank-trace") == offered
+        assert _model_choices("export") == offered
 
     @pytest.mark.parametrize("flags", [
         ["--prefetch", "2"], ["--loader", "legacy"], ["--loader-workers", "2"],
@@ -369,6 +385,29 @@ class TestServingCommands:
         assert manifest["model"]["name"] == "resnet18"
         assert manifest["input_shape"] == [3, 16, 16]
 
+    @pytest.mark.parametrize("model", ["resnet18", "resnet50", "vgg19", "wide_resnet50_2"])
+    def test_export_rebuilds_a_checkpoint_without_a_model_spec(self, tmp_path, model):
+        """A checkpoint saved without a builder spec is rebuilt from
+        ``--model`` and ``--width-mult``, for every model ``export`` offers."""
+        from repro.serve import Predictor, load_artifact
+        from repro.utils import save_checkpoint
+
+        small_input = {} if model == "vgg19" else {"small_input": True}
+        reference = build_model(model, num_classes=10, width_mult=0.125,
+                                rng=get_rng(offset=5), **small_input)
+        reference.eval()
+        checkpoint = str(tmp_path / "bare.npz")
+        artifact = str(tmp_path / "bare-artifact.npz")
+        save_checkpoint(checkpoint, reference)
+        code, out = _run([
+            "export", "--checkpoint", checkpoint, "--output", artifact,
+            "--model", model, "--input-shape", "3", "16", "16",
+        ])
+        assert code == 0
+        assert "artifact written" in out
+        x = get_rng(offset=6).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        np.testing.assert_array_equal(load_artifact(artifact)(x), Predictor(reference)(x))
+
     def test_bench_serve_emits_speedup_json(self, tmp_path):
         _, artifact = self._train_artifact(tmp_path)
         code, out = _run([
@@ -413,12 +452,14 @@ class TestTraceFlagAndCommand:
         summary = tracing.summarize_trace(events)
         assert summary["coverage"]["fraction"] >= 0.95
 
-    def test_trace_flag_jsonl_format_by_extension(self, tmp_path):
+    def test_trace_flag_writes_chrome_json_whatever_the_extension(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         code, _ = self._traced_train(path)
         assert code == 0
-        header = json.loads(open(path).readline())
-        assert header["schema"] == "repro.telemetry.trace"
+        with open(path) as handle:
+            document = json.load(handle)
+        assert document["otherData"]["schema"] == "repro.telemetry.trace"
+        assert any(ev["name"] == "step" for ev in document["traceEvents"])
 
     def test_json_mode_keeps_stdout_machine_readable(self, tmp_path):
         path = str(tmp_path / "run.json")
@@ -446,19 +487,6 @@ class TestTraceFlagAndCommand:
         payload = json.loads(out)
         assert payload["meta"]["session"] == "trainer"
         assert payload["summary"]["coverage"]["fraction"] >= 0.95
-
-    def test_trace_export_converts_formats(self, tmp_path):
-        src = str(tmp_path / "run.json")
-        dst = str(tmp_path / "run.jsonl")
-        self._traced_train(src)
-        code, out = _run(["trace", "export", src, dst])
-        assert code == 0
-        assert f"events to {dst}" in out
-        from repro.telemetry import tracing
-
-        original, _ = tracing.load_trace(src)
-        converted, _ = tracing.load_trace(dst)
-        assert len(original) == len(converted)
 
     def test_trace_summary_missing_file_is_clean_error(self, tmp_path):
         code, out = _run(["trace", "summary", str(tmp_path / "nope.json")])

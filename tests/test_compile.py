@@ -20,7 +20,7 @@ from repro.utils import seed_everything
 
 def _mlp(seed: int = 0) -> nn.Module:
     seed_everything(seed)
-    return nn.Sequential(nn.Linear(12, 24, activation="relu"), nn.Linear(24, 6))
+    return nn.Sequential(nn.Linear(12, 24), nn.ReLU(), nn.Linear(24, 6))
 
 
 def _batch(rng: np.random.Generator, n: int = 8, dim: int = 12, classes: int = 6):
@@ -193,8 +193,7 @@ class TestInvalidation:
 
         def build():
             seed_everything(7)
-            return nn.Sequential(nn.Linear(16, 32, activation="relu"),
-                                 nn.Linear(32, 8))
+            return nn.Sequential(nn.Linear(16, 32), nn.ReLU(), nn.Linear(32, 8))
 
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 16)).astype(np.float32)
@@ -209,7 +208,7 @@ class TestInvalidation:
                 for step in range(4):
                     if step == 2:
                         # Mid-run rank switch: swaps modules and parameters.
-                        factorize_model(model, {"0": 4, "1": 4},
+                        factorize_model(model, {"0": 4, "2": 4},
                                         skip_non_reducing=False)
                         opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
                     opt.zero_grad()

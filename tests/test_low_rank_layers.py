@@ -205,6 +205,21 @@ class TestFactorizeModules:
         for path in candidates:
             assert is_low_rank(model.get_submodule(path))
 
+    @pytest.mark.parametrize("activation", [nn.ReLU, nn.GELU])
+    def test_full_rank_switch_keeps_the_activations(self, rng, activation):
+        """The switch replaces only the Linear modules: the nonlinearity
+        between two factorized layers stays, so a full-rank switch keeps the
+        function."""
+        model = nn.Sequential(nn.Linear(12, 24), activation(), nn.Linear(24, 24),
+                              activation(), nn.Linear(24, 4))
+        x = Tensor(rng.standard_normal((8, 12)).astype(np.float32))
+        before = model(x).data.copy()
+        factorized = factorize_model(model, {"0": 12, "2": 24, "4": 4},
+                                     skip_non_reducing=False)
+        assert sorted(factorized) == ["0", "2", "4"]
+        assert [type(m) for m in model] == [LowRankLinear, activation] * 2 + [LowRankLinear]
+        np.testing.assert_allclose(model(x).data, before, atol=1e-4)
+
     def test_factorize_model_skips_non_reducing(self):
         model = MLP(16, [32, 32], 4)
         candidates = model.factorization_candidates()

@@ -1,5 +1,6 @@
 """Serving artifacts (repro.serve.artifact): versioned export/load, factorized
-round-trips, fusion state, validation errors, and batch canonicalization."""
+round-trips, validation errors, batch canonicalization, and manifests from
+older exports."""
 
 import json
 
@@ -157,23 +158,6 @@ class TestMixedExtraBnRoundtrip:
         np.testing.assert_array_equal(predictor(x), direct)
 
 
-class TestFusionRoundtrip:
-    def test_fused_activations_survive_reload(self, tmp_path):
-        model = _mlp()
-        x = get_rng(offset=7).standard_normal((8, 24)).astype(np.float32)
-        fused = nn.fuse_linear_activations(model)
-        assert fused > 0
-        with no_grad():
-            direct = model(x).data
-        path = str(tmp_path / "fused.npz")
-        manifest = export_artifact(path, model, model_spec=MLP_SPEC, input_shape=(24,))
-        assert len(manifest["fused_activations"]) == fused
-        predictor = load_artifact(path)
-        reloaded = dict(nn.fused_activation_map(predictor.model))
-        assert reloaded == manifest["fused_activations"]
-        np.testing.assert_array_equal(predictor(x), direct)
-
-
 class TestValidation:
     def test_not_an_artifact(self, tmp_path):
         path = str(tmp_path / "junk.npz")
@@ -292,6 +276,30 @@ class TestLegacyArtifacts:
         x = get_rng(offset=9).standard_normal((16, 3, 32, 32)).astype(np.float32)
         for rows in (1, 4, 16):
             np.testing.assert_array_equal(legacy(x[:rows]), plain(x[:rows]))
+
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-fast", "numpy-compiled"])
+    def test_fused_activations_key_from_older_exports_is_ignored(self, tmp_path, backend):
+        """Older exports of a model whose Linear→ReLU pairs were folded into
+        one kernel also stored a ``fused_activations`` manifest key.  The
+        state keys are the unfused model's, so such a file loads into the
+        plain architecture and predicts its bytes."""
+        model = _mlp()
+        plain_path, legacy_path = str(tmp_path / "plain.npz"), str(tmp_path / "legacy.npz")
+        export_artifact(plain_path, model, model_spec=MLP_SPEC, input_shape=(24,))
+        with np.load(plain_path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        manifest = read_manifest(plain_path)
+        manifest["fused_activations"] = {"hidden.0": "relu", "hidden.2": "relu"}
+        arrays["__artifact_manifest__"] = np.frombuffer(
+            json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        np.savez(legacy_path, **arrays)
+        legacy = load_artifact(legacy_path, backend=backend)
+        assert legacy.manifest["fused_activations"] == {"hidden.0": "relu", "hidden.2": "relu"}
+        assert [type(m) for m in legacy.model.hidden] == [nn.Linear, nn.ReLU] * 2
+        unfused = Predictor(model, backend=backend)
+        x = get_rng(offset=7).standard_normal((8, 24)).astype(np.float32)
+        for rows in (1, 4, 8):
+            assert legacy(x[:rows]).tobytes() == unfused(x[:rows]).tobytes()
 
 
 class TestCuttlefishExportHook:

@@ -7,9 +7,9 @@ The contracts under test (DESIGN.md §14):
 * nesting is tracked per thread — children carry ``parent``/``depth`` and the
   ordering of recorded events is deterministic on one thread (children close
   before parents);
-* ``write_trace`` emits Chrome trace-event JSON or a JSONL event log that
-  ``load_trace`` reads back losslessly (and plain ``json.load`` validates the
-  Chrome schema for external tools);
+* ``write_trace`` emits Chrome trace-event JSON that ``load_trace`` reads
+  back losslessly (and plain ``json.load`` validates the schema for external
+  tools), and ``load_trace`` rejects any other file, naming it;
 * a 2-rank data-parallel run merges worker timelines into the parent
   session with one labeled lane per rank and ≥95% step coverage.
 """
@@ -23,7 +23,6 @@ import pytest
 from repro.telemetry import tracing
 from repro.telemetry.tracing import (
     TRACE_SCHEMA_VERSION,
-    convert_trace,
     format_summary,
     load_trace,
     record_span,
@@ -172,37 +171,27 @@ class TestExportRoundTrip:
         assert by_name["optimizer"]["dur_us"] == pytest.approx(5e5)
         assert meta["lanes"]  # labeled lanes survive the round-trip
 
-    def test_jsonl_roundtrip(self, tmp_path):
+    def test_writes_chrome_json_whatever_the_extension(self, tmp_path):
         session = self._record()
         path = str(tmp_path / "trace.jsonl")
-        written = write_trace(path, session)
-        assert written == 3
-        lines = open(path).read().splitlines()
-        header = json.loads(lines[0])
-        assert header["schema"] == "repro.telemetry.trace"
-        assert len(lines) == 1 + written  # header + one record per event
-        events, meta = load_trace(path)
+        assert write_trace(path, session) == 3
+        with open(path) as handle:
+            document = json.load(handle)
+        assert document["otherData"]["schema"] == "repro.telemetry.trace"
+        events, _ = load_trace(path)
         assert {ev["name"] for ev in events} == {"step", "forward", "optimizer"}
-        assert meta["schema_version"] == TRACE_SCHEMA_VERSION
-
-    def test_convert_between_formats_losslessly(self, tmp_path):
-        session = self._record()
-        chrome = str(tmp_path / "a.json")
-        jsonl = str(tmp_path / "b.jsonl")
-        back = str(tmp_path / "c.json")
-        write_trace(chrome, session)
-        assert convert_trace(chrome, jsonl) == 3
-        assert convert_trace(jsonl, back) == 3
-        original, _ = load_trace(chrome)
-        roundtripped, _ = load_trace(back)
-        key = lambda ev: (ev["name"], ev["ts_us"])  # noqa: E731
-        assert sorted(original, key=key) == sorted(roundtripped, key=key)
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = str(tmp_path / "other.json")
         json.dump({"not": "a trace"}, open(path, "w"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="other.json"):
             load_trace(path)
+        # One JSON object per line is not one JSON document.
+        lines = str(tmp_path / "lines.jsonl")
+        with open(lines, "w") as handle:
+            handle.write('{"schema": "repro.telemetry.trace"}\n{"name": "step"}\n')
+        with pytest.raises(ValueError, match="lines.jsonl"):
+            load_trace(lines)
 
     def test_write_without_session_raises(self, tmp_path):
         with pytest.raises(ValueError):
