@@ -15,7 +15,10 @@ permanent eager fallback:
 * the parameter-structure fingerprint is the identity of every parameter's
   backing array, so Cuttlefish's mid-run rank switch (which swaps modules
   and their parameters) lands on a fresh key while in-place optimizer
-  updates do not;
+  updates do not.  A capture for a model first releases that model's plans
+  under any other fingerprint: they read arrays the model no longer holds,
+  so no later step can match them, and they would pin those arrays, their
+  take schedules and their last step's saved activations until LRU eviction;
 * a capture the context cannot prove replayable (see
   :mod:`repro.compile.graph`) blacklists its key: those steps run eagerly,
   bit-identically, forever.
@@ -181,6 +184,7 @@ class StepCompiler:
         traced = _tracing.enabled()
         start = time.perf_counter() if traced else 0.0
         with _COMPILE_LOCK:
+            self._drop_stale(key)
             if _tensor_core._capture is not None:
                 # Nested capture (a thunk that itself drives a compiler):
                 # observe-only is no longer well defined — run eagerly.
@@ -234,6 +238,13 @@ class StepCompiler:
         while len(self._plans) > self.max_plans:
             _, evicted = self._plans.popitem(last=False)
             evicted.release()
+
+    def _drop_stale(self, key) -> None:
+        """Release the plans of ``key``'s model whose parameter fingerprint
+        differs from ``key``'s (a model that returns to them recaptures)."""
+        model_id, params = key[0], key[-1]
+        for stale in [k for k in self._plans if k[0] == model_id and k[-1] != params]:
+            self._plans.pop(stale).release()
 
     def _add_blacklist(self, key) -> None:
         if len(self._blacklist) >= _MAX_BLACKLIST:

@@ -4,6 +4,15 @@ FLOPs counting and the roofline cost model both need to know each layer's
 activation shapes.  Rather than re-deriving shapes analytically for every
 architecture, :func:`trace_shapes` runs one forward pass with every leaf
 module's ``forward`` temporarily wrapped to record the shapes it sees.
+
+The pass runs no convolution or linear-layer GEMM.  A leaf whose type is
+exactly ``nn.Conv2d`` or ``nn.Linear`` returns float32 zeros of the shape its
+weight, stride and padding give, checked as its forward checks its input:
+those layers are where a forward spends its arithmetic, and a trace reads
+none of their values.  Every other leaf (norms, activations, pooling,
+embeddings, factorized layers, and subclasses such as ``BinarizedConv2d``,
+whose forward is their own) runs its forward on those zeros, so its output
+shape is whatever its code makes it.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, functional as F, no_grad
 
 
 @dataclass
@@ -26,8 +35,27 @@ class ModuleTrace:
     output_shape: Tuple[int, ...]
 
 
+def _output_shape(module: nn.Module, in_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    """What ``module`` (a plain ``Conv2d`` or ``Linear``) returns for input of
+    ``in_shape``, raising the ``ValueError`` its forward raises on a mismatch."""
+    if type(module) is nn.Conv2d:
+        return F.conv2d_output_shape(in_shape, module.weight.shape,
+                                     module.stride, module.padding)
+    out_features, in_features = module.weight.shape
+    if in_shape[-1:] != (in_features,):
+        raise ValueError(f"feature mismatch: input has shape {in_shape}, "
+                         f"weight expects {in_features} features")
+    return in_shape[:-1] + (out_features,)
+
+
 def trace_shapes(model: nn.Module, example_input, forward_fn=None) -> Dict[str, ModuleTrace]:
     """Run ``model`` once on ``example_input`` and record per-module shapes.
+
+    A plain ``nn.Conv2d`` or ``nn.Linear`` leaf runs no GEMM: it returns
+    float32 zeros shaped from its weight, stride and padding, and raises the
+    ``ValueError`` its forward raises on input of the wrong channel or feature
+    count.  Every other leaf runs its own forward on those zeros.  The shapes
+    are those of a real forward; the values are not.
 
     Parameters
     ----------
@@ -66,9 +94,14 @@ def trace_shapes(model: nn.Module, example_input, forward_fn=None) -> Dict[str, 
             continue
 
         def make_wrapper(mod, path, original):
+            shaped = type(mod) in (nn.Conv2d, nn.Linear)
+
             def wrapped(*args, **kwargs):
-                out = original(*args, **kwargs)
                 in_shape = _shape_of(args[0]) if args else ()
+                if shaped:
+                    out = Tensor(np.zeros(_output_shape(mod, in_shape), dtype=np.float32))
+                else:
+                    out = original(*args, **kwargs)
                 traces[path] = ModuleTrace(type(mod).__name__, in_shape, _shape_of(out))
                 return out
             return wrapped

@@ -293,6 +293,17 @@ class Conv2dOp(Op):
         self.col = self.image = None
 
 
+def conv2d_output_shape(x_shape, weight_shape, stride: IntPair = 1,
+                        padding: IntPair = 0) -> Tuple[int, int, int, int]:
+    """Shape of :func:`conv2d`'s output, raising its ``ValueError`` on input
+    whose channel count ``weight_shape`` does not expect."""
+    out_c, in_c, kh, kw = weight_shape
+    n, c, _, _, out_h, out_w = _conv_geometry(x_shape, kh, kw, _pair(stride), _pair(padding))
+    if in_c != c:
+        raise ValueError(f"channel mismatch: input has {c}, weight expects {in_c}")
+    return n, out_c, out_h, out_w
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -308,10 +319,7 @@ def conv2d(
         x = Tensor(x)
     stride = _pair(stride)
     padding = _pair(padding)
-    _, c, _, _ = x.shape
-    _, in_c, _, _ = weight.shape
-    if in_c != c:
-        raise ValueError(f"channel mismatch: input has {c}, weight expects {in_c}")
+    conv2d_output_shape(x.shape, weight.shape, stride, padding)
     op = Conv2dOp(stride, padding)
     if bias is not None:
         return apply_op(op, x, weight, bias)

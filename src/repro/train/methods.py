@@ -27,7 +27,10 @@ Methods self-register with :func:`register_method`; the experiment harness
 This module deliberately imports nothing from ``repro.core`` or
 ``repro.baselines`` at module level — those packages import the decorator
 from here, and the built-in registrations are pulled in lazily on first
-registry access.
+registry access.  :func:`build_method` imports them only for a name not yet
+registered, so a run of ``full_rank``, or of ``cuttlefish`` once
+``repro.core`` is imported (as the harness does), never imports the
+baselines.
 """
 
 from __future__ import annotations
@@ -205,7 +208,8 @@ def build_method(name: str, **kwargs) -> Method:
     ``ValueError`` naming any keyword argument the method does not accept, so
     typos like ``cuttelfish_config=`` fail loudly instead of being ignored.
     """
-    _ensure_builtin_methods()
+    if name not in _METHOD_REGISTRY:
+        _ensure_builtin_methods()
     if name not in _METHOD_REGISTRY:
         raise KeyError(f"unknown method {name!r}; available: {available_methods()}")
     cls = _METHOD_REGISTRY[name]

@@ -53,21 +53,58 @@ _SCIPY_PROBE = textwrap.dedent("""
     print(json.dumps({"loaded": loaded, "code": code, "svds": len(stable_rank_svds)}))
 """)
 
+#: Runs Cuttlefish through the harness, then builds ``full_rank`` and
+#: ``pufferfish``, in one fresh interpreter, and prints, as JSON, the
+#: ``repro.baselines`` modules loaded after each.
+_BASELINES_PROBE = textwrap.dedent("""
+    import json, sys
+    from repro.train.experiments import ExperimentSpec, VisionExperimentConfig, run_experiment
+    from repro.train.methods import build_method
+
+    def baselines():
+        return sorted(name for name in sys.modules if name.split(".")[:2] == ["repro", "baselines"])
+
+    config = VisionExperimentConfig(task="cifar10_small", model="resnet18", width_mult=0.125,
+                                    epochs=2, max_batches_per_epoch=2)
+    run_experiment(ExperimentSpec(method="cuttlefish", config=config))
+    loaded = {"cuttlefish run": baselines()}
+    build_method("full_rank")
+    loaded["build full_rank"] = baselines()
+    built = type(build_method("pufferfish")).__name__
+    loaded["build pufferfish"] = baselines()
+    print(json.dumps({"loaded": loaded, "pufferfish": built}))
+""")
+
+
+def _probe(source: str) -> dict:
+    """Run ``source`` in a fresh interpreter on this tree; its last stdout line, as JSON."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", source],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestImport:
     def test_no_scipy_module_is_loaded(self):
         """numpy is the only runtime dependency: importing the CLI, importing
         the server, and a Cuttlefish run that computes stable ranks each leave
         ``sys.modules`` free of scipy (and its second OpenBLAS)."""
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
-                              env=env, capture_output=True, text=True, timeout=120, check=True)
-        report = json.loads(proc.stdout.splitlines()[-1])
+        report = _probe(_SCIPY_PROBE)
         assert report["code"] == 0 and report["svds"] > 0
         assert report["loaded"] == {"import repro.cli": [], "import repro.serve.server": [],
                                     "train --method cuttlefish": []}
+
+    def test_a_cuttlefish_run_imports_no_baseline(self):
+        """The registry imports the baselines only for a name not registered
+        yet: a Cuttlefish run and a full-rank build load none of them, and
+        the first baseline built afterwards still resolves."""
+        report = _probe(_BASELINES_PROBE)
+        assert report["loaded"]["cuttlefish run"] == []
+        assert report["loaded"]["build full_rank"] == []
+        assert report["pufferfish"] == "PufferfishMethod"
+        assert "repro.baselines.pufferfish" in report["loaded"]["build pufferfish"]
 
 
 class TestParser:

@@ -231,6 +231,43 @@ class TestInvalidation:
         assert compiler.stats["captures"] == 2  # pre- and post-switch graphs
         assert compiler.stats["replays"] == 2
 
+    def test_rank_switch_releases_the_full_rank_plan(self):
+        """The switch leaves the full-rank plan's key unmatchable; the
+        post-switch capture releases it instead of keeping it until eight
+        newer plans push it out."""
+        from repro.core import factorize_model
+
+        seed_everything(7)
+        model = nn.Sequential(nn.Linear(16, 32), nn.ReLU(), nn.Linear(32, 8))
+        other = _mlp()
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((8, 16)).astype(np.float32)
+        y = rng.integers(0, 8, size=8)
+        x_other, y_other = _batch(rng)
+        compiler = StepCompiler()
+        with use_backend("numpy-compiled") as be:
+            opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+            for _ in range(2):
+                self._step(compiler, model, opt, x, y)
+            with no_grad():
+                compiler.forward(model, (x,), lambda: model(x))
+            self._step(compiler, other, SGD(other.parameters(), lr=0.05), x_other, y_other)
+            full_rank_plans = list(compiler._plans.values())[:2]
+            buffers = [id(buf) for plan in full_rank_plans
+                       for buf in plan._fwd_takes + plan._bwd_takes + plan._leafbufs]
+            assert buffers and set(buffers) <= be._owned
+
+            factorize_model(model, {"0": 4, "2": 4}, skip_non_reducing=False)
+            opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+            for _ in range(2):
+                self._step(compiler, model, opt, x, y)
+
+        # One plan for the model (the low-rank one); the other model's stays.
+        assert len(compiler._plans) == 2
+        assert sum(key[0] == id(model) for key in compiler._plans) == 1
+        assert not set(buffers) & be._owned
+        assert compiler.stats["captures"] == 4 and compiler.stats["replays"] == 2
+
 
 # --------------------------------------------------------------------------- #
 # Plan internals

@@ -179,6 +179,28 @@ class TestWeightFreeReference:
         assert decision == real_decision
         assert hours == real_hours
 
+    def test_reference_trace_runs_no_gemm(self, monkeypatch):
+        """The width-1.0 ResNet-18's 20 convolutions and its classifier are
+        shaped from their attributes: the backend instance the trace runs on
+        counts no conv2d and no linear_act call (an executed trace counts 20
+        and 1, 2.2 GFLOP)."""
+        trace_backends = []
+
+        def recording_use_backend(backend):
+            trace_backends.append(backend)
+            return use_backend(backend)
+
+        monkeypatch.setattr(experiments, "use_backend", recording_use_backend)
+        with use_backend(NumpyFastBackend()):
+            self._price(_tiny_config(), None)
+        (traced_on,) = trace_backends
+        assert isinstance(traced_on, NumpyFastBackend)
+        counts = traced_on.counters()
+        assert "conv2d" not in counts and "linear_act" not in counts
+        (_, traces), = experiments._REFERENCE_TRACE.values()
+        types = [trace.module_type for trace in traces.values()]
+        assert types.count("Conv2d") == 20 and types.count("Linear") == 1
+
     def test_trace_leaves_the_active_arena_alone(self, monkeypatch):
         """The trace runs on a fresh instance of the active backend's class,
         so the training arena holds the same buffers before and after, and

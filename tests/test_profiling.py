@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import LowRankConv2d, LowRankLinear, factorize_model
-from repro.models import MLP, resnet18
+from repro.cli import _PATCH_MODELS, _PROFILE_MODELS
+from repro.core import LowRankConv2d, LowRankLinear, factorize_model, full_rank_of
+from repro.core.low_rank_layers import is_low_rank
+from repro.models import MLP, build_model, resnet18
 from repro.profiling import (
     CPU,
     DeviceSpec,
+    ModuleTrace,
     V100,
     conv2d_cost,
     count_model_flops,
+    count_ops,
     count_parameters,
     factorized_conv2d_cost,
     factorized_linear_cost,
@@ -27,6 +31,8 @@ from repro.profiling import (
     time_training_iteration,
     trace_shapes,
 )
+from repro.tensor import no_grad, use_backend
+from repro.utils import seed_everything
 
 
 class TestTracer:
@@ -70,6 +76,79 @@ class TestTracer:
         traces = trace_shapes(model, rng.random((2, 3, 16, 16)).astype(np.float32))
         assert "conv1" in traces and "fc" in traces
         assert traces["conv1"].input_shape == (2, 3, 16, 16)
+
+
+def _executed_trace(model, x):
+    """The shape trace with every traced module running its own forward,
+    convolutions and linear layers included."""
+    traces, wrapped = {}, []
+    for path, module in model.named_modules():
+        if not path or (list(module.children()) and not is_low_rank(module)):
+            continue
+
+        def forward(x, _path=path, _module=module, _forward=module.forward):
+            out = _forward(x)
+            traces[_path] = ModuleTrace(type(_module).__name__, tuple(x.shape), tuple(out.shape))
+            return out
+
+        object.__setattr__(module, "forward", forward)
+        wrapped.append(module)
+    try:
+        with no_grad():
+            model.eval()
+            model(x)
+    finally:
+        for module in wrapped:
+            del module.__dict__["forward"]
+    return traces
+
+
+def _factorized_resnet_with_extra_bn():
+    """``tests/test_roofline_lowrank.py``'s factorized ResNet, extra BN on."""
+    seed_everything(0)
+    model = resnet18(num_classes=4, width_mult=0.25)
+    ranks = {p: max(1, int(round(full_rank_of(model.get_submodule(p)) * 0.4)))
+             for p in model.factorization_candidates()}
+    factorize_model(model, ranks, extra_bn=True, skip_non_reducing=False)
+    return model
+
+
+class TestShapedTrace:
+    """``trace_shapes`` shapes plain ``Conv2d``/``Linear`` outputs from their
+    attributes instead of running them; every trace equals an executed one."""
+
+    @pytest.mark.parametrize("name", _PROFILE_MODELS)
+    def test_every_profiled_model_traces_as_executed(self, name):
+        kwargs = {"image_size": 32} if name in _PATCH_MODELS else {}
+        with nn.init.shapes_only():
+            model = build_model(name, num_classes=10, **kwargs)
+        x = np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        with use_backend("numpy-fast"), count_ops() as counts:
+            traces = trace_shapes(model, x)
+        assert traces == _executed_trace(model, x)
+        assert "conv2d" not in counts and "linear_act" not in counts
+
+    def test_factorized_model_with_extra_bn_traces_as_executed(self):
+        model = _factorized_resnet_with_extra_bn()
+        x = np.random.default_rng(0).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        traces = trace_shapes(model, x)
+        assert traces == _executed_trace(model, x)
+        assert traces["layer1.0.conv1"].module_type == "LowRankConv2d"
+        assert "layer1.0.conv1.bn" in traces
+
+    @pytest.mark.parametrize("layer, x", [
+        (nn.Conv2d(3, 8, 3), np.zeros((2, 4, 8, 8), dtype=np.float32)),
+        (nn.Conv2d(3, 8, 3), np.zeros((2, 3, 8), dtype=np.float32)),
+        (nn.Linear(8, 4), np.zeros((2, 6), dtype=np.float32)),
+        (nn.Linear(8, 4), np.zeros((2, 8, 3), dtype=np.float32)),
+    ], ids=["conv-channels", "conv-rank", "linear-features", "linear-last-axis"])
+    def test_wiring_error_raises_as_the_forward_does(self, layer, x):
+        model = nn.Sequential(layer)
+        with pytest.raises(ValueError):
+            model(x)
+        with pytest.raises(ValueError):
+            trace_shapes(model, x)
+        assert "forward" not in layer.__dict__
 
 
 class TestFlopFormulas:
