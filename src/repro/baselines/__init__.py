@@ -1,107 +1,30 @@
 """Baseline methods the paper compares Cuttlefish against.
 
-Importing this package registers every baseline with the unified method
-registry (``repro.train.methods``): each module defines a thin
-:class:`~repro.train.methods.Method` adapter next to its algorithm code.
+Each module defines a thin :class:`~repro.train.methods.Method` adapter next
+to its algorithm code and registers it with the unified method registry
+(``repro.train.methods``) when imported.  The registry imports a baseline's
+module the first time that method is built (DESIGN.md §3), and this
+package's public names load on first access (§2), so naming one baseline
+imports no other.
 """
 
-from repro.baselines.pufferfish import (
-    PufferfishCallback,
-    PufferfishConfig,
-    PufferfishMethod,
-    PufferfishReport,
-    train_pufferfish,
-)
-from repro.baselines.si_fd import SIFDConfig, SIFDMethod, SIFDReport, build_si_fd_model, train_si_fd
-from repro.baselines.lc_compression import (
-    LCCallback,
-    LCConfig,
-    LCMethod,
-    LCReport,
-    optimal_rank,
-    train_lc_compression,
-)
-from repro.baselines.imp import IMPConfig, IMPMethod, IMPReport, MaskManager, prunable_parameters, train_imp
-from repro.baselines.xnor import (
-    BinarizationAccountingCallback,
-    BinarizedConv2d,
-    BinarizedLinear,
-    XNORMethod,
-    binarize_activations,
-    binarize_with_ste,
-    convert_to_xnor,
-    effective_parameter_fraction,
-)
-from repro.baselines.grasp import (
-    GraSPConfig,
-    GraSPMethod,
-    GraSPReport,
-    apply_masks,
-    compute_grasp_masks,
-    make_mask_grad_hook,
-    train_grasp,
-)
-from repro.baselines.early_bird import (
-    EarlyBirdCallback,
-    EarlyBirdConfig,
-    EarlyBirdMethod,
-    EarlyBirdReport,
-    train_early_bird,
-)
-from repro.baselines.distillation import (
-    DistillationConfig,
-    build_student,
-    make_distillation_loss,
-    soft_cross_entropy,
-    train_distilled_student,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "PufferfishCallback",
-    "PufferfishConfig",
-    "PufferfishMethod",
-    "PufferfishReport",
-    "train_pufferfish",
-    "SIFDConfig",
-    "SIFDMethod",
-    "SIFDReport",
-    "build_si_fd_model",
-    "train_si_fd",
-    "LCCallback",
-    "LCConfig",
-    "LCMethod",
-    "LCReport",
-    "optimal_rank",
-    "train_lc_compression",
-    "IMPConfig",
-    "IMPMethod",
-    "IMPReport",
-    "MaskManager",
-    "prunable_parameters",
-    "train_imp",
-    "BinarizationAccountingCallback",
-    "BinarizedConv2d",
-    "BinarizedLinear",
-    "XNORMethod",
-    "binarize_activations",
-    "binarize_with_ste",
-    "convert_to_xnor",
-    "effective_parameter_fraction",
-    "GraSPConfig",
-    "GraSPMethod",
-    "GraSPReport",
-    "apply_masks",
-    "compute_grasp_masks",
-    "make_mask_grad_hook",
-    "train_grasp",
-    "EarlyBirdCallback",
-    "EarlyBirdConfig",
-    "EarlyBirdMethod",
-    "EarlyBirdReport",
-    "train_early_bird",
-    "DistillationConfig",
-    "build_student",
-    "make_distillation_loss",
-    "soft_cross_entropy",
-    "train_distilled_student",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "pufferfish": ["PufferfishCallback", "PufferfishConfig", "PufferfishMethod",
+                   "PufferfishReport", "train_pufferfish"],
+    "si_fd": ["SIFDConfig", "SIFDMethod", "SIFDReport", "build_si_fd_model", "train_si_fd"],
+    "lc_compression": ["LCCallback", "LCConfig", "LCMethod", "LCReport", "optimal_rank",
+                       "train_lc_compression"],
+    "imp": ["IMPConfig", "IMPMethod", "IMPReport", "MaskManager", "prunable_parameters",
+            "train_imp"],
+    "xnor": ["BinarizationAccountingCallback", "BinarizedConv2d", "BinarizedLinear",
+             "XNORMethod", "binarize_activations", "binarize_with_ste", "convert_to_xnor",
+             "effective_parameter_fraction"],
+    "grasp": ["GraSPConfig", "GraSPMethod", "GraSPReport", "apply_masks",
+              "compute_grasp_masks", "make_mask_grad_hook", "train_grasp"],
+    "early_bird": ["EarlyBirdCallback", "EarlyBirdConfig", "EarlyBirdMethod",
+                   "EarlyBirdReport", "train_early_bird"],
+    "distillation": ["DistillationConfig", "build_student", "make_distillation_loss",
+                     "soft_cross_entropy", "train_distilled_student"],
+})

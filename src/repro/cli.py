@@ -36,6 +36,10 @@ Python:
 ``repro.train.methods.register_method`` — including ones a downstream user
 registers in their own code before calling :func:`main`.
 
+Each command imports what it runs when it runs (DESIGN.md §7): building the
+parser loads only the backend registry, so ``serve`` never imports the
+trainer, the data pipeline or a training method.
+
 Examples
 --------
 ::
@@ -58,22 +62,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import nn
-from repro.core import CuttlefishConfig, RankTracker, profile_layer_stacks
-from repro.data import PipelineLoader, make_vision_task
-from repro.models import build_model
-from repro.optim import SGD, build_paper_cifar_schedule
-from repro.profiling import DEVICES, get_device
 from repro.tensor import available_backends, set_backend
-from repro.train.experiments import (
-    ExperimentRow,
-    ExperimentSpec,
-    VisionExperimentConfig,
-    format_rows,
-    run_experiment,
-)
-from repro.train.methods import available_methods, method_descriptions
-from repro.train.trainer import Trainer
 from repro.utils import get_rng, seed_everything
 
 
@@ -107,6 +96,35 @@ def _checked(convert, accept, requirement: str):
 
 
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+
+
+def _one_of(names, convert=str):
+    """An argparse ``type`` accepting only values in ``names()``.
+
+    Unlike ``choices``, the names are looked up when a value of the flag is
+    parsed, not when the parser is built; argparse converts a string default
+    the same way, but only for the subcommand being parsed.
+    """
+    def parse(text: str):
+        value, allowed = convert(text), names()
+        if value not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(sorted(allowed))})")
+        return value
+    return parse
+
+
+def _method_names():
+    from repro.train.methods import available_methods  # imports no method
+
+    return available_methods()
+
+
+def _device_names():
+    from repro.profiling.roofline import DEVICES
+
+    return DEVICES
+
 
 #: Models ``train``, ``compare``, ``rank-trace`` and ``export`` build: the
 #: harness and ``export``'s fallback spec pass ``width_mult``, which only
@@ -160,11 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "trace-event JSON (Perfetto-loadable)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
-    methods = available_methods()
-
     train = sub.add_parser("train", help="train one method and print its result row")
     add_budget_args(train)
-    train.add_argument("--method", default="cuttlefish", choices=methods)
+    train.add_argument("--method", default="cuttlefish", type=_one_of(_method_names),
+                       metavar="METHOD", help="a registered method (see list-methods)")
     train.add_argument("--save-checkpoint", default=None, metavar="PATH",
                        help="write a training checkpoint of the trained model")
     train.add_argument("--export", default=None, metavar="PATH",
@@ -173,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="run several methods on the same budget")
     add_budget_args(compare)
     compare.add_argument("--methods", nargs="+", default=["full_rank", "cuttlefish"],
-                         choices=methods)
+                         type=_one_of(_method_names), metavar="METHOD",
+                         help="registered methods (see list-methods)")
 
     list_methods = sub.add_parser("list-methods",
                                   help="list every registered training method")
@@ -182,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", help="Algorithm 2: per-stack speedup table (Figure 4)")
     profile.add_argument("--model", default="resnet18", choices=_PROFILE_MODELS)
     profile.add_argument("--num-classes", type=_positive_int, default=10)
-    profile.add_argument("--device", default="v100", type=str.lower, choices=sorted(DEVICES))
+    profile.add_argument("--device", default="v100", type=_one_of(_device_names, str.lower),
+                         help="roofline device (repro.profiling.DEVICES)")
     profile.add_argument("--batch-size", type=_positive_int, default=1024,
                          help="batch size at which the roofline is evaluated")
     profile.add_argument("--rank-ratio", default=0.25, help="probe rank ratio ρ̄, in (0, 1]",
@@ -326,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args: argparse.Namespace) -> VisionExperimentConfig:
+def _experiment_config(args: argparse.Namespace):
+    from repro.train.experiments import VisionExperimentConfig
+
     return VisionExperimentConfig(
         task=args.task,
         model=args.model,
@@ -365,7 +386,9 @@ def _finish_trace(args: argparse.Namespace, out) -> None:
         out.write(f"trace: {spans} spans written to {args.trace}\n")
 
 
-def _emit_rows(rows: List[ExperimentRow], as_json: bool, stream) -> None:
+def _emit_rows(rows: list, as_json: bool, stream) -> None:
+    from repro.train.experiments import format_rows
+
     if as_json:
         json.dump([row.as_dict() for row in rows], stream, indent=2, default=float)
         stream.write("\n")
@@ -382,6 +405,8 @@ def _model_spec(args: argparse.Namespace, num_classes: int) -> dict:
 
 
 def cmd_train(args: argparse.Namespace, stream=sys.stdout) -> int:
+    from repro.train.experiments import ExperimentSpec, run_experiment
+
     set_backend(args.backend)
     config = _experiment_config(args)
     spec = ExperimentSpec(method=args.method, config=config)
@@ -442,6 +467,8 @@ def cmd_train(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, stream=sys.stdout) -> int:
+    from repro.train.experiments import ExperimentSpec, run_experiment
+
     set_backend(args.backend)
     traced = _start_trace(args, "trainer")
     try:
@@ -455,6 +482,8 @@ def cmd_compare(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_list_methods(args: argparse.Namespace, stream=sys.stdout) -> int:
+    from repro.train.methods import method_descriptions
+
     descriptions = method_descriptions()
     if args.json:
         json.dump(descriptions, stream, indent=2)
@@ -467,6 +496,11 @@ def cmd_list_methods(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, stream=sys.stdout) -> int:
+    from repro import nn
+    from repro.core import profile_layer_stacks
+    from repro.models import build_model
+    from repro.profiling import get_device
+
     kwargs = {"num_classes": args.num_classes}
     if args.model in _PATCH_MODELS:
         kwargs["image_size"] = args.image_size
@@ -507,6 +541,12 @@ def cmd_profile(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_rank_trace(args: argparse.Namespace, stream=sys.stdout) -> int:
+    from repro.core import RankTracker
+    from repro.data import PipelineLoader, make_vision_task
+    from repro.models import build_model
+    from repro.optim import SGD, build_paper_cifar_schedule
+    from repro.train.trainer import Trainer
+
     seed_everything(args.seed)
     train_ds, _, spec = make_vision_task(args.task)
     loader = PipelineLoader(train_ds, args.batch_size, shuffle=True)
@@ -535,6 +575,7 @@ def cmd_rank_trace(args: argparse.Namespace, stream=sys.stdout) -> int:
 
 
 def cmd_export(args: argparse.Namespace, stream=sys.stdout) -> int:
+    from repro.models import build_model
     from repro.serve import export_artifact
     from repro.utils import load_checkpoint, read_checkpoint_meta
 

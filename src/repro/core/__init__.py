@@ -31,17 +31,20 @@ from repro.core.factorize import (
     svd_factorize,
     would_reduce_parameters,
 )
-from repro.core.rank_tracker import LayerRankHistory, RankTracker
-from repro.core.frobenius_decay import FrobeniusDecay, frobenius_penalty
-from repro.core.profiler import ProfilingResult, StackProfile, profile_layer_stacks
-from repro.core.cuttlefish import (
-    CuttlefishCallback,
-    CuttlefishConfig,
-    CuttlefishManager,
-    CuttlefishMethod,
-    CuttlefishReport,
-    train_cuttlefish,
-)
+from repro import _lazy_exports
+
+# ``stable_rank``, ``low_rank_layers`` and ``factorize`` load eagerly: serving
+# needs all three, and the function ``stable_rank`` must win over the
+# submodule of the same name, which an import would bind here.  The rest —
+# rank tracking, Frobenius decay, Algorithm 2 and the Cuttlefish trainer —
+# loads on first access (DESIGN.md §2).
+__getattr__, __dir__, _lazy_names = _lazy_exports(__name__, {
+    "rank_tracker": ["LayerRankHistory", "RankTracker"],
+    "frobenius_decay": ["FrobeniusDecay", "frobenius_penalty"],
+    "profiler": ["ProfilingResult", "StackProfile", "profile_layer_stacks"],
+    "cuttlefish": ["CuttlefishCallback", "CuttlefishConfig", "CuttlefishManager",
+                   "CuttlefishMethod", "CuttlefishReport", "train_cuttlefish"],
+})
 
 __all__ = [
     "accumulative_rank",
@@ -68,17 +71,4 @@ __all__ = [
     "reconstruction_error",
     "svd_factorize",
     "would_reduce_parameters",
-    "LayerRankHistory",
-    "RankTracker",
-    "FrobeniusDecay",
-    "frobenius_penalty",
-    "ProfilingResult",
-    "StackProfile",
-    "profile_layer_stacks",
-    "CuttlefishCallback",
-    "CuttlefishConfig",
-    "CuttlefishManager",
-    "CuttlefishMethod",
-    "CuttlefishReport",
-    "train_cuttlefish",
-]
+] + _lazy_names

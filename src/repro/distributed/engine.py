@@ -57,6 +57,7 @@ from repro.telemetry import tracing as _tracing
 from repro.train.metrics import AverageMeter
 from repro.train.trainer import Callback, Trainer
 from repro.utils import get_logger
+from repro.utils.concurrency import fork_available
 
 logger = get_logger("distributed")
 
@@ -101,8 +102,6 @@ class DataParallelTrainer(Trainer):
     ):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        from repro.distributed.process import fork_available
-
         if not fork_available():  # pragma: no cover — all targets fork
             raise RuntimeError(
                 "DataParallelTrainer needs the 'fork' start method, which this "

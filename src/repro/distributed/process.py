@@ -90,10 +90,6 @@ class _ParentGone(Exception):
     """Worker-side: the parent process disappeared; exit quietly."""
 
 
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 class ProcessReplicaGroup:
     """One generation of forked replica workers over one shared segment.
 
@@ -484,5 +480,4 @@ __all__ = [
     "DEFAULT_STEP_TIMEOUT_S",
     "ProcessReplicaGroup",
     "ReplicaError",
-    "fork_available",
 ]

@@ -1,45 +1,17 @@
-"""Model architectures evaluated in the paper."""
+"""Model architectures evaluated in the paper.
 
-from repro.models.mlp import MLP
-from repro.models.resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet50, wide_resnet50_2
-from repro.models.vgg import VGG19, vgg19
-from repro.models.deit import VisionTransformer, deit_base, deit_micro, deit_small, deit_tiny
-from repro.models.resmlp import ResMLP, resmlp_micro, resmlp_s24, resmlp_s36
-from repro.models.bert import (
-    BertForMaskedLM,
-    BertForSequenceClassification,
-    BertModel,
-    bert_base,
-    bert_micro,
-    bert_mini,
-)
-from repro.models.registry import available_models, build_model
+Public names load on first access (DESIGN.md §2), and
+:func:`build_model` imports only the family it builds."""
 
-__all__ = [
-    "MLP",
-    "BasicBlock",
-    "Bottleneck",
-    "ResNet",
-    "resnet18",
-    "resnet50",
-    "wide_resnet50_2",
-    "VGG19",
-    "vgg19",
-    "VisionTransformer",
-    "deit_base",
-    "deit_micro",
-    "deit_small",
-    "deit_tiny",
-    "ResMLP",
-    "resmlp_micro",
-    "resmlp_s24",
-    "resmlp_s36",
-    "BertForMaskedLM",
-    "BertForSequenceClassification",
-    "BertModel",
-    "bert_base",
-    "bert_micro",
-    "bert_mini",
-    "available_models",
-    "build_model",
-]
+from repro import _lazy_exports
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "mlp": ["MLP"],
+    "resnet": ["BasicBlock", "Bottleneck", "ResNet", "resnet18", "resnet50", "wide_resnet50_2"],
+    "vgg": ["VGG19", "vgg19"],
+    "deit": ["VisionTransformer", "deit_base", "deit_micro", "deit_small", "deit_tiny"],
+    "resmlp": ["ResMLP", "resmlp_micro", "resmlp_s24", "resmlp_s36"],
+    "bert": ["BertForMaskedLM", "BertForSequenceClassification", "BertModel",
+             "bert_base", "bert_micro", "bert_mini"],
+    "registry": ["available_models", "build_model"],
+})

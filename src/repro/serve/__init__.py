@@ -5,7 +5,9 @@ The deployment path for trained (and factorized) models:
 1. :func:`export_artifact` writes a versioned, self-describing ``.npz``
    artifact — low-rank factors stay factorized for the compressed FLOP path.
 2. :func:`load_artifact` rebuilds the model without the training stack and
-   returns a :class:`Predictor` (graph-free ``no_grad`` inference).
+   returns a :class:`Predictor` (graph-free ``no_grad`` inference).  Public
+   names load on first access, so a server imports neither the client nor
+   the load generator (DESIGN.md §2).
 3. :class:`DynamicBatcher` coalesces single-sample requests into micro
    batches under a max-batch-size / max-wait-ms policy and runs them on N
    workers, each owning an execution engine (same-thread
@@ -27,73 +29,16 @@ See DESIGN.md §9 for the artifact format, the determinism guarantee
 for the workers, their lifecycle and the admission policy.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    LoadShedError,
-    QueueFullError,
-)
-from repro.serve.artifact import (
-    ARTIFACT_FORMAT_VERSION,
-    ArtifactError,
-    Predictor,
-    artifact_size_bytes,
-    check_batch_invariance,
-    export_artifact,
-    load_artifact,
-    read_manifest,
-)
-from repro.serve.batcher import (
-    BatcherClosedError,
-    BatchingPolicy,
-    DynamicBatcher,
-)
-from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.engine import (
-    InlineEngine,
-    ProcessEngine,
-    SharedModelWeights,
-    WorkerDiedError,
-)
-from repro.serve.loadgen import (
-    LoadgenResult,
-    TrafficShape,
-    arrival_times,
-    bench_artifact,
-    bench_engine,
-    bench_http,
-    run_closed_loop,
-)
-from repro.serve.server import ModelServer
+from repro import _lazy_exports
 
-__all__ = [
-    "ARTIFACT_FORMAT_VERSION",
-    "AdmissionController",
-    "AdmissionPolicy",
-    "ArtifactError",
-    "Predictor",
-    "artifact_size_bytes",
-    "check_batch_invariance",
-    "export_artifact",
-    "load_artifact",
-    "read_manifest",
-    "BatcherClosedError",
-    "BatchingPolicy",
-    "DynamicBatcher",
-    "InlineEngine",
-    "LoadShedError",
-    "ProcessEngine",
-    "QueueFullError",
-    "ServeClient",
-    "ServeClientError",
-    "SharedModelWeights",
-    "WorkerDiedError",
-    "LoadgenResult",
-    "TrafficShape",
-    "arrival_times",
-    "bench_artifact",
-    "bench_engine",
-    "bench_http",
-    "run_closed_loop",
-    "ModelServer",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "admission": ["AdmissionController", "AdmissionPolicy", "LoadShedError", "QueueFullError"],
+    "artifact": ["ARTIFACT_FORMAT_VERSION", "ArtifactError", "Predictor", "artifact_size_bytes",
+                 "check_batch_invariance", "export_artifact", "load_artifact", "read_manifest"],
+    "batcher": ["BatcherClosedError", "BatchingPolicy", "DynamicBatcher"],
+    "client": ["ServeClient", "ServeClientError"],
+    "engine": ["InlineEngine", "ProcessEngine", "SharedModelWeights", "WorkerDiedError"],
+    "loadgen": ["LoadgenResult", "TrafficShape", "arrival_times", "bench_artifact",
+                "bench_engine", "bench_http", "run_closed_loop"],
+    "server": ["ModelServer"],
+})

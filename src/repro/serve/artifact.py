@@ -49,6 +49,7 @@ import numpy as np
 from repro import nn
 from repro.core.factorize import materialize_low_rank
 from repro.core.low_rank_layers import is_low_rank
+from repro.models.registry import build_model
 from repro.tensor import Tensor, no_grad, use_backend
 
 ARTIFACT_FORMAT_VERSION = 1
@@ -189,9 +190,10 @@ def _rebuild_model(manifest: Dict[str, Any]) -> nn.Module:
             "pass model=<skeleton> to load_artifact, or re-export with "
             "model_spec={'name': ..., 'kwargs': {...}}"
         )
-    from repro.models import build_model  # deliberately late: only the registry, no trainer
-
-    model = build_model(spec["name"], **spec.get("kwargs", {}))
+    # Weight-free: every parameter and buffer is overwritten from the archive,
+    # and load_artifact refuses an archive that lacks one (DESIGN.md §9.1).
+    with nn.init.shapes_only() as no_draws:
+        model = build_model(spec["name"], rng=no_draws, **spec.get("kwargs", {}))
     ranks = {key: int(value) for key, value in (manifest.get("ranks") or {}).items()}
     if ranks:
         bn_paths = set(manifest.get("extra_bn_paths")
@@ -212,10 +214,11 @@ def load_artifact(
 ) -> "Predictor":
     """Load an artifact and return a ready-to-serve :class:`Predictor`.
 
-    When ``model`` is omitted the architecture is rebuilt from the embedded
-    spec (model registry + stored ranks); a caller-supplied
+    When ``model`` is omitted the architecture is rebuilt weight-free from
+    the embedded spec (model registry + stored ranks); a caller-supplied
     skeleton must already match the stored structure.  Weight names and
-    shapes are validated against the manifest with loud errors.
+    shapes are validated against the manifest with loud errors, and a
+    weight the archive lacks is an error, so no skeleton value is served.
     """
     manifest = read_manifest(path)
     if model is None:

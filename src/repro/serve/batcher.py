@@ -76,7 +76,7 @@ from repro.serve.engine import (
 )
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import tracing as _tracing
-from repro.utils.concurrency import CLOSED, ClosableQueue, usable_cores
+from repro.utils.concurrency import CLOSED, ClosableQueue, fork_available, usable_cores
 from repro.utils.logging import get_logger
 
 logger = get_logger("serve.batcher")
@@ -375,8 +375,6 @@ class DynamicBatcher:
             # Every worker runs the caller's predictor: it is stateless, so
             # threads share it (DESIGN.md §16.1).
             return lambda index: InlineEngine(self.predict)
-
-        from repro.distributed.process import fork_available
 
         if not fork_available():  # pragma: no cover — all target platforms fork
             raise ValueError(

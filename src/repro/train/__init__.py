@@ -1,71 +1,21 @@
 """Training loops, metrics and experiment utilities.
 
-``repro.train.experiments`` depends on :mod:`repro.core` and
-:mod:`repro.baselines`, which themselves import the trainer from this
-package; to keep those imports acyclic the experiment helpers are loaded
-lazily on first attribute access.
+Public names load on first access (DESIGN.md §2).  Besides keeping a server
+free of the trainer, this keeps the imports acyclic:
+``repro.train.experiments`` depends on :mod:`repro.core`, whose Cuttlefish
+trainer, like every baseline, imports the trainer and the method registry
+from this package.
 """
 
-from repro.train.metrics import (
-    AverageMeter,
-    accuracy,
-    classification_metric,
-    f1_score,
-    matthews_corrcoef,
-    mlm_loss,
-    spearman_correlation,
-    top_k_accuracy,
-)
-from repro.train.methods import (
-    ExperimentContext,
-    Method,
-    MethodResult,
-    available_methods,
-    build_method,
-    low_rank_ratios,
-    method_descriptions,
-    register_method,
-)
-from repro.train.trainer import Callback, EpochRecord, Trainer, default_forward_fn, default_loss_fn
+from repro import _lazy_exports
 
-_LAZY_EXPERIMENT_EXPORTS = {
-    "ExperimentRow",
-    "ExperimentSpec",
-    "VisionExperimentConfig",
-    "format_rows",
-    "run_experiment",
-    "run_vision_method",
-    "reference_profiling",
-    "projected_training_hours",
-}
-
-__all__ = [
-    "ExperimentContext",
-    "Method",
-    "MethodResult",
-    "available_methods",
-    "build_method",
-    "low_rank_ratios",
-    "method_descriptions",
-    "register_method",
-    "AverageMeter",
-    "accuracy",
-    "classification_metric",
-    "f1_score",
-    "matthews_corrcoef",
-    "mlm_loss",
-    "spearman_correlation",
-    "top_k_accuracy",
-    "Callback",
-    "EpochRecord",
-    "Trainer",
-    "default_forward_fn",
-    "default_loss_fn",
-] + sorted(_LAZY_EXPERIMENT_EXPORTS)
-
-
-def __getattr__(name):
-    if name in _LAZY_EXPERIMENT_EXPORTS:
-        from repro.train import experiments
-        return getattr(experiments, name)
-    raise AttributeError(f"module 'repro.train' has no attribute {name!r}")
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "methods": ["ExperimentContext", "Method", "MethodResult", "available_methods",
+                "build_method", "low_rank_ratios", "method_descriptions", "register_method"],
+    "metrics": ["AverageMeter", "accuracy", "classification_metric", "f1_score",
+                "matthews_corrcoef", "mlm_loss", "spearman_correlation", "top_k_accuracy"],
+    "trainer": ["Callback", "EpochRecord", "Trainer", "default_forward_fn", "default_loss_fn"],
+    "experiments": ["ExperimentRow", "ExperimentSpec", "VisionExperimentConfig", "format_rows",
+                    "run_experiment", "run_vision_method", "reference_profiling",
+                    "projected_training_hours"],
+})

@@ -26,15 +26,15 @@ Methods self-register with :func:`register_method`; the experiment harness
 
 This module deliberately imports nothing from ``repro.core`` or
 ``repro.baselines`` at module level — those packages import the decorator
-from here, and the built-in registrations are pulled in lazily on first
-registry access.  :func:`build_method` imports them only for a name not yet
-registered, so a run of ``full_rank``, or of ``cuttlefish`` once
-``repro.core`` is imported (as the harness does), never imports the
-baselines.
+from here.  A table names the module that registers each built-in method:
+:func:`available_methods` lists names without importing anything, and
+:func:`build_method` imports only the module of the name it builds, so a
+Cuttlefish run never imports a baseline (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Type
@@ -177,25 +177,31 @@ def register_method(name: str) -> Callable[[Type[Method]], Type[Method]]:
     return decorator
 
 
-def _ensure_builtin_methods() -> None:
-    """Import the modules whose import side effect registers the built-ins.
-
-    Lazy so that ``repro.train`` stays importable without ``repro.core`` /
-    ``repro.baselines`` (which import the decorator from this module).
-    """
-    import repro.baselines            # noqa: F401  (registers the 8 baselines)
-    import repro.core.cuttlefish      # noqa: F401  (registers "cuttlefish")
+#: Built-in method name → the module whose import registers it.  A test
+#: checks it against the registrations, so it cannot drift.
+_BUILTIN_METHODS: Dict[str, str] = {
+    "full_rank": __name__,
+    "cuttlefish": "repro.core.cuttlefish",
+    "pufferfish": "repro.baselines.pufferfish",
+    "si_fd": "repro.baselines.si_fd",
+    "lc": "repro.baselines.lc_compression",
+    "imp": "repro.baselines.imp",
+    "xnor": "repro.baselines.xnor",
+    "grasp": "repro.baselines.grasp",
+    "early_bird": "repro.baselines.early_bird",
+}
 
 
 def available_methods() -> List[str]:
-    """Sorted names accepted by :func:`build_method`."""
-    _ensure_builtin_methods()
-    return sorted(_METHOD_REGISTRY)
+    """Sorted names accepted by :func:`build_method`: the built-ins and every
+    live registration.  Imports nothing."""
+    return sorted(set(_BUILTIN_METHODS) | set(_METHOD_REGISTRY))
 
 
 def method_descriptions() -> Dict[str, str]:
-    """name → one-line description for every registered method."""
-    _ensure_builtin_methods()
+    """name → one-line description for every method; imports every built-in."""
+    for module in _BUILTIN_METHODS.values():
+        importlib.import_module(module)
     return {name: _METHOD_REGISTRY[name].description or
             (inspect.getdoc(_METHOD_REGISTRY[name]) or "").split("\n")[0]
             for name in sorted(_METHOD_REGISTRY)}
@@ -208,8 +214,8 @@ def build_method(name: str, **kwargs) -> Method:
     ``ValueError`` naming any keyword argument the method does not accept, so
     typos like ``cuttelfish_config=`` fail loudly instead of being ignored.
     """
-    if name not in _METHOD_REGISTRY:
-        _ensure_builtin_methods()
+    if name not in _METHOD_REGISTRY and name in _BUILTIN_METHODS:
+        importlib.import_module(_BUILTIN_METHODS[name])
     if name not in _METHOD_REGISTRY:
         raise KeyError(f"unknown method {name!r}; available: {available_methods()}")
     cls = _METHOD_REGISTRY[name]

@@ -9,9 +9,10 @@ left behind.  ``ClosableQueue`` is that pattern, written once — a bounded
 ``run_worker_threads`` is the start-then-join fan-out used by the load
 generator.
 
-It also holds the BLAS thread budget for forked workers:
-:func:`cap_blas_threads` shrinks every loaded OpenBLAS thread pool, so N
-forked workers do not each run a pool sized for the whole host.
+It also holds what forked workers (data-parallel replicas and serve engine
+children) check and budget: :func:`fork_available`, and
+:func:`cap_blas_threads`, which shrinks every loaded OpenBLAS thread pool so
+N forked workers do not each run a pool sized for the whole host.
 """
 
 from __future__ import annotations
@@ -144,6 +145,13 @@ def _openblas_pools() -> List[Tuple[str, Callable[[], int], Callable[[int], None
     return pools
 
 
+def fork_available() -> bool:
+    """Whether this platform offers the ``fork`` start method."""
+    import multiprocessing  # local: every process imports this module, few of them fork
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def usable_cores() -> int:
     """Cores this process may run on (its affinity mask where supported)."""
     try:
@@ -176,6 +184,7 @@ __all__ = [
     "ClosableQueue",
     "blas_thread_counts",
     "cap_blas_threads",
+    "fork_available",
     "run_worker_threads",
     "usable_cores",
 ]

@@ -76,12 +76,67 @@ _BASELINES_PROBE = textwrap.dedent("""
 """)
 
 
-def _probe(source: str) -> dict:
-    """Run ``source`` in a fresh interpreter on this tree; its last stdout line, as JSON."""
+#: Lists the method names, then builds ``pufferfish``, in one fresh
+#: interpreter, and prints, as JSON, the names and the ``repro.baselines`` and
+#: ``repro.core.cuttlefish`` modules loaded after each step.
+_METHOD_TABLE_PROBE = textwrap.dedent("""
+    import json, sys
+    from repro.train.methods import available_methods, build_method
+
+    def methods():
+        return sorted(name for name in sys.modules
+                      if name.split(".")[:2] == ["repro", "baselines"]
+                      or name == "repro.core.cuttlefish")
+
+    names = available_methods()
+    loaded = {"available_methods": methods()}
+    build_method("pufferfish")
+    loaded["build pufferfish"] = methods()
+    print(json.dumps({"names": names, "loaded": loaded}))
+""")
+
+#: Builds the CLI parser, parses a ``serve`` command line, loads the artifact
+#: it names and starts and closes a process-mode batcher on it, in one fresh
+#: interpreter, and prints, as JSON, every ``repro`` and ``numpy.random``
+#: module then loaded.
+_SERVE_PROBE = textwrap.dedent("""
+    import json, sys
+    from repro.cli import build_parser
+    from repro.serve import BatchingPolicy, DynamicBatcher, load_artifact
+
+    args = build_parser().parse_args(["serve", "--artifact", sys.argv[1],
+                                      "--workers", "1", "--mode", "process"])
+    batcher = DynamicBatcher(load_artifact(args.artifact), BatchingPolicy(),
+                             workers=args.workers, mode=args.mode)
+    batcher.close()
+    print(json.dumps(sorted(name for name in sys.modules
+                            if name.split(".")[0] == "repro"
+                            or name.startswith("numpy.random"))))
+""")
+
+#: What serving must not import: the training stack, the client side of
+#: serve, every model family but the served one, and a random generator.
+_NOT_SERVING = (
+    "numpy.random",
+    "repro.train", "repro.baselines", "repro.data", "repro.optim", "repro.distributed",
+    "repro.compile",
+    "repro.core.cuttlefish", "repro.core.profiler", "repro.core.rank_tracker",
+    "repro.core.frobenius_decay",
+    "repro.serve.client", "repro.serve.loadgen",
+    "repro.profiling.flops", "repro.profiling.roofline", "repro.profiling.tracer",
+    "repro.profiling.timer", "repro.profiling.counters",
+    "repro.models.bert", "repro.models.deit", "repro.models.mlp", "repro.models.resmlp",
+    "repro.models.vgg",
+)
+
+
+def _probe(source: str, *args: str):
+    """Run ``source`` with ``args`` in a fresh interpreter on this tree; its
+    last stdout line, as JSON."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", source],
+    proc = subprocess.run([sys.executable, "-c", source, *args],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -105,6 +160,37 @@ class TestImport:
         assert report["loaded"]["build full_rank"] == []
         assert report["pufferfish"] == "PufferfishMethod"
         assert "repro.baselines.pufferfish" in report["loaded"]["build pufferfish"]
+
+    def test_method_names_import_no_method(self):
+        """``available_methods`` names the nine built-ins from a table without
+        importing any of them, and building one imports that one alone."""
+        report = _probe(_METHOD_TABLE_PROBE)
+        assert report["names"] == ["cuttlefish", "early_bird", "full_rank", "grasp", "imp",
+                                   "lc", "pufferfish", "si_fd", "xnor"]
+        assert report["loaded"]["available_methods"] == []
+        assert report["loaded"]["build pufferfish"] == ["repro.baselines",
+                                                        "repro.baselines.pufferfish"]
+
+    def test_the_serving_path_loads_no_training_module(self, tmp_path):
+        """Parsing ``serve``, loading a factorized ResNet artifact and forking
+        a process-mode worker load only the serving stack (DESIGN.md §2),
+        and the weight-free skeleton never imports ``numpy.random`` (§9.1)."""
+        from repro.core import factorize_model, full_rank_of
+        from repro.serve import export_artifact
+
+        spec = {"name": "resnet18", "kwargs": {"num_classes": 10, "width_mult": 0.125}}
+        model = build_model(spec["name"], **spec["kwargs"])
+        ranks = {path: max(1, full_rank_of(model.get_submodule(path)) // 4)
+                 for path in model.factorization_candidates() if path.startswith("layer2.")}
+        factorize_model(model, ranks, skip_non_reducing=False)
+        path = str(tmp_path / "low.npz")
+        export_artifact(path, model, model_spec=spec, input_shape=(3, 32, 32))
+
+        loaded = _probe(_SERVE_PROBE, path)
+        assert {"repro.core.low_rank_layers", "repro.models.resnet",
+                "repro.serve.batcher"} <= set(loaded)
+        below = tuple(f"{prefix}." for prefix in _NOT_SERVING)
+        assert [name for name in loaded if name in _NOT_SERVING or name.startswith(below)] == []
 
 
 class TestParser:

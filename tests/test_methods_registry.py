@@ -41,6 +41,17 @@ class TestRegistry:
         assert set(descriptions) == set(ALL_METHODS)
         assert all(descriptions[name] for name in ALL_METHODS)
 
+    def test_the_name_table_names_exactly_the_built_ins(self):
+        """Once every built-in is imported, the name table lists exactly the
+        registered built-ins, each under the module that registers it."""
+        from repro.train import methods as methods_module
+
+        method_descriptions()             # imports every module the table names
+        registered = {name: cls.__module__
+                      for name, cls in methods_module._METHOD_REGISTRY.items()
+                      if cls.__module__.split(".")[0] == "repro"}
+        assert methods_module._BUILTIN_METHODS == registered
+
     def test_build_method_round_trip(self):
         for name in available_methods():
             method = build_method(name)

@@ -257,6 +257,13 @@ class TestShapesOnly:
         assert not u.any() and not v.any()
         assert rng.bit_generator.state == before
 
+    def test_yields_a_generator_that_fails_on_any_draw(self):
+        with nn.init.shapes_only() as no_draws:
+            layer = nn.Linear(6, 4, rng=no_draws)
+        assert layer.weight.data.shape == (4, 6) and not layer.weight.data.any()
+        with pytest.raises(RuntimeError, match="no random generator"):
+            no_draws.standard_normal((2, 2))
+
     def test_restores_on_exit_and_after_an_exception(self):
         with nn.init.shapes_only():
             with nn.init.shapes_only():

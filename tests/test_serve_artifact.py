@@ -3,6 +3,8 @@ round-trips, validation errors, batch canonicalization, and manifests from
 older exports."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +158,67 @@ class TestMixedExtraBnRoundtrip:
         with no_grad():
             direct = model(x).data
         np.testing.assert_array_equal(predictor(x), direct)
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the artifact rebuild drew random numbers ({name})")
+
+
+def _forbid_random_draws(monkeypatch):
+    """Point every ``get_rng`` a ``repro`` module holds — and so the one a
+    module imported later binds — at a generator that fails on any draw."""
+    from repro.utils import seed
+
+    original = seed.get_rng
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, "get_rng", None) is original:
+            monkeypatch.setattr(module, "get_rng", lambda offset=0: _NoDraws())
+
+
+def _export_resnet(tmp_path, prefixes=("layer2.", "layer3.")):
+    path = str(tmp_path / "resnet.npz")
+    manifest = export_artifact(path, _resnet(factorize_prefixes=prefixes),
+                               model_spec=RESNET_SPEC, input_shape=(3, 32, 32))
+    return path, manifest
+
+
+class TestWeightFreeRebuild:
+    """``load_artifact`` rebuilds the registry model weight-free, which is safe
+    only because every weight must then come from the archive (§9.1)."""
+
+    def test_rebuild_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path, _ = _export_resnet(tmp_path)
+        _forbid_random_draws(monkeypatch)
+        predictor = load_artifact(path)
+        assert any(is_low_rank(module) for module in predictor.model.modules())
+
+    def test_a_weight_missing_from_archive_and_manifest_is_an_error(self, tmp_path):
+        path, manifest = _export_resnet(tmp_path)
+        dropped = next(key for key in manifest["state_keys"] if key.startswith("layer3."))
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        del arrays["state/" + dropped]
+        del manifest["state_keys"][dropped]
+        arrays["__artifact_manifest__"] = np.frombuffer(
+            json.dumps(manifest).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ArtifactError, match=re.escape(repr(dropped))):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("prefixes", [(), ("layer2.", "layer3.")],
+                             ids=["dense", "factorized"])
+    def test_predicts_the_bytes_of_a_randomly_initialised_skeleton(self, tmp_path, prefixes):
+        path, manifest = _export_resnet(tmp_path, prefixes)
+        seed_everything(99)
+        skeleton = build_model(RESNET_SPEC["name"], **RESNET_SPEC["kwargs"])
+        factorize_model(skeleton, {key: int(rank) for key, rank in manifest["ranks"].items()},
+                        skip_non_reducing=False)
+        x = get_rng(offset=9).standard_normal((8, 3, 32, 32)).astype(np.float32)
+        weight_free = load_artifact(path)(x)
+        assert weight_free.tobytes() == load_artifact(path, model=skeleton)(x).tobytes()
 
 
 class TestValidation:

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.distributed.process import fork_available
 from repro.models import build_model
 from repro.serve import (
     AdmissionPolicy,
@@ -30,7 +29,7 @@ from repro.serve import batcher as batcher_module
 from repro.serve.engine import InlineEngine, ProcessEngine, probe_output_shape
 from repro.tensor import use_backend
 from repro.utils import seed_everything
-from repro.utils.concurrency import blas_thread_counts, usable_cores
+from repro.utils.concurrency import blas_thread_counts, fork_available, usable_cores
 from repro.utils.shm import active_owned_segments
 
 fork_only = pytest.mark.skipif(not fork_available(),

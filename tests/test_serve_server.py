@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core import factorize_model, full_rank_of
-from repro.distributed.process import fork_available
 from repro.models import build_model
 from repro.serve import (
     BatchingPolicy,
@@ -27,6 +26,7 @@ from repro.serve import (
 from repro.telemetry import tracing
 from repro.tensor import no_grad
 from repro.utils import active_owned_segments, get_rng, seed_everything
+from repro.utils.concurrency import fork_available
 
 MLP_SPEC = {"name": "mlp",
             "kwargs": {"in_features": 20, "hidden_sizes": [40, 40], "num_classes": 6}}
