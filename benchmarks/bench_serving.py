@@ -169,7 +169,6 @@ def main(argv=None) -> int:
     parser.add_argument("--concurrency", type=int, default=None,
                         help="closed-loop clients (default 32, tiny 8)")
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--transports", nargs="+", default=None,
                         choices=["engine", "http"])
     parser.add_argument("--backend", default="numpy-fast")
@@ -204,7 +203,7 @@ def main(argv=None) -> int:
 
     summary = {
         "cell": CELL,
-        "policy": {"max_batch_size": args.max_batch_size, "max_wait_ms": args.max_wait_ms},
+        "policy": {"max_batch_size": args.max_batch_size},
         "backend": args.backend,
         "artifacts": artifacts,
         "load": {},
@@ -216,7 +215,6 @@ def main(argv=None) -> int:
         result = bench_artifact(
             path,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             duration_s=duration,
             concurrency=concurrency,
             transports=transports,

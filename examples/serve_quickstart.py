@@ -79,17 +79,19 @@ def main():
           f"batch_invariant={manifest['batch_invariant']})")
 
     # 4 + 5. Serve it and hit it with concurrent single-sample requests.
-    policy = BatchingPolicy(max_batch_size=16, max_wait_ms=3.0)
-    with ModelServer(artifact, policy=policy, port=0) as server:
+    policy = BatchingPolicy(max_batch_size=16)
+    with ModelServer(artifact, policy=policy, port=0) as server, \
+            ServeClient(server.url) as client:
         print(f"serving on {server.url}")
-        client = ServeClient(server.url)
         print("healthz:", client.healthz())
 
         queries = get_rng(offset=7).standard_normal((24,) + shape).astype(np.float32)
         predictions = [None] * len(queries)
 
         def ask(i):
-            predictions[i] = int(np.argmax(ServeClient(server.url).predict_one(queries[i])))
+            # One client per thread: each keeps its own connection open.
+            with ServeClient(server.url) as own:
+                predictions[i] = int(np.argmax(own.predict_one(queries[i])))
 
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(queries))]
         for t in threads:

@@ -391,7 +391,6 @@ def serving_throughput(
     duration_s: float = 1.0,
     concurrency: int = 8,
     max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
     backend: Optional[str] = "numpy-fast",
     warmup_s: float = 0.25,
     artifact_path: Optional[str] = None,
@@ -403,7 +402,6 @@ def serving_throughput(
         result = bench_artifact(
             path,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             duration_s=duration_s,
             concurrency=concurrency,
             transports=["engine"],
@@ -431,7 +429,6 @@ def serving_pool_throughput(
     duration_s: float = 1.0,
     concurrency: int = 16,
     max_batch_size: int = 16,
-    max_wait_ms: float = 1.0,
     backend: Optional[str] = "numpy-fast",
     warmup_s: float = 0.25,
     mode: str = "process",
@@ -458,8 +455,7 @@ def serving_pool_throughput(
             samples = get_rng(offset=7).standard_normal(
                 (max(64, 2 * concurrency),) + shape).astype(np.float32)
             probe = samples[:5]
-            policy = BatchingPolicy(max_batch_size=max_batch_size,
-                                    max_wait_ms=max_wait_ms)
+            policy = BatchingPolicy(max_batch_size=max_batch_size)
             batcher = DynamicBatcher(predictor, policy=policy,
                                      name=f"pool{size}", workers=size, mode=mode)
             try:

@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default=None, choices=available_backends(),
                        help="tensor backend for inference (default: current)")
     serve.add_argument("--max-batch-size", type=int, default=32)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument("--max-queue", type=int, default=256)
     serve.add_argument("--workers", type=int, default=1,
                        help="predictor-pool size (replicated inference workers)")
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--duration", type=float, default=3.0, help="seconds per config")
     bench_serve.add_argument("--concurrency", type=int, default=32)
     bench_serve.add_argument("--max-batch-size", type=int, default=32)
-    bench_serve.add_argument("--max-wait-ms", type=float, default=2.0)
     bench_serve.add_argument("--transports", nargs="+", default=["engine", "http"],
                              choices=["engine", "http"])
     bench_serve.add_argument("--workers", type=int, default=1,
@@ -506,12 +504,13 @@ def cmd_profile(args: argparse.Namespace, stream=sys.stdout) -> int:
         kwargs["image_size"] = args.image_size
     try:
         # Weight-free: the roofline prices layer shapes and reads no weight.
-        with nn.init.shapes_only():
-            model = build_model(args.model, **kwargs)
+        with nn.init.shapes_only() as no_draws:
+            model = build_model(args.model, rng=no_draws, **kwargs)
     except ValueError as error:      # an image size the patch size does not divide
         stream.write(f"error: {error}\n")
         return 2
-    probe = get_rng(offset=2).standard_normal((2, 3, args.image_size, args.image_size)).astype(np.float32)
+    # The roofline reads only the probe's shapes, so it can be zeros.
+    probe = np.zeros((2, 3, args.image_size, args.image_size), dtype=np.float32)
     labels = np.zeros(len(probe), dtype=np.int64)
     result = profile_layer_stacks(
         model, model.layer_stack_paths(), (probe, labels),
@@ -613,15 +612,14 @@ def cmd_export(args: argparse.Namespace, stream=sys.stdout) -> int:
 def cmd_serve(args: argparse.Namespace, stream=sys.stdout) -> int:
     from repro.serve import AdmissionPolicy, BatchingPolicy, ModelServer
 
-    policy = BatchingPolicy(max_batch_size=args.max_batch_size,
-                            max_wait_ms=args.max_wait_ms, max_queue=args.max_queue)
+    policy = BatchingPolicy(max_batch_size=args.max_batch_size, max_queue=args.max_queue)
     traced = _start_trace(args, "server")
     server = ModelServer(args.artifact, policy=policy, host=args.host, port=args.port,
                          backend=args.backend,
                          workers=args.workers, mode=args.mode,
                          admission=AdmissionPolicy(kind=args.admission))
     stream.write(f"serving {server.model_name} on {server.url} "
-                 f"(max_batch_size={args.max_batch_size}, max_wait_ms={args.max_wait_ms}, "
+                 f"(max_batch_size={args.max_batch_size}, "
                  f"workers={args.workers}, mode={args.mode}, "
                  f"admission={args.admission})\n")
     stream.flush()
@@ -641,7 +639,6 @@ def cmd_bench_serve(args: argparse.Namespace, stream=sys.stdout) -> int:
         results = bench_artifact(
             args.artifact,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             duration_s=args.duration,
             concurrency=args.concurrency,
             transports=args.transports,

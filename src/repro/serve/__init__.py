@@ -8,18 +8,19 @@ The deployment path for trained (and factorized) models:
    returns a :class:`Predictor` (graph-free ``no_grad`` inference).  Public
    names load on first access, so a server imports neither the client nor
    the load generator (DESIGN.md §2).
-3. :class:`DynamicBatcher` coalesces single-sample requests into micro
-   batches under a max-batch-size / max-wait-ms policy and runs them on N
-   workers, each owning an execution engine (same-thread
+3. :class:`DynamicBatcher` coalesces the requests queued when a worker
+   frees up into micro batches of at most ``max_batch_size`` samples, never
+   waiting for more, and runs them on N workers, each owning an execution
+   engine (same-thread
    :class:`InlineEngine` or forked :class:`ProcessEngine` with
    shared-memory weights), behind an admission policy
    (:class:`AdmissionPolicy`: reject when full, or shed low priority).
 4. :class:`ModelServer` exposes ``/predict``, ``/healthz``, ``/metrics``
    and ``/respawn`` over a stdlib ``ThreadingHTTPServer``.  ``/predict``
    speaks JSON to any HTTP client and, when the headers ask for it, binary
-   ``.npy`` tensors (:mod:`repro.serve.wire`); :class:`ServeClient` switches
-   to the binary wire once the server answers in it, and retries with
-   jittered backoff.
+   ``.npy`` tensors (:mod:`repro.serve.wire`); :class:`ServeClient` keeps
+   one connection open, switches to the binary wire once the server
+   answers in it, and retries with jittered backoff.
 5. :mod:`repro.serve.loadgen` drives closed-loop load for benchmarking
    and builds bit-reproducible Poisson arrival schedules
    (:class:`TrafficShape` / :func:`arrival_times`) for open-loop drivers.

@@ -9,10 +9,12 @@ it retired:
 * **admission** (:mod:`repro.serve.admission`) — fail-fast ``reject`` (the
   default) or priority-aware load shedding, decided before a request takes
   a queue slot.
-* **batching** — each :class:`PoolWorker` runs the coalescing loop: block
-  for the first request, drain companions until ``max_batch_size`` samples
-  or ``max_wait_ms`` since the *first* request (a latency bound, not a rate
-  bound), run the batch once, give each future its slice.
+* **batching** — each :class:`PoolWorker` runs the coalescing loop: yield
+  the interpreter once, block for the first request, take the requests
+  already queued behind it up to ``max_batch_size`` samples, run the batch
+  at once, give each future its slice.  Batching is work-conserving: a
+  worker never waits for arrivals, and batches form from the backlog that
+  builds while workers compute.
 * **execution** (:mod:`repro.serve.engine`) — where the forward runs: on
   the worker thread (``mode="thread"``) or in a forked child over shared
   memory (``mode="process"``), with artifact weights mapped once into one
@@ -94,20 +96,18 @@ class BatchingPolicy:
 
     ``max_batch_size``  — largest number of samples fused into one forward;
                           it also sizes the process engines' shm slabs.
-    ``max_wait_ms``     — longest a request may sit waiting for companions,
-                          measured from its enqueue time.
     ``max_queue``       — bound on queued requests (backpressure).
+
+    There is no wait window: a worker dispatches what is queued as soon as
+    it is free (DESIGN.md §9.2).
     """
 
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     max_queue: int = 256
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
 
@@ -172,6 +172,11 @@ class PoolWorker:
         carry: Optional[Any] = None
         while True:
             waited_from = time.perf_counter()
+            # Yield the interpreter once before forming a batch: callers the
+            # last batch answered then queue their next requests first, and
+            # a closed loop of in-process callers keeps riding one batch
+            # instead of splitting into convoys that leave a batch of one.
+            time.sleep(0)
             if carry is not None:
                 item, carry = carry, None
             else:
@@ -182,7 +187,7 @@ class PoolWorker:
                 batch = [item]
             else:
                 batch, carry = self._collect(item)
-            # Idle-plus-coalescing wait is "stall", the forward pass is
+            # Idle-plus-collecting time is "stall", the forward pass is
             # "compute" — the serving twin of the trainer's data-stall split.
             executing_from = time.perf_counter()
             self.stats.observe_stall(executing_from - waited_from)
@@ -202,34 +207,27 @@ class PoolWorker:
                                        samples=sum(r.n for r in batch))
 
     def _collect(self, first) -> Tuple[List[Any], Optional[Any]]:
-        """Coalesce up to ``max_batch_size`` samples, bounded by max_wait_ms.
+        """Add the requests queued behind ``first``, up to ``max_batch_size``
+        samples, without waiting for more to arrive.
 
         Returns ``(batch, carry)`` — ``carry`` holds an item that must be
         handled next cycle (the shutdown sentinel, or a request that would
         overflow this batch); re-queueing either could block on a full
         bounded queue or reorder requests.
         """
-        queue, policy = self.batcher._queue, self.batcher.policy
-        batch = [first]
-        carry: Optional[Any] = None
-        total = first.n
-        deadline = first.enqueued_at + policy.max_wait_ms / 1e3
-        while total < policy.max_batch_size:
-            remaining = deadline - time.perf_counter()
+        queue = self.batcher._queue
+        max_batch_size = self.batcher.policy.max_batch_size
+        batch, total = [first], first.n
+        while total < max_batch_size:
             try:
-                item = queue.get_nowait() if remaining <= 0 else \
-                    queue.get(timeout=remaining)
+                item = queue.get_nowait()
             except _stdlib_queue.Empty:
                 break
-            if item is CLOSED:
-                carry = item
-                break
-            if total + item.n > policy.max_batch_size:
-                carry = item
-                break
+            if item is CLOSED or total + item.n > max_batch_size:
+                return batch, item
             batch.append(item)
             total += item.n
-        return batch, carry
+        return batch, None
 
     def _execute(self, batch: List[Any]) -> None:
         batcher = self.batcher

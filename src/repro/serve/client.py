@@ -3,6 +3,16 @@
 Used by the closed-loop load generator, the CI smoke job and the quickstart
 example; downstream users can talk to the server with any HTTP client.
 
+A :class:`ServeClient` keeps one HTTP/1.1 connection open and sends every
+request over it, so a closed loop pays for one TCP handshake and one server
+handler thread per client, not per request.  A client is not thread-safe:
+use one per thread.  ``close()`` (or a ``with`` block) releases the
+connection; a client that is garbage-collected closes it too.  A request
+on a reused connection that fails before any response byte arrives
+(``RemoteDisconnected``, a broken pipe or a reset) found the connection
+closed by the server while it sat idle; it is re-sent once on a fresh
+connection, and that does not count as a retry.
+
 Every predict asks for ``Accept: application/x-npy, application/json``.  The
 first request body is JSON, which every server reads; once a response comes
 back as ``.npy`` (:mod:`repro.serve.wire`), later request bodies are
@@ -22,12 +32,13 @@ one-line connection error from the middle of a load test.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -35,6 +46,17 @@ from repro.serve import wire
 
 #: The ``Accept`` header of every predict: npy preferred, JSON understood.
 _ACCEPT = f"{wire.NPY_MEDIA_TYPE}, {wire.JSON_MEDIA_TYPE}"
+
+#: How a kept-alive connection that the server closed while it sat idle
+#: fails the next request, before any response byte arrives.
+_IDLE_CLOSE_ERRORS = (http.client.RemoteDisconnected, BrokenPipeError,
+                      ConnectionResetError)
+
+#: Linux only.  A server that writes a response's headers and body in two
+#: sends, with Nagle on (the stdlib ``http.server`` default), holds the body
+#: until the headers are acknowledged; acknowledging at once keeps a
+#: kept-alive exchange from waiting out the delayed-ACK timer (~40 ms).
+_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class ServeClientError(RuntimeError):
@@ -56,6 +78,9 @@ class ServeClientError(RuntimeError):
 class ServeClient:
     """Blocking client: ``predict``, ``healthz``, ``metrics``, ``respawn``.
 
+    One persistent connection; use one client per thread, and ``close()``
+    it (or use it in a ``with`` block) when done.
+
     ``retries`` bounds how many times a *retryable* failure is retried
     (total attempts = retries + 1); the sleep before attempt ``k`` is
     ``backoff_base_s * 2**k`` capped at ``backoff_max_s``, scaled by a
@@ -67,7 +92,12 @@ class ServeClient:
                  retries: int = 2, backoff_base_s: float = 0.05,
                  backoff_max_s: float = 2.0,
                  retry_statuses: Sequence[int] = (0, 503)):
+        self._connection: Optional[http.client.HTTPConnection] = None
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http":
+            raise ValueError(f"ServeClient speaks plain HTTP; got {base_url!r}")
+        self._netloc, self._prefix = parts.netloc, parts.path
         self.timeout = timeout
         self.retries = int(retries)
         self.backoff_base_s = float(backoff_base_s)
@@ -77,26 +107,53 @@ class ServeClient:
         self._npy = False
 
     # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Close the connection; a later request opens a new one."""
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        self.close()
+
     def _request_once(self, path: str, data: Optional[bytes],
                       headers: Dict[str, str]) -> Tuple[str, bytes]:
         """One exchange; returns the response's media type and body."""
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, headers=headers,
-            method="POST" if data is not None else "GET",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.headers.get_content_type(), response.read()
-        except urllib.error.HTTPError as error:
+        method = "POST" if data is not None else "GET"
+        while True:
+            if self._connection is None:
+                self._connection = http.client.HTTPConnection(self._netloc,
+                                                              timeout=self.timeout)
+            connection = self._connection
+            reused, response = connection.sock is not None, None
             try:
-                body = json.loads(error.read().decode("utf-8"))
-            except (ValueError, OSError):
-                body = {"error": str(error)}
-            raise ServeClientError(error.code, body) from None
-        except (urllib.error.URLError, OSError) as error:
-            # Connection reset/refused, timeouts: surface as a retryable
-            # transport error instead of leaking raw socket exceptions.
-            raise ServeClientError(0, {"error": str(error)}) from None
+                connection.request(method, self._prefix + path, body=data, headers=headers)
+                if _TCP_QUICKACK is not None:
+                    connection.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
+                response = connection.getresponse()
+                body = response.read()
+            except (http.client.HTTPException, OSError) as error:
+                self.close()
+                if reused and response is None and isinstance(error, _IDLE_CLOSE_ERRORS):
+                    continue  # the server closed the idle connection: resend once
+                # Refused, reset, timed out, a malformed reply: a retryable
+                # transport error, not a raw socket exception.
+                raise ServeClientError(0, {"error": str(error)}) from None
+            if 200 <= response.status < 300:
+                return response.headers.get_content_type(), body
+            try:
+                reply = json.loads(body.decode("utf-8"))
+            except ValueError:
+                reply = None
+            if not isinstance(reply, dict):
+                reply = {"error": f"HTTP Error {response.status}: {response.reason}"}
+            raise ServeClientError(response.status, reply)
 
     def _retryable(self, error: ServeClientError) -> bool:
         if error.status not in self.retry_statuses:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -213,24 +213,29 @@ def bench_http(
     warmup_s: float = 0.5,
     timeout: float = 60.0,
 ) -> LoadgenResult:
-    """Closed-loop load through the HTTP front end (one client per thread)."""
+    """Closed-loop load through the HTTP front end (one client, and so one
+    kept-alive connection, per thread)."""
     local = threading.local()
+    clients: List[ServeClient] = []
 
     def send(sample: np.ndarray) -> None:
         client: Optional[ServeClient] = getattr(local, "client", None)
         if client is None:
-            client = ServeClient(url, timeout=timeout)
-            local.client = client
+            client = local.client = ServeClient(url, timeout=timeout)
+            clients.append(client)
         client.predict_one(sample)
 
-    return run_closed_loop(send, samples, concurrency, duration_s,
-                           transport="http", warmup_s=warmup_s)
+    try:
+        return run_closed_loop(send, samples, concurrency, duration_s,
+                               transport="http", warmup_s=warmup_s)
+    finally:
+        for client in clients:
+            client.close()
 
 
 def bench_artifact(
     artifact_path: str,
     max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
     duration_s: float = 3.0,
     concurrency: int = 32,
     transports: Sequence[str] = ("engine", "http"),
@@ -264,14 +269,14 @@ def bench_artifact(
     samples = rng.standard_normal((max(64, 2 * concurrency),) + shape).astype(np.float32)
 
     policies = {
-        "batched": BatchingPolicy(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms),
-        "batch1": BatchingPolicy(max_batch_size=1, max_wait_ms=0.0),
+        "batched": BatchingPolicy(max_batch_size=max_batch_size),
+        "batch1": BatchingPolicy(max_batch_size=1),
     }
     results: Dict[str, Any] = {
         "artifact": artifact_path,
         "model": (predictor.manifest.get("model") or {}).get("name"),
         "batch_invariant": predictor.manifest.get("batch_invariant"),
-        "policy": {"max_batch_size": max_batch_size, "max_wait_ms": max_wait_ms},
+        "policy": {"max_batch_size": max_batch_size},
         "concurrency": concurrency,
         "duration_s": duration_s,
         "pool": {"workers": workers, "mode": mode},

@@ -35,11 +35,20 @@ Overload (full request queue) returns ``503`` so closed-loop clients back
 off; malformed bodies, a ``Content-Length`` that is not a non-negative
 integer, and a body that ends before its ``Content-Length`` return ``400``;
 unknown routes ``404``.
+
+Connections are HTTP/1.1 and kept alive: a client may send any number of
+requests over one.  Every handler reads the body a request declares before
+it answers, so the next request on the connection starts where it should,
+and responses go out with Nagle's algorithm off (``TCP_NODELAY``): the
+headers and the body are two writes, and Nagle would otherwise hold the
+body until the client acknowledged the headers.  ``stop()`` ends every
+open connection and joins its handler thread.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -66,12 +75,16 @@ _PREDICT_TIMEOUT_S = 60.0
 #: grows with the bytes a client sends, not with the length it declares.
 _BODY_CHUNK_BYTES = 64 * 1024
 
+#: How long ``stop()`` waits for the listener and the handler threads.
+_STOP_JOIN_S = 10.0
+
 
 class _HTTPServer(ThreadingHTTPServer):
+    # ModelServer joins its handler threads itself, with a bound (stop()).
     daemon_threads = True
-    # Closed-loop load with connection-per-request clients churns through
-    # sockets quickly; the http.server default backlog of 5 drops connections
-    # (RST) under even modest concurrency.
+    # Clients that open a connection per request (curl, urllib) churn
+    # through sockets quickly; the http.server default backlog of 5 drops
+    # connections (RST) under even modest concurrency.
     request_queue_size = 128
 
 
@@ -114,6 +127,11 @@ class ModelServer:
         self.started_at = time.time()
         self._http_requests = self.metrics.counter("http_requests_total")
         self._http_errors = self.metrics.counter("http_errors_total")
+        self._http_connections = self.metrics.counter("http_connections_total")
+        # Open client connections and the handler thread serving each.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+        self._closing = False
 
         handler = _make_handler(self)
         try:
@@ -159,7 +177,8 @@ class ModelServer:
             self.stop()
 
     def stop(self, drain: bool = True) -> None:
-        """Shut down: stop the HTTP listener, then drain the engine.
+        """Shut down: stop the HTTP listener, end every client connection,
+        then drain the engine.
 
         Safe to call whether or not the server ever started serving —
         ``shutdown()`` must only run against a live ``serve_forever`` loop
@@ -169,10 +188,40 @@ class ModelServer:
             self._http.shutdown()
             self._serving = False
         self._http.server_close()
+        deadline = time.monotonic() + _STOP_JOIN_S
+        self._close_connections(deadline)
         if self._thread is not None:
-            self._thread.join(timeout=10.0)
+            self._thread.join(timeout=max(0.0, deadline - time.monotonic()))
             self._thread = None
         self.batcher.close(drain=drain)
+
+    def _open_connection(self, connection: socket.socket) -> None:
+        """A handler took ``connection`` (called from its ``setup()``)."""
+        self._http_connections.inc()
+        with self._connections_lock:
+            self._connections[connection] = threading.current_thread()
+            if self._closing:   # accepted just before the listener stopped
+                _shut_reads(connection)
+
+    def _release_connection(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.pop(connection, None)
+
+    def _close_connections(self, deadline: float) -> None:
+        """End every open client connection and join its handler thread.
+
+        Only the reading side is shut down: a handler in the middle of a
+        request still sends its response (marked ``Connection: close``),
+        and a handler waiting for a kept-alive client's next request reads
+        EOF and exits.
+        """
+        with self._connections_lock:
+            self._closing = True
+            connections = list(self._connections.items())
+        for connection, _ in connections:
+            _shut_reads(connection)
+        for _, thread in connections:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ModelServer":
         return self.start()
@@ -282,7 +331,8 @@ class ModelServer:
         return 200, {
             "model": self.model_name,
             "http": {"requests_total": self.http_requests_total,
-                     "errors_total": self.http_errors_total},
+                     "errors_total": self.http_errors_total,
+                     "connections_total": self._http_connections.value},
             "e2e_latency_ms": self.e2e_latency.summary(unit="ms"),
             "engine": self.batcher.stats(),
             "telemetry": self.metrics.snapshot(),
@@ -295,6 +345,13 @@ class ModelServer:
         self._http_requests.inc()
         if status >= 400:
             self._http_errors.inc()
+
+
+def _shut_reads(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:   # the client or the handler closed it first
+        pass
 
 
 def _json_predict_body(result: Dict[str, Any]) -> Dict[str, Any]:
@@ -337,9 +394,24 @@ def _trace_codec(name: str, started: float, wire_name: str, size: int) -> None:
 def _make_handler(server: ModelServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body are two writes; with Nagle on, a kept-alive
+        # connection would hold the body until the client's delayed ACK.
+        disable_nagle_algorithm = True
+
+        def setup(self) -> None:
+            super().setup()
+            server._open_connection(self.connection)
+
+        def finish(self) -> None:
+            try:
+                super().finish()
+            finally:
+                server._release_connection(self.connection)
 
         def _send(self, status: int, content_type: str, encoded: bytes) -> None:
             server._count(status)
+            if server._closing:
+                self.close_connection = True
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(encoded)))
@@ -385,6 +457,10 @@ def _make_handler(server: ModelServer):
             return b"".join(chunks)
 
         def do_GET(self) -> None:  # noqa: N802 - http.server API
+            # Every route reads the body a request declares before it
+            # answers, so a kept-alive connection stays framed.
+            if self._read_body() is None:
+                return
             parts = urlsplit(self.path)
             query = parse_qs(parts.query)
             if parts.path == "/healthz":
@@ -400,19 +476,16 @@ def _make_handler(server: ModelServer):
                                              f"endpoints: /predict /healthz /metrics"})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
-            parts = urlsplit(self.path)
-            if parts.path not in ("/predict", "/respawn"):
-                self._respond(404, {"error": f"unknown path {self.path!r}"})
-                return
-            # /respawn ignores its body but reads it too, so a keep-alive
-            # connection stays framed correctly for its next request.
             body = self._read_body()
             if body is None:
                 return
-            if parts.path == "/respawn":
+            parts = urlsplit(self.path)
+            if parts.path == "/predict":
+                self._predict(body, parse_qs(parts.query))
+            elif parts.path == "/respawn":
                 self._respond(*server.handle_respawn())
             else:
-                self._predict(body, parse_qs(parts.query))
+                self._respond(404, {"error": f"unknown path {self.path!r}"})
 
         def _predict(self, body: bytes, query: Dict[str, List[str]]) -> None:
             """Decode by ``Content-Type``, run, encode a 200 by ``Accept``."""

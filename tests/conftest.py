@@ -102,18 +102,22 @@ def leak_ledger():
 
 @pytest.fixture
 def sent_requests(monkeypatch):
-    """Every ``urllib.request.Request`` sent while the test runs, in order
-    (the serve client's wire, as the server sees it)."""
-    import urllib.request
+    """Every request sent through ``http.client`` while the test runs, in
+    order, as records with ``method``, ``url`` (the path and query),
+    ``headers`` and ``body``: the serve client's wire, as the server sees
+    it.  A request sent twice (a re-send on a fresh connection) is recorded
+    twice."""
+    import http.client
+    from types import SimpleNamespace
 
     sent = []
-    original = urllib.request.urlopen
+    original = http.client.HTTPConnection.request
 
-    def spy(request, *args, **kwargs):
-        sent.append(request)
-        return original(request, *args, **kwargs)
+    def spy(self, method, url, body=None, headers={}, **kwargs):  # noqa: B006 - mirrors http.client
+        sent.append(SimpleNamespace(method=method, url=url, headers=dict(headers), body=body))
+        return original(self, method, url, body, headers, **kwargs)
 
-    monkeypatch.setattr(urllib.request, "urlopen", spy)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", spy)
     return sent
 
 

@@ -114,6 +114,17 @@ _SERVE_PROBE = textwrap.dedent("""
                             or name.startswith("numpy.random"))))
 """)
 
+#: Runs ``profile --model resnet18 --json`` in one fresh interpreter and
+#: prints, as JSON, its exit code and every ``numpy.random`` module loaded.
+_PROFILE_PROBE = textwrap.dedent("""
+    import io, json, sys
+    from repro.cli import main
+
+    code = main(["profile", "--model", "resnet18", "--json"], stream=io.StringIO())
+    print(json.dumps({"code": code, "loaded": sorted(
+        name for name in sys.modules if name.startswith("numpy.random"))}))
+""")
+
 #: What serving must not import: the training stack, the client side of
 #: serve, every model family but the served one, and a random generator.
 _NOT_SERVING = (
@@ -193,6 +204,12 @@ class TestImport:
         assert [name for name in loaded if name in _NOT_SERVING or name.startswith(below)] == []
 
 
+    def test_profile_draws_no_random_numbers(self):
+        """The roofline reads only the probe batch's shape, so ``profile``
+        builds it from zeros and never imports ``numpy.random``."""
+        assert _probe(_PROFILE_PROBE) == {"code": 0, "loaded": []}
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -207,6 +224,14 @@ class TestParser:
         args = parser.parse_args(["bench-serve", "--artifact", "a.npz",
                                   "--transports", "engine"])
         assert args.command == "bench-serve" and args.transports == ["engine"]
+
+    @pytest.mark.parametrize("verb", ["serve", "bench-serve"])
+    def test_batching_has_no_wait_flag(self, verb, capsys):
+        """Workers dispatch as soon as they are free (DESIGN.md §9.2)."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([verb, "--artifact", "a.npz", "--max-wait-ms", "2"])
+        assert excinfo.value.code == 2
+        assert "--max-wait-ms" in capsys.readouterr().err
 
     def test_train_defaults(self):
         args = build_parser().parse_args(["train"])

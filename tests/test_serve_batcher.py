@@ -1,5 +1,5 @@
-"""Dynamic micro-batching engine (repro.serve.batcher): coalescing policy,
-backpressure, shutdown semantics, and the bit-parity guarantee."""
+"""Dynamic micro-batching engine (repro.serve.batcher): work-conserving
+coalescing, backpressure, shutdown semantics, and the bit-parity guarantee."""
 
 import threading
 import time
@@ -31,14 +31,43 @@ def _echo_predict(batch):
     return np.asarray(batch, dtype=np.float32)
 
 
+class _HoldFirstBatch:
+    """Wraps a predict function: the first batch waits until ``release`` is
+    set, so the requests submitted meanwhile queue up behind it.  The
+    worker never waits for arrivals, so this is how a test builds the
+    backlog batches form from."""
+
+    def __init__(self, predict):
+        self.predict = predict
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def __call__(self, batch):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10.0)
+        return self.predict(batch)
+
+    def backlog(self, batcher, requests):
+        """Submit ``requests[0]``, hold its batch, queue the other requests
+        (each ``(n, *sample_shape)``) behind it, then let the worker go;
+        returns the futures in submission order."""
+        futures = [batcher.submit_batch(requests[0])]
+        assert self.entered.wait(timeout=10.0)
+        futures += [batcher.submit_batch(request) for request in requests[1:]]
+        self.release.set()
+        return futures
+
+
 class TestPolicy:
     def test_rejects_nonpositive_batch_size(self):
         with pytest.raises(ValueError):
             BatchingPolicy(max_batch_size=0)
 
-    def test_rejects_negative_wait(self):
-        with pytest.raises(ValueError):
-            BatchingPolicy(max_wait_ms=-1.0)
+    def test_has_no_wait_window(self):
+        """A worker dispatches as soon as it is free; there is no window to
+        set (DESIGN.md §9.2)."""
+        with pytest.raises(TypeError):
+            BatchingPolicy(max_wait_ms=1.0)
 
     def test_rejects_nonpositive_queue(self):
         with pytest.raises(ValueError):
@@ -47,38 +76,95 @@ class TestPolicy:
 
 class TestCoalescing:
     def test_coalesces_waiting_requests_into_one_batch(self):
-        with DynamicBatcher(_echo_predict,
-                            BatchingPolicy(max_batch_size=8, max_wait_ms=50.0)) as batcher:
+        held = _HoldFirstBatch(_echo_predict)
+        with DynamicBatcher(held, BatchingPolicy(max_batch_size=8)) as batcher:
             x = get_rng(offset=1).standard_normal((8, 4)).astype(np.float32)
-            futures = [batcher.submit(x[i]) for i in range(8)]
+            futures = held.backlog(batcher, x[:, None])
             rows = np.concatenate([f.result(timeout=10.0) for f in futures], axis=0)
             np.testing.assert_array_equal(rows, x)
         stats = batcher.stats()
         assert stats["requests_total"] == 8
-        # The first request may execute alone before the others enqueue, but
-        # coalescing must kick in: far fewer batches than requests.
-        assert stats["batches_total"] <= 4
-        assert stats["mean_batch_size"] >= 2.0
+        # The held first request ran alone; the seven queued behind it ran
+        # as one batch.
+        assert stats["batches_total"] == 2
+        histogram = stats["batch_size_histogram"]
+        assert histogram["<=1"] == 1 and histogram["<=8"] == 1
+        assert stats["mean_batch_size"] == 4.0
+
+    def test_backlog_is_cut_at_max_batch_size_in_order(self):
+        held = _HoldFirstBatch(_echo_predict)
+        with DynamicBatcher(held, BatchingPolicy(max_batch_size=4)) as batcher:
+            futures = held.backlog(batcher, [np.full((n, 2), n, np.float32)
+                                             for n in (1, 2, 1, 2, 3, 1)])
+            for future, n in zip(futures, (1, 2, 1, 2, 3, 1)):
+                np.testing.assert_array_equal(future.result(timeout=10.0),
+                                              np.full((n, 2), n))
+        # [1] held, then [2, 1] (the next 2 would overflow 4 and is carried),
+        # [2], [3, 1]: no request is split, reordered or left waiting.
+        assert batcher.stats()["batches_total"] == 4
+        assert batcher.stats()["samples_total"] == 10
 
     def test_empty_queue_blocks_without_spinning_and_recovers(self):
-        with DynamicBatcher(_echo_predict,
-                            BatchingPolicy(max_batch_size=4, max_wait_ms=1.0)) as batcher:
+        with DynamicBatcher(_echo_predict, BatchingPolicy(max_batch_size=4)) as batcher:
             time.sleep(0.1)                       # worker idles on an empty queue
             assert batcher.stats()["batches_total"] == 0
             out = batcher.submit(np.ones(3, dtype=np.float32)).result(timeout=5.0)
             np.testing.assert_array_equal(out, np.ones((1, 3), dtype=np.float32))
 
-    def test_max_wait_bounds_latency_for_lone_request(self):
-        with DynamicBatcher(_echo_predict,
-                            BatchingPolicy(max_batch_size=64, max_wait_ms=20.0)) as batcher:
+    def test_lone_request_runs_without_waiting_for_companions(self):
+        with DynamicBatcher(_echo_predict, BatchingPolicy(max_batch_size=64)) as batcher:
             start = time.perf_counter()
             batcher.submit(np.zeros(2, dtype=np.float32)).result(timeout=5.0)
             elapsed = time.perf_counter() - start
             assert elapsed < 1.0                  # did not wait for 63 companions
 
+    def test_worker_waits_only_for_the_first_request(self, monkeypatch):
+        """Work-conserving: a worker blocks for a batch's first request and
+        takes companions only if they are already queued."""
+        timeouts = []
+        with DynamicBatcher(_echo_predict, BatchingPolicy(max_batch_size=8)) as batcher:
+            queue = batcher._queue
+            get = queue.get
+
+            def spy(timeout=None):
+                timeouts.append(timeout)
+                return get(timeout)
+
+            monkeypatch.setattr(queue, "get", spy)
+            # The worker is already blocked in the unpatched get; this request
+            # releases it, and every later wait goes through the spy.
+            batcher.submit(np.zeros(2, dtype=np.float32)).result(timeout=5.0)
+            for _ in range(3):
+                batcher.submit(np.zeros(2, dtype=np.float32)).result(timeout=5.0)
+        assert timeouts and all(timeout is None for timeout in timeouts)
+
+    def test_closed_loop_callers_keep_sharing_batches(self):
+        """Eight in-process callers in a closed loop: without a yield before
+        each batch, the worker takes the one request left over from the last
+        cycle alone while the others resubmit, and the loop settles into
+        batches of 1 + 7 (mean 4.0 or less)."""
+
+        def forward(batch):
+            time.sleep(0.002)      # a forward that releases the interpreter
+            return np.asarray(batch, dtype=np.float32)
+
+        with DynamicBatcher(forward, BatchingPolicy(max_batch_size=8)) as batcher:
+            def caller():
+                for _ in range(20):
+                    batcher.submit(np.zeros(2, dtype=np.float32),
+                                   timeout=None).result(timeout=10.0)
+
+            threads = [threading.Thread(target=caller, name=f"caller-{i}")
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert batcher.stats()["mean_batch_size"] > 4.5
+
     def test_request_larger_than_max_batch_is_chunked(self):
-        with DynamicBatcher(_echo_predict,
-                            BatchingPolicy(max_batch_size=4, max_wait_ms=1.0)) as batcher:
+        with DynamicBatcher(_echo_predict, BatchingPolicy(max_batch_size=4)) as batcher:
             x = get_rng(offset=2).standard_normal((11, 3)).astype(np.float32)
             out = batcher.submit_batch(x).result(timeout=10.0)
             np.testing.assert_array_equal(out, x)
@@ -86,12 +172,12 @@ class TestCoalescing:
             assert hist[">4"] >= 1                # recorded as one oversized batch
 
     def test_multi_sample_requests_never_split_across_batches(self):
-        with DynamicBatcher(_echo_predict,
-                            BatchingPolicy(max_batch_size=4, max_wait_ms=50.0)) as batcher:
+        with DynamicBatcher(_echo_predict, BatchingPolicy(max_batch_size=4)) as batcher:
             a = batcher.submit_batch(np.full((3, 2), 1.0, dtype=np.float32))
             b = batcher.submit_batch(np.full((3, 2), 2.0, dtype=np.float32))
             np.testing.assert_array_equal(a.result(timeout=5.0), np.full((3, 2), 1.0))
             np.testing.assert_array_equal(b.result(timeout=5.0), np.full((3, 2), 2.0))
+        assert batcher.stats()["batches_total"] == 2
 
     def test_synchronous_call_convenience(self):
         with DynamicBatcher(_echo_predict) as batcher:
@@ -108,7 +194,7 @@ class TestBackpressure:
             return np.asarray(batch)
 
         batcher = DynamicBatcher(slow_predict,
-                                 BatchingPolicy(max_batch_size=1, max_wait_ms=0.0, max_queue=2))
+                                 BatchingPolicy(max_batch_size=1, max_queue=2))
         try:
             sample = np.zeros(2, dtype=np.float32)
             batcher.submit(sample)                 # taken by the worker, blocks
@@ -130,7 +216,7 @@ class TestBackpressure:
             return np.asarray(batch)
 
         batcher = DynamicBatcher(slow_predict,
-                                 BatchingPolicy(max_batch_size=1, max_wait_ms=0.0, max_queue=1))
+                                 BatchingPolicy(max_batch_size=1, max_queue=1))
         try:
             sample = np.zeros(2, dtype=np.float32)
             batcher.submit(sample)
@@ -147,7 +233,7 @@ class TestBackpressure:
 class TestShutdown:
     def test_close_drains_in_flight_requests(self):
         batcher = DynamicBatcher(_echo_predict,
-                                 BatchingPolicy(max_batch_size=2, max_wait_ms=0.0, max_queue=64))
+                                 BatchingPolicy(max_batch_size=2, max_queue=64))
         x = get_rng(offset=3).standard_normal((16, 3)).astype(np.float32)
         futures = [batcher.submit(x[i]) for i in range(16)]
         batcher.close(drain=True)
@@ -162,7 +248,7 @@ class TestShutdown:
             return np.asarray(batch)
 
         batcher = DynamicBatcher(slow_predict,
-                                 BatchingPolicy(max_batch_size=1, max_wait_ms=0.0, max_queue=16))
+                                 BatchingPolicy(max_batch_size=1, max_queue=16))
         first = batcher.submit(np.zeros(2, dtype=np.float32))
         time.sleep(0.05)                           # worker picks up the first request
         pending = [batcher.submit(np.zeros(2, dtype=np.float32)) for _ in range(4)]
@@ -190,8 +276,7 @@ class TestErrorPropagation:
         def broken_predict(batch):
             raise RuntimeError("kernel exploded")
 
-        with DynamicBatcher(broken_predict,
-                            BatchingPolicy(max_batch_size=4, max_wait_ms=20.0)) as batcher:
+        with DynamicBatcher(broken_predict, BatchingPolicy(max_batch_size=4)) as batcher:
             futures = [batcher.submit(np.zeros(2, dtype=np.float32)) for _ in range(3)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="kernel exploded"):
@@ -208,8 +293,7 @@ class TestConcurrentProducers:
         # serving (the canonical reference), whatever batches actually form.
         expected = np.concatenate([predictor(x[i:i + 1]) for i in range(48)], axis=0)
         results = [None] * 48
-        with DynamicBatcher(predictor,
-                            BatchingPolicy(max_batch_size=8, max_wait_ms=5.0)) as batcher:
+        with DynamicBatcher(predictor, BatchingPolicy(max_batch_size=8)) as batcher:
             def producer(i):
                 results[i] = batcher.submit(x[i]).result(timeout=30.0)[0]
 
@@ -227,12 +311,13 @@ class TestBitParity:
     def test_batched_equals_one_at_a_time_mlp(self):
         predictor = _mlp_predictor()
         x = get_rng(offset=5).standard_normal((24, 16)).astype(np.float32)
-        with DynamicBatcher(predictor,
-                            BatchingPolicy(max_batch_size=16, max_wait_ms=20.0)) as batched:
-            futures = [batched.submit(x[i]) for i in range(24)]
+        held = _HoldFirstBatch(predictor)
+        with DynamicBatcher(held, BatchingPolicy(max_batch_size=16)) as batched:
+            futures = held.backlog(batched, x[:, None])
             coalesced = np.concatenate([f.result(timeout=30.0) for f in futures], axis=0)
-        with DynamicBatcher(predictor,
-                            BatchingPolicy(max_batch_size=1, max_wait_ms=0.0)) as single:
+        # One held request, then the backlog of 23 as batches of 16 and 7.
+        assert batched.stats()["batches_total"] == 3
+        with DynamicBatcher(predictor, BatchingPolicy(max_batch_size=1)) as single:
             one_at_a_time = np.concatenate(
                 [single.submit(x[i]).result(timeout=30.0) for i in range(24)], axis=0)
         np.testing.assert_array_equal(coalesced, one_at_a_time)
@@ -242,16 +327,14 @@ class TestBitParity:
         x = get_rng(offset=6).standard_normal((16, 16)).astype(np.float32)
         with no_grad():
             direct = predictor.model(x).data
-        with DynamicBatcher(predictor,
-                            BatchingPolicy(max_batch_size=16, max_wait_ms=20.0)) as batcher:
+        with DynamicBatcher(predictor, BatchingPolicy(max_batch_size=16)) as batcher:
             out = batcher(x)
         np.testing.assert_array_equal(out, direct)
 
 
 class TestWorkerObservability:
     def test_stats_report_worker_stall_compute_split(self):
-        with DynamicBatcher(_echo_predict,
-                            BatchingPolicy(max_batch_size=4, max_wait_ms=1.0)) as batcher:
+        with DynamicBatcher(_echo_predict, BatchingPolicy(max_batch_size=4)) as batcher:
             x = get_rng(offset=3).standard_normal((6, 4)).astype(np.float32)
             for i in range(6):
                 batcher.submit(x[i]).result(timeout=10.0)

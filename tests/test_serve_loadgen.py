@@ -5,6 +5,7 @@ jittered-backoff retries that fail loudly when the budget runs out."""
 import hashlib
 import http.server
 import json
+import socket
 import threading
 
 import numpy as np
@@ -106,13 +107,23 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _DroppingHandler(_ScriptedHandler):
+    """Speaks HTTP/1.1 but closes every connection after its response
+    without saying so: the idle close a kept-alive client must survive."""
+
+    protocol_version = "HTTP/1.1"
+
+    def _respond(self):
+        super()._respond()
+        self.close_connection = True
+
+
 @pytest.fixture
 def scripted_server():
     created = []
 
-    def start(script):
-        handler = type("Handler", (_ScriptedHandler,),
-                       {"script": list(script), "hits": 0})
+    def start(script, base=_ScriptedHandler):
+        handler = type("Handler", (base,), {"script": list(script), "hits": 0})
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -128,15 +139,15 @@ def scripted_server():
 class TestClientRetry:
     def test_retries_503_then_succeeds(self, scripted_server):
         url, handler = scripted_server([(503, {"error": "busy", "retry": True})])
-        client = ServeClient(url, retries=2, backoff_base_s=0.001)
-        out = client.predict_one(np.zeros(1, dtype=np.float32))
+        with ServeClient(url, retries=2, backoff_base_s=0.001) as client:
+            out = client.predict_one(np.zeros(1, dtype=np.float32))
         assert out.shape == (1, 1)
         assert handler.hits == 2
 
     def test_final_error_is_loud_after_budget_exhausted(self, scripted_server):
         url, handler = scripted_server([(503, {"error": "busy"})] * 10)
-        client = ServeClient(url, retries=2, backoff_base_s=0.001)
-        with pytest.raises(ServeClientError) as excinfo:
+        with ServeClient(url, retries=2, backoff_base_s=0.001) as client, \
+                pytest.raises(ServeClientError) as excinfo:
             client.healthz()
         assert excinfo.value.attempts == 3
         assert handler.hits == 3
@@ -146,16 +157,16 @@ class TestClientRetry:
     def test_retry_false_fails_fast(self, scripted_server):
         url, handler = scripted_server(
             [(503, {"error": "shutting down", "retry": False})] * 5)
-        client = ServeClient(url, retries=5, backoff_base_s=0.001)
-        with pytest.raises(ServeClientError) as excinfo:
+        with ServeClient(url, retries=5, backoff_base_s=0.001) as client, \
+                pytest.raises(ServeClientError) as excinfo:
             client.healthz()
         assert handler.hits == 1          # no retry against a closing server
         assert excinfo.value.attempts == 1
 
     def test_non_retryable_status_fails_immediately(self, scripted_server):
         url, handler = scripted_server([(400, {"error": "bad input"})] * 3)
-        client = ServeClient(url, retries=3, backoff_base_s=0.001)
-        with pytest.raises(ServeClientError) as excinfo:
+        with ServeClient(url, retries=3, backoff_base_s=0.001) as client, \
+                pytest.raises(ServeClientError) as excinfo:
             client.predict(np.zeros((1, 1), dtype=np.float32))
         assert excinfo.value.status == 400
         assert handler.hits == 1
@@ -164,21 +175,61 @@ class TestClientRetry:
         """No probe, no switch: a server that never answers in npy keeps
         getting JSON bodies, one request per predict."""
         url, handler = scripted_server([])
-        client = ServeClient(url, retries=0)
-        for _ in range(3):
-            assert client.predict(np.zeros((1, 1), dtype=np.float32)).shape == (1, 1)
-        assert client.predict_one(np.zeros(1, dtype=np.float32), priority=2).shape == (1, 1)
-        assert [(r.get_header("Content-type"), r.get_header("Accept"))
+        with ServeClient(url, retries=0) as client:
+            for _ in range(3):
+                assert client.predict(np.zeros((1, 1), dtype=np.float32)).shape == (1, 1)
+            assert client.predict_one(np.zeros(1, dtype=np.float32),
+                                      priority=2).shape == (1, 1)
+        assert [(r.headers["Content-Type"], r.headers["Accept"])
                 for r in sent_requests] == [
             ("application/json", "application/x-npy, application/json")] * 4
         for request in sent_requests:
-            json.loads(request.data)
+            json.loads(request.body)
         assert handler.hits == 4
 
+    def test_idle_connection_the_server_closed_is_resent_once(self, scripted_server,
+                                                              sent_requests):
+        """Not a retry: with ``retries=0`` every predict still succeeds."""
+        url, handler = scripted_server([], base=_DroppingHandler)
+        with ServeClient(url, retries=0) as client:
+            for _ in range(3):
+                assert client.predict(np.zeros((1, 1), dtype=np.float32)).shape == (1, 1)
+        # Predicts 2 and 3 each went out on the dropped connection first and
+        # were re-sent on a fresh one, which the handler answered.
+        assert [r.url for r in sent_requests] == ["/predict"] * 5
+        assert handler.hits == 3
+
+    def test_a_fresh_connection_is_not_resent(self):
+        """A connection just opened that closes without a response is a
+        transport error, not an idle close: only a reused one is re-sent."""
+        accepted = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.5)
+
+            def drop():
+                try:
+                    for _ in range(2):
+                        connection, _ = listener.accept()
+                        accepted.append(connection)
+                        with connection:
+                            connection.recv(65536)
+                except OSError:   # no second connection came
+                    pass
+
+            thread = threading.Thread(target=drop, name="dropper")
+            thread.start()
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            with ServeClient(url, retries=0, timeout=5.0) as client, \
+                    pytest.raises(ServeClientError) as excinfo:
+                client.healthz()
+            thread.join(timeout=5.0)
+        assert excinfo.value.status == 0 and excinfo.value.attempts == 1
+        assert len(accepted) == 1
+
     def test_connection_refused_retries_then_reports_transport_error(self):
-        client = ServeClient("http://127.0.0.1:9",    # discard port: refused
-                             retries=1, backoff_base_s=0.001, timeout=1.0)
-        with pytest.raises(ServeClientError) as excinfo:
+        with ServeClient("http://127.0.0.1:9",    # discard port: refused
+                         retries=1, backoff_base_s=0.001, timeout=1.0) as client, \
+                pytest.raises(ServeClientError) as excinfo:
             client.healthz()
         assert excinfo.value.status == 0
         assert excinfo.value.attempts == 2

@@ -89,21 +89,67 @@ _MODELS = {"mlp": (_mlp_predictor, _samples), "resnet": (_resnet_predictor, _ima
 # --------------------------------------------------------------------------- #
 # Bit-invariance across pool sizes and modes (the tentpole guarantee)
 # --------------------------------------------------------------------------- #
+class _SteppedEngine:
+    """Wraps a worker's engine so that every batch signals ``entered`` and
+    then waits for a ``release`` token.  The wrapper runs in the parent, on
+    the worker thread, so it steps process-mode workers as well as
+    thread-mode ones."""
+
+    def __init__(self, engine, entered, release):
+        self._engine, self._entered, self._release = engine, entered, release
+
+    def predict(self, batch):
+        self._entered.release()
+        assert self._release.acquire(timeout=10.0)
+        return self._engine.predict(batch)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
 class TestPoolBitInvariance:
+    MAX_BATCH = 8
+
     def _outputs(self, workers, mode, model="mlp"):
+        """Every sample's output through a pool of ``workers``, computed in
+        the same batches at every pool size.
+
+        Each worker first parks on a gate request of its own; then the
+        samples queue up, and while any are queued the workers run one at a
+        time, so each takes the next full batch.  Which worker computes
+        which batch is left to the pool.  The ResNet cell's rows are not
+        bit-equal between 4- and 8-row batches (DESIGN.md §16.4), so the
+        batches, not the workers, must be fixed for its bits to compare.
+        """
         build, inputs = _MODELS[model]
         predictor = build()
         samples = inputs()
         batcher = DynamicBatcher(
             predictor,
-            policy=BatchingPolicy(max_batch_size=8, max_wait_ms=1.0),
+            policy=BatchingPolicy(max_batch_size=self.MAX_BATCH),
             name=f"inv-{mode}{workers}", workers=workers, mode=mode,
             input_shape=samples.shape[1:])
+        entered, release = threading.Semaphore(0), threading.Semaphore(0)
+        for worker in batcher.pool_workers:
+            worker.engine = _SteppedEngine(worker.engine, entered, release)
         try:
+            for _ in range(workers):
+                batcher.submit(np.zeros_like(samples[0]), timeout=None)
+                assert entered.acquire(timeout=10.0)
             futures = [batcher.submit(s, timeout=None) for s in samples]
-            return np.concatenate([f.result(timeout=30.0) for f in futures])
+            while batcher.queue_depth:
+                release.release()
+                assert entered.acquire(timeout=10.0)
+            for _ in range(workers):
+                release.release()
+            outputs = np.concatenate([f.result(timeout=30.0) for f in futures])
+            batches = batcher.stats()["batches_total"]
         finally:
+            for _ in range(len(samples) + workers):  # unblock a failed run
+                release.release()
             batcher.close(drain=True)
+        assert batches == workers + len(samples) // self.MAX_BATCH
+        return outputs
 
     @pytest.mark.parametrize("model", sorted(_MODELS))
     def test_thread_pool_sizes_bit_identical(self, model):
@@ -336,8 +382,7 @@ class TestFaultInjection:
             return np.asarray(batch, dtype=np.float32)
 
         batcher = DynamicBatcher(unstable, name="crashy",
-                                 policy=BatchingPolicy(max_batch_size=4,
-                                                       max_wait_ms=0.5))
+                                 policy=BatchingPolicy(max_batch_size=4))
         try:
             ok = batcher.submit(_samples(1)[0], timeout=None).result(timeout=10.0)
             assert ok.shape == (1, 16)
@@ -361,8 +406,7 @@ class TestFaultInjection:
     def test_process_worker_sigkill_detected_and_respawned(self):
         batcher = DynamicBatcher(_SlowPredict(0.3), workers=1, mode="process",
                                  input_shape=(16,), name="killpool",
-                                 policy=BatchingPolicy(max_batch_size=4,
-                                                       max_wait_ms=0.5))
+                                 policy=BatchingPolicy(max_batch_size=4))
         try:
             sample = _samples(1)[0]
             assert batcher.submit(sample, timeout=None).result(
@@ -392,8 +436,7 @@ class TestFaultInjection:
             raise KeyboardInterrupt("simulated worker death")
 
         batcher = DynamicBatcher(dying, name="lastdeath",
-                                 policy=BatchingPolicy(max_batch_size=1,
-                                                       max_wait_ms=0.0))
+                                 policy=BatchingPolicy(max_batch_size=1))
         try:
             sample = _samples(1)[0]
             inflight = batcher.submit(sample, timeout=None)
@@ -448,8 +491,7 @@ class TestFaultInjection:
         # on two different workers.
         batcher = DynamicBatcher(_SlowPredict(0.3), workers=2, mode="process",
                                  input_shape=(16,), name="midrespawn",
-                                 policy=BatchingPolicy(max_batch_size=1,
-                                                       max_wait_ms=0.0))
+                                 policy=BatchingPolicy(max_batch_size=1))
         try:
             sample = _samples(1)[0]
             for pid in batcher.worker_pids():
@@ -583,8 +625,7 @@ class TestAdmission:
 
         batcher = DynamicBatcher(
             slow, name="admit",
-            policy=BatchingPolicy(max_batch_size=1, max_wait_ms=0.0,
-                                  max_queue=max_queue),
+            policy=BatchingPolicy(max_batch_size=1, max_queue=max_queue),
             admission=admission)
         return batcher, release
 

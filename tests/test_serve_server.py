@@ -2,10 +2,12 @@
 error handling, request framing, the JSON and npy wires, and concurrent
 clients — all over a real ThreadingHTTPServer on an ephemeral port."""
 
+import http.client
 import io
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -71,6 +73,38 @@ def npy_header(shape):
     return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text
 
 
+def wait_until(condition, timeout=10.0):
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        if time.perf_counter() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+class HoldFirstBatch(Predictor):
+    """A predictor whose first batch waits until ``release`` is set, so the
+    requests sent meanwhile queue up behind it: the engine never waits for
+    arrivals, so this is how a test builds a backlog."""
+
+    def __init__(self, model, **kwargs):
+        super().__init__(model, **kwargs)
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def __call__(self, batch):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10.0)
+        return super().__call__(batch)
+
+
+def exchange(connection, method, path, body=b""):
+    """One request on a raw ``http.client`` connection; ``(status, body)``."""
+    connection.request(method, path, body=body, headers={"Content-Type": JSON})
+    response = connection.getresponse()
+    return response.status, response.read()
+
+
 def resnet_cell():
     """The factorized ResNet-18 x0.125 cell, ready to serve 3x16x16 inputs."""
     seed_everything(5)
@@ -104,8 +138,7 @@ def mlp_artifact(tmp_path):
 @pytest.fixture
 def server(mlp_artifact):
     path, model = mlp_artifact
-    instance = ModelServer(path, policy=BatchingPolicy(max_batch_size=8, max_wait_ms=5.0),
-                           port=0)
+    instance = ModelServer(path, policy=BatchingPolicy(max_batch_size=8), port=0)
     instance.start()
     yield instance, model
     instance.stop()
@@ -114,7 +147,8 @@ def server(mlp_artifact):
 class TestEndpoints:
     def test_healthz(self, server):
         instance, _ = server
-        health = ServeClient(instance.url).healthz()
+        with ServeClient(instance.url) as client:
+            health = client.healthz()
         assert health["status"] == "ok"
         assert health["model"] == "mlp"
         assert health["uptime_s"] >= 0.0
@@ -124,7 +158,8 @@ class TestEndpoints:
         x = get_rng(offset=2).standard_normal((8, 20)).astype(np.float32)
         with no_grad():
             direct = model(x).data
-        out = ServeClient(instance.url).predict(x)
+        with ServeClient(instance.url) as client:
+            out = client.predict(x)
         np.testing.assert_array_equal(out, direct)
 
     def test_predict_single_input_spelling(self, server):
@@ -132,16 +167,16 @@ class TestEndpoints:
         x = get_rng(offset=2).standard_normal((8, 20)).astype(np.float32)
         with no_grad():
             direct = model(x).data
-        client = ServeClient(instance.url)
-        single = client.predict_one(x[0])
+        with ServeClient(instance.url) as client:
+            single = client.predict_one(x[0])
         # One-at-a-time must agree with the batch rows (canonicalized geometry).
         np.testing.assert_array_equal(single, direct[0])
 
     def test_predict_returns_argmax(self, server):
         instance, model = server
         x = get_rng(offset=2).standard_normal((4, 20)).astype(np.float32)
-        client = ServeClient(instance.url)
-        body = client._request("/predict", {"inputs": x.tolist()})
+        with ServeClient(instance.url) as client:
+            body = client._request("/predict", {"inputs": x.tolist()})
         with no_grad():
             expected = np.argmax(model(x).data, axis=-1)
         assert body["argmax"] == [int(i) for i in expected]
@@ -149,11 +184,11 @@ class TestEndpoints:
 
     def test_metrics_populated_after_traffic(self, server):
         instance, _ = server
-        client = ServeClient(instance.url)
         x = get_rng(offset=2).standard_normal((4, 20)).astype(np.float32)
-        for i in range(4):
-            client.predict_one(x[i])
-        metrics = client.metrics()
+        with ServeClient(instance.url) as client:
+            for i in range(4):
+                client.predict_one(x[i])
+            metrics = client.metrics()
         assert metrics["http"]["requests_total"] >= 4
         assert metrics["engine"]["requests_total"] >= 4
         assert metrics["e2e_latency_ms"]["count"] >= 4
@@ -163,7 +198,8 @@ class TestEndpoints:
 
     def test_healthz_reports_queue_and_worker_liveness(self, server):
         instance, _ = server
-        health = ServeClient(instance.url).healthz()
+        with ServeClient(instance.url) as client:
+            health = client.healthz()
         assert health["queue_depth"] == 0
         assert health["worker_alive"] is True
         assert health["status"] == "ok"
@@ -184,10 +220,10 @@ class TestEndpoints:
         from repro.telemetry import validate_snapshot
 
         instance, _ = server
-        client = ServeClient(instance.url)
         x = get_rng(offset=2).standard_normal((2, 20)).astype(np.float32)
-        client.predict(x)
-        snapshot = client.metrics()["telemetry"]
+        with ServeClient(instance.url) as client:
+            client.predict(x)
+            snapshot = client.metrics()["telemetry"]
         validate_snapshot(snapshot)
         assert snapshot["namespace"] == "serve"
         assert snapshot["counters"]["requests_total"] >= 1
@@ -198,9 +234,9 @@ class TestEndpoints:
         import urllib.request
 
         instance, _ = server
-        client = ServeClient(instance.url)
         x = get_rng(offset=2).standard_normal((2, 20)).astype(np.float32)
-        client.predict(x)
+        with ServeClient(instance.url) as client:
+            client.predict(x)
         with urllib.request.urlopen(
                 f"{instance.url}/metrics?format=prometheus", timeout=30) as response:
             assert response.headers["Content-Type"].startswith("text/plain")
@@ -212,21 +248,23 @@ class TestEndpoints:
 
     def test_unknown_route_404(self, server):
         instance, _ = server
-        with pytest.raises(ServeClientError) as excinfo:
-            ServeClient(instance.url)._request("/nope")
+        with ServeClient(instance.url) as client, \
+                pytest.raises(ServeClientError) as excinfo:
+            client._request("/nope")
         assert excinfo.value.status == 404
 
     def test_malformed_body_400(self, server):
         instance, _ = server
-        client = ServeClient(instance.url)
-        with pytest.raises(ServeClientError) as excinfo:
+        with ServeClient(instance.url) as client, \
+                pytest.raises(ServeClientError) as excinfo:
             client._request("/predict", {"wrong_key": [1, 2, 3]})
         assert excinfo.value.status == 400
 
     def test_wrong_sample_shape_400(self, server):
         instance, _ = server
-        with pytest.raises(ServeClientError) as excinfo:
-            ServeClient(instance.url).predict(np.zeros((2, 7), dtype=np.float32))
+        with ServeClient(instance.url) as client, \
+                pytest.raises(ServeClientError) as excinfo:
+            client.predict(np.zeros((2, 7), dtype=np.float32))
         assert excinfo.value.status == 400
         assert "shape" in excinfo.value.body["error"]
 
@@ -239,37 +277,95 @@ class TestEndpoints:
 
     def test_ragged_inputs_400(self, server):
         instance, _ = server
-        client = ServeClient(instance.url)
-        with pytest.raises(ServeClientError) as excinfo:
+        with ServeClient(instance.url) as client, \
+                pytest.raises(ServeClientError) as excinfo:
             client._request("/predict", {"inputs": [[1.0, 2.0], [3.0]]})
         assert excinfo.value.status == 400
 
 
 class TestConcurrentClients:
-    def test_parallel_single_requests_bit_identical(self, server):
-        instance, model = server
+    def test_parallel_single_requests_bit_identical(self, mlp_artifact):
+        path, model = mlp_artifact
         x = get_rng(offset=3).standard_normal((24, 20)).astype(np.float32)
         with no_grad():
             direct = model(x).data
+        loaded = load_artifact(path)
+        predictor = HoldFirstBatch(loaded.model, manifest=loaded.manifest)
         results = [None] * 24
         errors = []
 
         def hit(i):
             try:
-                results[i] = ServeClient(instance.url).predict_one(x[i])
+                with ServeClient(instance.url) as client:
+                    results[i] = client.predict_one(x[i])
             except Exception as error:  # noqa: BLE001 - collected for assertion
                 errors.append(error)
 
         threads = [threading.Thread(target=hit, args=(i,)) for i in range(24)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with ModelServer(predictor, policy=BatchingPolicy(max_batch_size=8),
+                         port=0) as instance:
+            threads[0].start()
+            assert predictor.entered.wait(timeout=10.0)
+            for t in threads[1:]:
+                t.start()
+            assert wait_until(lambda: instance.batcher.queue_depth == 23)
+            predictor.release.set()
+            for t in threads:
+                t.join()
+            stats = instance.batcher.stats()
         assert not errors
         np.testing.assert_array_equal(np.stack(results), direct)
-        # Traffic of 24 singles through a max-batch-8 engine must have coalesced.
-        stats = instance.batcher.stats()
-        assert stats["batches_total"] < 24
+        # 24 singles through a max-batch-8 engine: the held one alone, then
+        # the 23 queued behind it as 8 + 8 + 7.
+        assert stats["batches_total"] == 4
+
+
+class TestKeepAlive:
+    def test_one_client_opens_one_connection(self, server):
+        instance, _ = server
+        x = get_rng(offset=2).standard_normal((20, 20)).astype(np.float32)
+        with ServeClient(instance.url) as client:
+            for sample in x:
+                client.predict_one(sample)
+            counters = client.metrics()["http"]
+        assert counters["requests_total"] == 20
+        assert counters["connections_total"] == 1
+
+    def test_kept_alive_responses_are_not_held_by_nagle(self, server):
+        """Headers and body are two writes.  With Nagle on, a reused
+        connection holds the body until the client's delayed ACK (~40 ms)."""
+        instance, _ = server
+        body = json.dumps({"input": [0.0] * 20}).encode()
+        connection = http.client.HTTPConnection(*instance.address, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                assert exchange(connection, "POST", "/predict", body)[0] == 200
+                round_trips.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert 1e3 * float(np.median(round_trips)) < 25.0
+
+    def test_stop_with_an_idle_connection_leaks_nothing(self, mlp_artifact, leak_ledger):
+        """A kept-alive client that sends nothing more leaves its handler
+        blocked on the next request line: stop() must end it."""
+        path, _ = mlp_artifact
+        instance = ModelServer(path, port=0).start()
+        connection = http.client.HTTPConnection(*instance.address, timeout=10)
+        try:
+            assert exchange(connection, "GET", "/healthz")[0] == 200
+            stopper = threading.Thread(target=instance.stop, name="stopper")
+            stopper.start()
+            stopper.join(timeout=15.0)
+            assert not stopper.is_alive(), "stop() hung on an idle connection"
+            # With the client still connected, only its own socket remains.
+            client_fd = f"fd {connection.sock.fileno()} "
+            assert [leak for leak in leak_ledger.leaks()
+                    if not leak.startswith(client_fd)] == []
+        finally:
+            connection.close()
+        assert leak_ledger.leaks() == []
 
 
 class TestFactorizedServing:
@@ -290,13 +386,12 @@ class TestFactorizedServing:
         x = get_rng(offset=6).standard_normal((8, 3, 32, 32)).astype(np.float32)
         with no_grad():
             direct = model(x).data
-        server = ModelServer(path, policy=BatchingPolicy(max_batch_size=8, max_wait_ms=5.0),
-                             port=0)
+        server = ModelServer(path, policy=BatchingPolicy(max_batch_size=8), port=0)
         server.start()
         try:
-            client = ServeClient(server.url)
-            np.testing.assert_array_equal(client.predict(x), direct)      # batched
-            np.testing.assert_array_equal(client.predict_one(x[3]), direct[3])  # unbatched
+            with ServeClient(server.url) as client:
+                np.testing.assert_array_equal(client.predict(x), direct)      # batched
+                np.testing.assert_array_equal(client.predict_one(x[3]), direct[3])  # unbatched
         finally:
             server.stop()
 
@@ -305,12 +400,11 @@ class TestLifecycle:
     def test_stop_drains_and_rejects_new_work(self, mlp_artifact):
         path, _ = mlp_artifact
         instance = ModelServer(path, port=0).start()
-        url = instance.url
-        client = ServeClient(url)
-        client.predict_one(np.zeros(20, dtype=np.float32))
-        instance.stop()
-        with pytest.raises((ServeClientError, OSError)):
+        with ServeClient(instance.url) as client:
             client.predict_one(np.zeros(20, dtype=np.float32))
+            instance.stop()
+            with pytest.raises((ServeClientError, OSError)):
+                client.predict_one(np.zeros(20, dtype=np.float32))
 
     def test_stop_without_start_returns_promptly(self, mlp_artifact):
         path, _ = mlp_artifact
@@ -326,8 +420,8 @@ class TestLifecycle:
 
     def test_context_manager(self, mlp_artifact):
         path, _ = mlp_artifact
-        with ModelServer(path, port=0) as instance:
-            assert ServeClient(instance.url).healthz()["status"] == "ok"
+        with ModelServer(path, port=0) as instance, ServeClient(instance.url) as client:
+            assert client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize("mode", [
         "thread",
@@ -353,17 +447,19 @@ class TestLifecycle:
     def test_serves_predictor_and_in_memory_model(self, mlp_artifact):
         path, model = mlp_artifact
         predictor = load_artifact(path)
-        with ModelServer(predictor, port=0) as instance:
-            assert ServeClient(instance.url).healthz()["status"] == "ok"
-        with ModelServer(model, port=0, name="inmem") as instance:
-            assert ServeClient(instance.url).healthz()["model"] == "inmem"
+        with ModelServer(predictor, port=0) as instance, ServeClient(instance.url) as client:
+            assert client.healthz()["status"] == "ok"
+        with ModelServer(model, port=0, name="inmem") as instance, \
+                ServeClient(instance.url) as client:
+            assert client.healthz()["model"] == "inmem"
 
 
 class TestPoolServing:
     def test_healthz_reports_pool_size_and_liveness(self, mlp_artifact):
         path, _ = mlp_artifact
-        with ModelServer(path, port=0, workers=2) as instance:
-            health = ServeClient(instance.url).healthz()
+        with ModelServer(path, port=0, workers=2) as instance, \
+                ServeClient(instance.url) as client:
+            health = client.healthz()
             assert health["workers"] == 2
             assert health["workers_alive"] == 2
             assert health["status"] == "ok"
@@ -374,9 +470,9 @@ class TestPoolServing:
         with no_grad():
             direct = model(x).data
         with ModelServer(path, port=0, workers=3,
-                         policy=BatchingPolicy(max_batch_size=4,
-                                               max_wait_ms=1.0)) as instance:
-            out = ServeClient(instance.url).predict(x)
+                         policy=BatchingPolicy(max_batch_size=4)) as instance, \
+                ServeClient(instance.url) as client:
+            out = client.predict(x)
         assert np.array_equal(out, direct)
 
     def test_priority_field_accepted_and_bad_priority_400(self, mlp_artifact, sent_requests,
@@ -392,15 +488,15 @@ class TestPoolServing:
                 return original(request, timeout)
 
             monkeypatch.setattr(admission, "admit", spy)
-            client = ServeClient(instance.url)
-            # A JSON "priority" field, then ?priority=3 once on the npy wire.
-            for _ in range(2):
-                out = client.predict_one(np.zeros(20, dtype=np.float32), priority=3)
-                assert out.shape == (6,)
+            with ServeClient(instance.url) as client:
+                # A JSON "priority" field, then ?priority=3 once on the npy wire.
+                for _ in range(2):
+                    out = client.predict_one(np.zeros(20, dtype=np.float32), priority=3)
+                    assert out.shape == (6,)
             assert admitted == [3, 3]
             second = sent_requests[1]
-            assert second.get_header("Content-type") == NPY
-            assert second.full_url == f"{instance.url}/predict?priority=3"
+            assert second.headers["Content-Type"] == NPY
+            assert second.url == "/predict?priority=3"
             # Only a JSON integer (not a bool) or the digits of ?priority=N.
             for bad in ("urgent", "3", float("inf"), 2.9, True):
                 status, body = instance.handle_predict(
@@ -429,13 +525,14 @@ class TestPoolServing:
             status, media, reply = post(f"{instance.url}/respawn", b"", JSON)
             assert (status, media) == (500, JSON)
             assert "fork refused" in json.loads(reply)["error"]
-            assert ServeClient(instance.url).healthz()["status"] == "ok"
+            with ServeClient(instance.url) as client:
+                assert client.healthz()["status"] == "ok"
 
     def test_dead_pool_returns_retryable_503_and_respawn_recovers(self, mlp_artifact):
         path, _ = mlp_artifact
         instance = ModelServer(path, port=0).start()
+        client = ServeClient(instance.url, retries=0)
         try:
-            client = ServeClient(instance.url, retries=0)
             client.predict_one(np.zeros(20, dtype=np.float32))
             # Simulate worker death without closing the batcher: poison the
             # engine so the next batch raises WorkerDiedError in the worker.
@@ -465,6 +562,7 @@ class TestPoolServing:
             assert out.shape == (6,)
             assert client.healthz()["status"] == "ok"
         finally:
+            client.close()
             instance.stop()
 
 
@@ -509,18 +607,36 @@ class TestRequestFraming:
         assert b"Connection: close" in head
         assert f"after {len(body)} of the {10 ** 15} bytes" in json.loads(reply)["error"]
         assert instance.http_errors_total == errors + 1
-        assert ServeClient(instance.url).healthz()["status"] == "ok"
+        with ServeClient(instance.url) as client:
+            assert client.healthz()["status"] == "ok"
+
+
+    @pytest.mark.parametrize("method, path, status",
+                             [("POST", "/nope", 404), ("GET", "/healthz", 200)])
+    def test_a_declared_body_is_read_whatever_the_route(self, server, method, path, status):
+        """The next request on a kept-alive connection must not be parsed
+        from the body the previous one declared."""
+        instance, _ = server
+        body = json.dumps({"input": [0.0] * 20}).encode()
+        connection = http.client.HTTPConnection(*instance.address, timeout=10)
+        try:
+            assert exchange(connection, method, path, body)[0] == status
+            first = connection.sock
+            assert exchange(connection, "POST", "/predict", body)[0] == 200
+            assert first is not None and connection.sock is first
+        finally:
+            connection.close()
 
 
 class TestNpyWire:
     def test_first_body_is_json_then_npy(self, server, sent_requests):
         instance, _ = server
         x = get_rng(offset=2).standard_normal((4, 20)).astype(np.float32)
-        client = ServeClient(instance.url)
-        for _ in range(3):
-            client.predict(x)
-        client.predict_one(x[0])
-        assert [r.get_header("Content-type") for r in sent_requests] == [JSON, NPY, NPY, NPY]
+        with ServeClient(instance.url) as client:
+            for _ in range(3):
+                client.predict(x)
+            client.predict_one(x[0])
+        assert [r.headers["Content-Type"] for r in sent_requests] == [JSON, NPY, NPY, NPY]
 
     @pytest.mark.parametrize("mode", ["thread", PROCESS])
     @pytest.mark.parametrize("cell", ["mlp", "resnet"])
@@ -535,8 +651,8 @@ class TestNpyWire:
         with no_grad():
             direct = model(x).data
         with ModelServer(source, port=0, mode=mode,
-                         policy=BatchingPolicy(max_batch_size=8, max_wait_ms=5.0)) as instance:
-            client = ServeClient(instance.url)
+                         policy=BatchingPolicy(max_batch_size=8)) as instance, \
+                ServeClient(instance.url) as client:
             outputs = [client.predict(x), client.predict(x)]   # JSON body, then npy
             reply = client._request("/predict", {"inputs": x.tolist()})   # JSON only
         plain = np.asarray(reply["outputs"], dtype=np.float32)
@@ -549,9 +665,9 @@ class TestNpyWire:
     def test_predict_one_is_row_zero_of_predict(self, server):
         instance, _ = server
         x = get_rng(offset=7).standard_normal((1, 20)).astype(np.float32)
-        client = ServeClient(instance.url)
-        batch = client.predict(x)
-        single = client.predict_one(x[0])        # sent as a batch of one
+        with ServeClient(instance.url) as client:
+            batch = client.predict(x)
+            single = client.predict_one(x[0])        # sent as a batch of one
         assert single.shape == (6,) and single.flags.writeable
         np.testing.assert_array_equal(single, batch[0])
 
@@ -606,7 +722,8 @@ class TestNpyWire:
         body = npy_body(x)
         session = tracing.enable("serve")
         try:
-            ServeClient(instance.url)._request("/predict", {"inputs": x.tolist()})
+            with ServeClient(instance.url) as client:
+                client._request("/predict", {"inputs": x.tolist()})
             _, _, reply = post(f"{instance.url}/predict", body, NPY, accept=NPY)
         finally:
             tracing.disable()
